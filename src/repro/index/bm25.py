@@ -80,15 +80,21 @@ class BM25Scorer:
         )
         return max(0.0, value)
 
+    def length_norm(self, doc_len: int) -> float:
+        """The document-length part of the BM25 denominator,
+        ``k1 * (1 - b + b * doc_len / avgdl)`` (the same for every term
+        of one document)."""
+        return self.k1 * (
+            1 - self.b + self.b * doc_len / self.average_doc_length
+        )
+
     def term_score(
         self, tf: int, doc_len: int, document_frequency: int
     ) -> float:
         """BM25 contribution of one term occurrence profile."""
         if tf <= 0:
             return 0.0
-        denominator = tf + self.k1 * (
-            1 - self.b + self.b * doc_len / self.average_doc_length
-        )
+        denominator = tf + self.length_norm(doc_len)
         return self.idf(document_frequency) * tf * (self.k1 + 1) / denominator
 
     def score_document(

@@ -23,6 +23,13 @@ opened with a scope:
 
 Either scope aggregates into the same global totals; closing a window
 freezes its delta.
+
+Representation: totals and windows accumulate into flat lists of integer
+cells — ``[messages, postings, hops]`` per ``(Phase, MessageKind)`` pair,
+indexed by the members' ordinals — so recording is three list increments
+and no enum hashing.  :class:`TrafficSnapshot` dicts are built from the
+cells when read; a phase or kind is a key there exactly when a message
+of it was recorded.
 """
 
 from __future__ import annotations
@@ -55,6 +62,21 @@ class Phase(Enum):
     RETRIEVAL = "retrieval"
     MAINTENANCE = "maintenance"
 
+    def __init__(self, _value: str) -> None:
+        #: Dense 0-based index (see :attr:`MessageKind.ordinal`).
+        self.ordinal = len(type(self).__members__)
+
+
+#: The (phase, kind) pair of each ``[messages, postings, hops]`` cell
+#: triple, phases outermost.
+_CELL_KEYS = tuple((phase, kind) for phase in Phase for kind in MessageKind)
+_KINDS = len(MessageKind)
+_STRIDE = 3 * _KINDS  # cells of one phase
+
+
+def _new_cells() -> list[int]:
+    return [0] * (3 * len(_CELL_KEYS))
+
 
 @dataclass(frozen=True)
 class TrafficSnapshot:
@@ -64,6 +86,23 @@ class TrafficSnapshot:
     messages_by_phase: dict[Phase, int]
     hops_by_phase: dict[Phase, int]
     messages_by_kind: dict[MessageKind, int]
+
+    @classmethod
+    def _from_cells(cls, cells: list[int]) -> "TrafficSnapshot":
+        """Materialize the dicts; only pairs that saw a message
+        contribute keys (a postings or hops value may still be 0)."""
+        postings: dict[Phase, int] = {}
+        messages: dict[Phase, int] = {}
+        hops: dict[Phase, int] = {}
+        by_kind: dict[MessageKind, int] = {}
+        for index, count in enumerate(cells[0::3]):
+            if count:
+                phase, kind = _CELL_KEYS[index]
+                messages[phase] = messages.get(phase, 0) + count
+                postings[phase] = postings.get(phase, 0) + cells[3 * index + 1]
+                hops[phase] = hops.get(phase, 0) + cells[3 * index + 2]
+                by_kind[kind] = by_kind.get(kind, 0) + count
+        return cls(postings, messages, hops, by_kind)
 
     @property
     def indexing_postings(self) -> int:
@@ -142,10 +181,7 @@ class TrafficAccounting:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._postings: Counter[Phase] = Counter()
-        self._messages: Counter[Phase] = Counter()
-        self._hops: Counter[Phase] = Counter()
-        self._by_kind: Counter[MessageKind] = Counter()
+        self._cells = _new_cells()
         self._current_phase = Phase.INDEXING
         #: Open windows fed by every thread's messages (under the lock).
         #: Weak references: the old snapshot-diff windows cost nothing
@@ -166,18 +202,22 @@ class TrafficAccounting:
     @staticmethod
     def _absorb_into(
         refs: list["weakref.ref[TrafficWindow]"],
-        phase: Phase,
-        message: Message,
+        cell: int,
+        postings: int,
+        hops: int,
     ) -> None:
-        """Feed ``message`` to every live window in ``refs``, pruning
-        refs whose window was abandoned without close()."""
+        """Add one message at ``cell`` to every live window in ``refs``,
+        pruning refs whose window was abandoned without close()."""
         dead = False
         for ref in refs:
             window = ref()
             if window is None:
                 dead = True
             else:
-                window._absorb(phase, message)
+                cells = window._cells
+                cells[cell] += 1
+                cells[cell + 1] += postings
+                cells[cell + 2] += hops
         if dead:
             refs[:] = [ref for ref in refs if ref() is not None]
 
@@ -215,28 +255,28 @@ class TrafficAccounting:
 
     def record(self, message: Message) -> None:
         """Attribute ``message`` to the current phase (thread-safe)."""
-        phase = self.phase
+        cell = 3 * (self.phase.ordinal * _KINDS + message.kind.ordinal)
+        postings = message.postings
+        hops = message.hops
         with self._lock:
-            self._postings[phase] += message.postings
-            self._messages[phase] += 1
-            self._hops[phase] += message.hops
-            self._by_kind[message.kind] += 1
-            self._absorb_into(self._global_windows, phase, message)
+            cells = self._cells
+            cells[cell] += 1
+            cells[cell + 1] += postings
+            cells[cell + 2] += hops
+            if self._global_windows:
+                self._absorb_into(self._global_windows, cell, postings, hops)
         # Thread-scoped windows belong to this thread alone: no other
         # thread reads them while open, so no lock is needed.
-        self._absorb_into(self._thread_windows(), phase, message)
+        windows = getattr(self._local, "windows", None)
+        if windows:
+            self._absorb_into(windows, cell, postings, hops)
 
     # -- reading ----------------------------------------------------------------
 
     def snapshot(self) -> TrafficSnapshot:
         """Return an immutable copy of all counters."""
         with self._lock:
-            return TrafficSnapshot(
-                postings_by_phase=dict(self._postings),
-                messages_by_phase=dict(self._messages),
-                hops_by_phase=dict(self._hops),
-                messages_by_kind=dict(self._by_kind),
-            )
+            return TrafficSnapshot._from_cells(self._cells)
 
     def measure(self, scope: str = "global") -> "TrafficWindow":
         """Open a measurement window over these counters.
@@ -261,28 +301,29 @@ class TrafficAccounting:
         """
         return TrafficWindow(self, scope=scope)
 
+    def _phase_total(self, phase: Phase, field: int) -> int:
+        """Sum cell ``field`` (0 messages, 1 postings, 2 hops) over the
+        kinds of ``phase``."""
+        start = phase.ordinal * _STRIDE + field
+        with self._lock:
+            return sum(self._cells[start : start + _STRIDE : 3])
+
     def postings(self, phase: Phase) -> int:
         """Postings transmitted so far in ``phase``."""
-        with self._lock:
-            return self._postings[phase]
+        return self._phase_total(phase, 1)
 
     def messages(self, phase: Phase) -> int:
         """Messages sent so far in ``phase``."""
-        with self._lock:
-            return self._messages[phase]
+        return self._phase_total(phase, 0)
 
     def hops(self, phase: Phase) -> int:
         """Total overlay hops traversed so far in ``phase``."""
-        with self._lock:
-            return self._hops[phase]
+        return self._phase_total(phase, 2)
 
     def reset(self) -> None:
         """Zero every counter (the phase is preserved)."""
         with self._lock:
-            self._postings.clear()
-            self._messages.clear()
-            self._hops.clear()
-            self._by_kind.clear()
+            self._cells = _new_cells()
 
     # -- window registry (called by TrafficWindow) ------------------------------
 
@@ -326,32 +367,15 @@ class TrafficWindow:
             )
         self._accounting = accounting
         self.scope = scope
-        self._postings: Counter[Phase] = Counter()
-        self._messages: Counter[Phase] = Counter()
-        self._hops: Counter[Phase] = Counter()
-        self._by_kind: Counter[MessageKind] = Counter()
+        #: Written by :meth:`TrafficAccounting.record` — under the
+        #: accounting lock for global-scoped windows, lock-free from the
+        #: owning thread for thread-scoped ones.
+        self._cells = _new_cells()
         self._frozen: TrafficSnapshot | None = None
         accounting._attach(self)
 
-    def _absorb(self, phase: Phase, message: Message) -> None:
-        """Fold one recorded message into the window's accumulators.
-
-        Called by :meth:`TrafficAccounting.record` — under the accounting
-        lock for global-scoped windows, lock-free from the owning thread
-        for thread-scoped ones.
-        """
-        self._postings[phase] += message.postings
-        self._messages[phase] += 1
-        self._hops[phase] += message.hops
-        self._by_kind[message.kind] += 1
-
     def _materialize(self) -> TrafficSnapshot:
-        return TrafficSnapshot(
-            postings_by_phase=dict(self._postings),
-            messages_by_phase=dict(self._messages),
-            hops_by_phase=dict(self._hops),
-            messages_by_kind=dict(self._by_kind),
-        )
+        return TrafficSnapshot._from_cells(self._cells)
 
     def __enter__(self) -> "TrafficWindow":
         return self

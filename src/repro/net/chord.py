@@ -46,26 +46,46 @@ class Overlay(Protocol):
         ...
 
 
+#: Entries the per-ring hop memo may hold (N*N at 256 peers).  Past it new
+#: routes are walked but not stored, so memory stays bounded on large rings.
+_HOP_MEMO_LIMIT = 1 << 16
+
+
 class ChordOverlay:
-    """Chord ring over the shared 2**64 id space."""
+    """Chord ring over the shared 2**64 id space.
+
+    The ring changes only on join/leave while every message is routed,
+    so routing state derived from it is cached between membership
+    changes (like :class:`repro.replication.ReplicaPlacement`'s ring):
+    one finger table per peer, built when a walk first visits the peer,
+    and the hop count of every ``(source, owner)`` pair already walked.
+    """
 
     def __init__(self, peer_ids: Iterable[int] = ()) -> None:
-        self._ring: list[int] = []
+        #: ``(ring ascending, finger tables by peer, hops by (source,
+        #: owner))``, replaced as one tuple by every membership change: a
+        #: reader gets a consistent generation in a single load, and a
+        #: walk racing a join stores into the caches of the ring it
+        #: walked, never stale entries into the new ring's.
+        self._routing: tuple[
+            tuple[int, ...],
+            dict[int, tuple[int, ...]],
+            dict[tuple[int, int], int],
+        ] = ((), {}, {})
         for peer_id in peer_ids:
             self.add_peer(peer_id)
 
     # -- membership --------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return len(self._routing[0])
 
     def peer_ids(self) -> list[int]:
         """Peers in ring order (ascending id)."""
-        return list(self._ring)
+        return list(self._routing[0])
 
     def __contains__(self, peer_id: int) -> bool:
-        index = bisect.bisect_left(self._ring, peer_id)
-        return index < len(self._ring) and self._ring[index] == peer_id
+        return _on_ring(self._routing[0], peer_id)
 
     def add_peer(self, peer_id: int) -> int:
         """Insert ``peer_id``; returns the previous owner of its range.
@@ -75,14 +95,13 @@ class ChordOverlay:
         the first peer, the peer itself is returned.
         """
         self._validate_id(peer_id)
-        if peer_id in self:
+        ring = self._routing[0]
+        index = bisect.bisect_left(ring, peer_id)
+        if index < len(ring) and ring[index] == peer_id:
             raise NetworkError(f"peer id {peer_id} already in overlay")
-        if not self._ring:
-            self._ring.append(peer_id)
-            return peer_id
-        successor = self._successor_of(peer_id)
-        bisect.insort(self._ring, peer_id)
-        return successor
+        self._routing = (ring[:index] + (peer_id,) + ring[index:], {}, {})
+        # The successor on the old ring (wrapping); itself when first.
+        return ring[index % len(ring)] if ring else peer_id
 
     def remove_peer(self, peer_id: int) -> int:
         """Remove ``peer_id``; returns the peer inheriting its range.
@@ -91,23 +110,26 @@ class ChordOverlay:
             PeerNotFoundError: if the peer is not in the overlay.
             NetworkError: when removing the last peer (no inheritor).
         """
-        index = bisect.bisect_left(self._ring, peer_id)
-        if index >= len(self._ring) or self._ring[index] != peer_id:
+        ring = self._routing[0]
+        index = bisect.bisect_left(ring, peer_id)
+        if index == len(ring) or ring[index] != peer_id:
             raise PeerNotFoundError(f"peer id {peer_id} not in overlay")
-        if len(self._ring) == 1:
+        if len(ring) == 1:
             raise NetworkError("cannot remove the last peer of the overlay")
-        del self._ring[index]
+        ring = ring[:index] + ring[index + 1 :]
+        self._routing = (ring, {}, {})
         # The departed peer's keys go to its successor (wrapping).
-        return self._ring[index % len(self._ring)]
+        return ring[index % len(ring)]
 
     # -- responsibility and routing -------------------------------------------------
 
     def responsible_peer(self, key_id: int) -> int:
         """Successor of ``key_id`` on the ring."""
         self._validate_id(key_id)
-        if not self._ring:
+        ring = self._routing[0]
+        if not ring:
             raise NetworkError("overlay has no peers")
-        return self._successor_of(key_id)
+        return _successor(ring, key_id)
 
     def route_hops(self, source_peer: int, key_id: int) -> int:
         """Count greedy finger-table hops from ``source_peer`` to the peer
@@ -115,25 +137,23 @@ class ChordOverlay:
 
         Each hop jumps to the finger that most closely precedes the key,
         exactly Chord's ``closest_preceding_node`` walk; the hop count is
-        O(log N) with high probability.
+        O(log N) with high probability.  No peer id lies between a key
+        and its owner, so the walk — and its hop count — depends on the
+        key only through its owner, which is what the memo is keyed by.
         """
-        if source_peer not in self:
+        ring, tables, memo = self._routing
+        if not _on_ring(ring, source_peer):
             raise PeerNotFoundError(
                 f"source peer {source_peer} not in overlay"
             )
-        target = self.responsible_peer(key_id)
-        current = source_peer
-        hops = 0
-        # Guard: in a ring of N peers the greedy walk must terminate in
-        # fewer than N hops; a violation indicates a routing bug.
-        for _ in range(len(self._ring) + 1):
-            if current == target:
-                return hops
-            current = self._closest_preceding_finger(current, key_id)
-            hops += 1
-        raise NetworkError(
-            f"routing loop from {source_peer} to key {key_id}"
-        )
+        self._validate_id(key_id)
+        owner = _successor(ring, key_id)
+        hops = memo.get((source_peer, owner))
+        if hops is None:
+            hops = self._walk(ring, tables, source_peer, owner)
+            if len(memo) < _HOP_MEMO_LIMIT:
+                memo[source_peer, owner] = hops
+        return hops
 
     # -- internals ------------------------------------------------------------------
 
@@ -144,40 +164,58 @@ class ChordOverlay:
                 f"id {value} outside the {KEY_SPACE_BITS}-bit space"
             )
 
-    def _successor_of(self, value: int) -> int:
-        """First peer id >= value, wrapping around the ring."""
-        index = bisect.bisect_left(self._ring, value)
-        if index == len(self._ring):
-            index = 0
-        return self._ring[index]
+    @staticmethod
+    def _walk(
+        ring: tuple[int, ...],
+        tables: dict[int, tuple[int, ...]],
+        source_peer: int,
+        owner: int,
+    ) -> int:
+        """Hops of the greedy walk from ``source_peer`` to ``owner``."""
+        current = source_peer
+        # Guard: in a ring of N peers the greedy walk must terminate in
+        # fewer than N hops; a violation indicates a routing bug.
+        for hops in range(len(ring) + 1):
+            if current == owner:
+                return hops
+            fingers = tables.get(current)
+            if fingers is None:
+                fingers = tables[current] = _fingers(ring, current)
+            for finger in fingers:
+                if _in_open_interval(finger, current, owner):
+                    current = finger
+                    break
+            else:
+                # No finger strictly precedes the owner: the successor
+                # is it; one final hop reaches it.
+                current = fingers[-1]
+        raise NetworkError(
+            f"routing loop from {source_peer} to peer {owner}"
+        )
 
-    def _fingers(self, peer_id: int) -> list[int]:
-        """Finger table of ``peer_id``: successor of ``peer + 2^i``."""
-        fingers = []
-        for i in range(KEY_SPACE_BITS):
-            fingers.append(
-                self._successor_of((peer_id + (1 << i)) % KEY_SPACE_SIZE)
-            )
-        return fingers
 
-    def _closest_preceding_finger(self, current: int, key_id: int) -> int:
-        """The finger of ``current`` that most closely precedes ``key_id``
-        (falling back to the immediate successor)."""
-        best = None
-        for i in reversed(range(KEY_SPACE_BITS)):
-            finger = self._successor_of(
-                (current + (1 << i)) % KEY_SPACE_SIZE
-            )
-            if finger != current and _in_open_interval(
-                finger, current, key_id
-            ):
-                best = finger
-                break
-        if best is None:
-            # No finger strictly precedes the key: the successor is
-            # responsible; one final hop reaches it.
-            best = self._successor_of((current + 1) % KEY_SPACE_SIZE)
-        return best
+def _successor(ring: tuple[int, ...], value: int) -> int:
+    """First peer id >= value, wrapping around the ring."""
+    index = bisect.bisect_left(ring, value)
+    return ring[index] if index < len(ring) else ring[0]
+
+
+def _on_ring(ring: tuple[int, ...], peer_id: int) -> bool:
+    index = bisect.bisect_left(ring, peer_id)
+    return index < len(ring) and ring[index] == peer_id
+
+
+def _fingers(ring: tuple[int, ...], peer_id: int) -> tuple[int, ...]:
+    """Finger table of ``peer_id`` — the successors of ``peer + 2^i`` —
+    as its distinct fingers other than the peer itself, farthest first
+    (the order the greedy walk tries them in); the last entry is the
+    immediate successor."""
+    fingers: list[int] = []
+    for i in reversed(range(KEY_SPACE_BITS)):
+        finger = _successor(ring, (peer_id + (1 << i)) % KEY_SPACE_SIZE)
+        if finger != peer_id and (not fingers or fingers[-1] != finger):
+            fingers.append(finger)
+    return tuple(fingers)
 
 
 def _in_open_interval(value: int, low: int, high: int) -> bool:

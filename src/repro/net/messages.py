@@ -19,6 +19,12 @@ __all__ = ["Message", "MessageKind"]
 class MessageKind(Enum):
     """The message vocabulary of the indexing/retrieval protocols."""
 
+    def __init__(self, _value: str) -> None:
+        #: Dense 0-based index in definition order: traffic accounting
+        #: keeps its counters in flat lists indexed by it, because an
+        #: ``Enum`` dict key costs a Python-level ``__hash__`` call.
+        self.ordinal = len(type(self).__members__)
+
     #: Insert a (key, local posting list) pair into the global index.
     INSERT = "insert"
     #: Look up a key in the global index.

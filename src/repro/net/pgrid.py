@@ -198,6 +198,11 @@ class PGridOverlay:
         trie; each referral resolves at least one more bit.  The cost is
         the number of levels of the responsible peer's covering path
         beyond the longest common prefix with the source's path.
+
+        Unlike :meth:`ChordOverlay.route_hops` this is not memoized by
+        ``(source, owner)``: after churn a peer may own several paths of
+        different depths, so two keys with the same owner can cost
+        different hops — the cost depends on the key's covering *path*.
         """
         source_path = self.path_of(source_peer)
         target = self.responsible_peer(key_id)

@@ -325,7 +325,7 @@ class HierarchicalRouter:
         if owner is None:
             # The request still travels toward the dark range and times
             # out; no response arrives.
-            local_sp = self.topology.super_peer_of(source_id)
+            local_sp = self.topology.access_cluster(source_id).super_peer
             network.log_message(
                 MessageKind.LOOKUP,
                 source_id,
@@ -357,7 +357,7 @@ class HierarchicalRouter:
             return value
         home = self.topology.cluster_of_peer(owner)
         home_sp = home.super_peer
-        local = self.topology.cluster_of_peer(source_id)
+        local = self.topology.access_cluster(source_id)
         local_sp = local.super_peer
         to_home = (source_id != local_sp) + (local_sp != home_sp)
         # Sampled before any probe: a cached payload (or a summary
@@ -597,12 +597,12 @@ class HierarchicalRouter:
         if owner is None:
             # Dark range: the message travels to the local super-peer
             # and on toward the dead region before timing out.
-            local_sp = self.topology.super_peer_of(source_id)
+            local_sp = self.topology.access_cluster(source_id).super_peer
             return max(1, (source_id != local_sp) + 1)
         if owner == source_id:
             return 1
         home_sp = self.topology.super_peer_of(owner)
-        local_sp = self.topology.super_peer_of(source_id)
+        local_sp = self.topology.access_cluster(source_id).super_peer
         return max(
             1,
             (source_id != local_sp)

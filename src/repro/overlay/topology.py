@@ -35,6 +35,7 @@ those fire mid-query, where the thread's phase is RETRIEVAL.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError, NetworkError, PeerNotFoundError
@@ -398,6 +399,25 @@ class SuperPeerTopology:
     def super_peer_of(self, peer_id: int) -> int:
         """Overlay id of the super-peer serving ``peer_id``."""
         return self.cluster_of_peer(peer_id).super_peer
+
+    def access_cluster(self, peer_id: int) -> Cluster:
+        """The cluster ``peer_id`` sends its own messages through: the
+        one it belongs to, or — for a crashed peer, which a
+        :meth:`rebuild` leaves out of the map while it still originates
+        traffic (its indexer expands keys in a later join's cascade) —
+        the cluster whose id span holds its ring position."""
+        clusters, cluster_of = self._state
+        index = cluster_of.get(peer_id)
+        if index is None:
+            if peer_id not in self.network.peer_ids():
+                raise PeerNotFoundError(
+                    f"peer id {peer_id} not in the network"
+                )
+            # Below the first start, the last cluster's span wraps to it.
+            index = bisect.bisect_right(
+                [cluster.start for cluster in clusters], peer_id
+            ) - 1
+        return clusters[index]
 
     def home_cluster(self, key_id: int) -> Cluster | None:
         """The cluster whose key range covers ``key_id`` — the cluster

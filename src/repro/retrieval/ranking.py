@@ -59,27 +59,46 @@ class DistributedRanker:
         """
         if k < 1:
             raise RetrievalError(f"k must be >= 1, got {k}")
-        # doc -> term -> tf, merged across keys.
+        # doc -> term -> tf, merged across keys.  Terms keep the order
+        # they were first seen in: the score below sums in that order.
         evidence: dict[int, dict[str, int]] = {}
         doc_lens: dict[int, int] = {}
         for key_terms, posting in fetched:
-            term_map = evidence.setdefault(posting.doc_id, {})
-            doc_lens[posting.doc_id] = max(
-                doc_lens.get(posting.doc_id, 0), posting.doc_len
-            )
-            if posting.term_tfs:
+            doc_id = posting.doc_id
+            term_map = evidence.setdefault(doc_id, {})
+            if posting.doc_len > doc_lens.get(doc_id, 0):
+                doc_lens[doc_id] = posting.doc_len
+            term_tfs = posting.term_tfs
+            if term_tfs:
                 for index, term in enumerate(key_terms):
-                    tf = posting.term_tfs[index]
-                    term_map[term] = max(term_map.get(term, 0), tf)
+                    if term_tfs[index] > term_map.setdefault(term, 0):
+                        term_map[term] = term_tfs[index]
             elif len(key_terms) == 1:
-                term_map[key_terms[0]] = max(
-                    term_map.get(key_terms[0], 0), posting.tf
-                )
-        scored: list[RankedResult] = []
+                if posting.tf > term_map.setdefault(key_terms[0], 0):
+                    term_map[key_terms[0]] = posting.tf
+        # BM25Scorer.score_document inlined, operation for operation (so
+        # every score keeps its exact bits), with the two things that do
+        # not vary hoisted: a term's idf is computed once per call, a
+        # document's length normalization once per document.
+        scorer = self.scorer
+        k1_plus_1 = scorer.k1 + 1
+        idfs: dict[str, float] = {}
+        ranked: list[tuple[float, int]] = []
         for doc_id, term_map in evidence.items():
-            score = self.scorer.score_document(
-                term_map, doc_lens.get(doc_id, 0), self.term_dfs
-            )
-            scored.append(RankedResult(doc_id=doc_id, score=score))
-        scored.sort(key=lambda r: (-r.score, r.doc_id))
-        return scored[:k]
+            norm = scorer.length_norm(doc_lens.get(doc_id, 0))
+            score = 0.0
+            for term, tf in term_map.items():
+                if tf > 0:
+                    idf = idfs.get(term)
+                    if idf is None:
+                        idf = idfs[term] = scorer.idf(
+                            self.term_dfs.get(term, 0)
+                        )
+                    score += idf * tf * k1_plus_1 / (tf + norm)
+            ranked.append((-score, doc_id))
+        # Tuples sort in C; only the k survivors become result objects.
+        ranked.sort()
+        return [
+            RankedResult(doc_id=doc_id, score=-negated)
+            for negated, doc_id in ranked[:k]
+        ]

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import json
+import sys
+import threading
+from collections import Counter
+from contextlib import ExitStack
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.accounting import (
     Phase,
     TrafficAccounting,
+    TrafficSnapshot,
     diff_snapshots,
+    merge_snapshots,
 )
 from repro.net.messages import Message, MessageKind
 
@@ -270,3 +280,194 @@ class TestConcurrency:
         del window
         acc.record(make_message(postings=1))
         assert acc._thread_windows() == []
+
+
+# -- cell-based accounting vs a plain-Counter model --------------------------------
+
+
+class CounterModel:
+    """The accounting semantics spelled with one ``Counter`` per
+    dimension: what the flat integer cells must be indistinguishable
+    from, down to which keys exist (``counter[phase] += 0`` creates the
+    key) and what ``as_dict()`` serializes to."""
+
+    def __init__(self):
+        self.postings = Counter()
+        self.messages = Counter()
+        self.hops = Counter()
+        self.kinds = Counter()
+
+    def add(self, phase, kind, postings, hops):
+        self.postings[phase] += postings
+        self.messages[phase] += 1
+        self.hops[phase] += hops
+        self.kinds[kind] += 1
+
+    def snapshot(self):
+        return TrafficSnapshot(
+            postings_by_phase=dict(self.postings),
+            messages_by_phase=dict(self.messages),
+            hops_by_phase=dict(self.hops),
+            messages_by_kind=dict(self.kinds),
+        )
+
+
+def assert_same_snapshot(actual, expected):
+    assert actual == expected  # dict equality: zero values and key presence
+    assert json.dumps(actual.as_dict()) == json.dumps(expected.as_dict())
+
+
+accounting_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["record", "record_elsewhere"]),
+            st.sampled_from(list(MessageKind)),
+            st.integers(min_value=0, max_value=50),
+            st.integers(min_value=0, max_value=6),
+        ),
+        st.tuples(st.just("set_phase"), st.sampled_from(list(Phase))),
+        st.tuples(st.just("enter_scope"), st.sampled_from(list(Phase))),
+        st.tuples(st.just("exit_scope")),
+        st.tuples(st.just("open"), st.sampled_from(["global", "thread"])),
+        st.tuples(st.just("close"), st.integers(min_value=0, max_value=9)),
+        st.tuples(st.just("reset")),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(accounting_ops)
+def test_cells_match_counter_model(ops):
+    acc = TrafficAccounting()
+    totals = CounterModel()
+    shared_phase = Phase.INDEXING
+    overrides: list[Phase] = []  # this thread's phase_scope stack
+    open_windows: list[tuple[object, CounterModel]] = []
+    closed: list[tuple[object, TrafficSnapshot]] = []
+
+    def check():
+        assert_same_snapshot(acc.snapshot(), totals.snapshot())
+        for phase in Phase:
+            assert acc.postings(phase) == totals.postings[phase]
+            assert acc.messages(phase) == totals.messages[phase]
+            assert acc.hops(phase) == totals.hops[phase]
+        for window, model in open_windows:
+            assert_same_snapshot(window.delta, model.snapshot())
+        for window, frozen in closed:
+            assert_same_snapshot(window.delta, frozen)
+
+    with ExitStack() as scopes:
+        scope_exits: list[ExitStack] = []
+        for op in ops:
+            name = op[0]
+            if name in ("record", "record_elsewhere"):
+                _, kind, postings, hops = op
+                message = Message(
+                    kind=kind, source=1, destination=2,
+                    postings=postings, hops=hops,
+                )
+                if name == "record":
+                    phase = overrides[-1] if overrides else shared_phase
+                    acc.record(message)
+                else:
+                    # Another thread: no override of its own, invisible
+                    # to this thread's thread-scoped windows.
+                    phase = shared_phase
+                    other = threading.Thread(target=acc.record, args=(message,))
+                    other.start()
+                    other.join(timeout=10)
+                    assert not other.is_alive()
+                totals.add(phase, kind, postings, hops)
+                for window, model in open_windows:
+                    if name == "record" or window.scope == "global":
+                        model.add(phase, kind, postings, hops)
+            elif name == "set_phase":
+                shared_phase = op[1]
+                acc.set_phase(shared_phase)
+            elif name == "enter_scope":
+                exit_stack = scopes.enter_context(ExitStack())
+                exit_stack.enter_context(acc.phase_scope(op[1]))
+                scope_exits.append(exit_stack)
+                overrides.append(op[1])
+            elif name == "exit_scope" and scope_exits:
+                scope_exits.pop().close()
+                overrides.pop()
+            elif name == "open":
+                open_windows.append((acc.measure(scope=op[1]), CounterModel()))
+            elif name == "close" and open_windows:
+                window, model = open_windows.pop(op[1] % len(open_windows))
+                assert_same_snapshot(window.close(), model.snapshot())
+                closed.append((window, model.snapshot()))
+            elif name == "reset":
+                # Totals only: open windows keep what they accumulated.
+                acc.reset()
+                totals = CounterModel()
+            assert acc.phase is (overrides[-1] if overrides else shared_phase)
+            check()
+        for window, _ in open_windows:
+            window.close()
+
+
+def test_bare_lookup_creates_zero_valued_postings_key():
+    """Fingerprints compare snapshot dicts, so a recorded message must
+    create its phase's postings/hops keys even when it carries none."""
+    acc = TrafficAccounting()
+    acc.set_phase(Phase.RETRIEVAL)
+    with acc.measure(scope="thread") as window:
+        acc.record(make_message(postings=0, hops=0, kind=MessageKind.LOOKUP))
+    for snapshot in (acc.snapshot(), window.delta):
+        assert snapshot.postings_by_phase == {Phase.RETRIEVAL: 0}
+        assert snapshot.hops_by_phase == {Phase.RETRIEVAL: 0}
+        assert snapshot.messages_by_phase == {Phase.RETRIEVAL: 1}
+        assert snapshot.messages_by_kind == {MessageKind.LOOKUP: 1}
+
+
+def test_hammer_with_windows_and_phase_scopes_stays_exact():
+    """Eight threads, each under its own phase_scope and thread-scoped
+    window, one global window over all of them: every total exact."""
+    acc = TrafficAccounting()
+    phases = list(Phase)
+    kinds = list(MessageKind)
+    per_thread = 400
+    deltas: dict[int, TrafficSnapshot] = {}
+
+    def worker(number):
+        phase = phases[number % len(phases)]
+        with acc.phase_scope(phase), acc.measure(scope="thread") as window:
+            for i in range(per_thread):
+                acc.record(
+                    make_message(
+                        postings=number, hops=i % 3,
+                        kind=kinds[(number + i) % len(kinds)],
+                    )
+                )
+        deltas[number] = window.delta
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with acc.measure(scope="global") as everything:
+            threads = [
+                threading.Thread(target=worker, args=(number,))
+                for number in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    expected_hops = sum(i % 3 for i in range(per_thread))
+    for number, delta in deltas.items():
+        phase = phases[number % len(phases)]
+        assert delta.messages_by_phase == {phase: per_thread}
+        assert delta.postings_by_phase == {phase: number * per_thread}
+        assert delta.hops_by_phase == {phase: expected_hops}
+        assert sum(delta.messages_by_kind.values()) == per_thread
+    assert_same_snapshot(everything.delta, acc.snapshot())
+    assert everything.delta == merge_snapshots(*deltas.values())
+    assert acc.snapshot().total_messages == 8 * per_thread
+    assert acc.snapshot().total_postings == per_thread * sum(range(8))
+    assert acc.snapshot().total_hops == 8 * expected_hops

@@ -10,6 +10,7 @@ from repro.config import HDKParameters
 from repro.corpus.querylog import QueryLogGenerator
 from repro.corpus.synthetic import SyntheticCorpusConfig, SyntheticCorpusGenerator
 from repro.engine.service import SearchService
+from repro.errors import PeerNotFoundError
 from repro.net.accounting import Phase
 from repro.net.messages import MessageKind
 
@@ -125,3 +126,53 @@ class TestChurnAccounting:
             response.traffic.messages_by_phase.get(Phase.MAINTENANCE, 0)
             == 0
         )
+
+
+class TestJoinWhilePeerDown:
+    """A join re-clusters the live population, which leaves a crashed
+    peer out of the map — yet its indexer still expands keys in the
+    join's cascade (and may still query), so its messages must route."""
+
+    VICTIM = "peer-004"
+
+    @pytest.fixture(scope="class")
+    def worlds(self):
+        full = SyntheticCorpusGenerator(CORPUS, seed=11).generate(200)
+        ids = full.doc_ids()
+        return full.subset(ids[:180]), full.subset(ids[180:])
+
+    def kill_then_join(self, worlds, backend, **kwargs):
+        initial, held_out = worlds
+        service = build(initial, backend, replication=2, **kwargs)
+        service.kill_peer(self.VICTIM)
+        service.add_peers(held_out, 2)
+        return service
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_join_succeeds_and_matches_flat(
+        self, worlds, queries, adaptive
+    ):
+        flat = self.kill_then_join(worlds, "hdk")
+        sup = self.kill_then_join(
+            worlds, "hdk_super", overlay_fanout=3, overlay_adaptive=adaptive
+        )
+        # The join re-clustered without the crashed peer, whose
+        # messages now enter through the cluster spanning its position.
+        victim_id = sup.network.id_of(self.VICTIM)
+        topology = sup.backend.router.topology
+        assert victim_id not in {
+            m for c in topology.clusters for m in c.members
+        }
+        assert topology.access_cluster(victim_id) in topology.clusters
+        for source in ("peer-000", self.VICTIM):
+            assert rankings_of(sup, queries, source) == rankings_of(
+                flat, queries, source
+            )
+        assert rankings_of(sup, queries, "peer-000") == rankings_of(
+            sup, queries, self.VICTIM
+        )
+
+    def test_unknown_peer_still_rejected(self, worlds):
+        sup = self.kill_then_join(worlds, "hdk_super", overlay_fanout=3)
+        with pytest.raises(PeerNotFoundError):
+            sup.backend.router.topology.access_cluster(12345)

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import struct
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import RetrievalError
 from repro.index.bm25 import BM25Scorer
@@ -81,3 +86,150 @@ class TestRank:
     def test_invalid_k(self, scorer):
         with pytest.raises(RetrievalError):
             make_ranker(scorer).rank([], k=0)
+
+
+# -- bit-exactness against BM25Scorer.score_document ---------------------------------
+#
+# rank() inlines the BM25 formula (idf once per call, length normalization
+# once per document) and builds result objects for the top k only.  The
+# reference below is the plain form: merge the evidence, score every
+# document through BM25Scorer.score_document, sort everything.  Scores
+# must agree bit for bit — rankings are fingerprinted across backends,
+# snapshots and the HTTP gateway.
+
+
+@dataclass(frozen=True)
+class LoosePosting:
+    """A posting without :class:`Posting`'s validation, so generated
+    evidence can carry ``tf == 0`` (``term_score`` has a branch for it)."""
+
+    doc_id: int
+    tf: int
+    term_tfs: tuple[int, ...] = ()
+    doc_len: int = 0
+
+
+def reference_rank(scorer, term_dfs, fetched, k):
+    evidence: dict[int, dict[str, int]] = {}
+    doc_lens: dict[int, int] = {}
+    for key_terms, posting in fetched:
+        term_map = evidence.setdefault(posting.doc_id, {})
+        doc_lens[posting.doc_id] = max(
+            doc_lens.get(posting.doc_id, 0), posting.doc_len
+        )
+        if posting.term_tfs:
+            for index, term in enumerate(key_terms):
+                term_map[term] = max(
+                    term_map.get(term, 0), posting.term_tfs[index]
+                )
+        elif len(key_terms) == 1:
+            term_map[key_terms[0]] = max(
+                term_map.get(key_terms[0], 0), posting.tf
+            )
+    scored = [
+        (doc_id, scorer.score_document(term_map, doc_lens[doc_id], term_dfs))
+        for doc_id, term_map in evidence.items()
+    ]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+VOCABULARY = ["a", "b", "c", "d", "unknown"]  # "unknown" has no df
+
+
+@st.composite
+def fetched_evidence(draw):
+    """(key terms, posting) pairs over few documents and few distinct
+    tf/length values, so documents repeat across keys and scores tie."""
+    pairs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        key_terms = tuple(
+            sorted(
+                draw(
+                    st.sets(
+                        st.sampled_from(VOCABULARY), min_size=1, max_size=3
+                    )
+                )
+            )
+        )
+        tfs = tuple(
+            draw(st.integers(min_value=0, max_value=3)) for _ in key_terms
+        )
+        # Single-term keys may ship the bare ``tf`` form.
+        bare = len(key_terms) == 1 and draw(st.booleans())
+        pairs.append(
+            (
+                key_terms,
+                LoosePosting(
+                    doc_id=draw(st.integers(min_value=0, max_value=12)),
+                    tf=tfs[0] if bare else max(1, min(tfs)),
+                    term_tfs=() if bare else tfs,
+                    doc_len=draw(st.sampled_from([0, 7, 10, 10, 31])),
+                ),
+            )
+        )
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fetched_evidence(),
+    st.integers(min_value=1, max_value=20),
+    st.fixed_dictionaries(
+        {term: st.integers(min_value=0, max_value=120) for term in "abcd"}
+    ),
+    st.sampled_from([(100, 10.0), (1, 0.1), (7, 33.3)]),
+)
+def test_rank_is_bit_identical_to_score_document(
+    fetched, k, term_dfs, collection
+):
+    num_documents, average_doc_length = collection
+    scorer = BM25Scorer(
+        num_documents=num_documents, average_doc_length=average_doc_length
+    )
+    # A df cannot exceed the collection size (idf's log needs that).
+    term_dfs = {t: df % (num_documents + 1) for t, df in term_dfs.items()}
+    expected = reference_rank(scorer, term_dfs, fetched, k)
+    results = DistributedRanker(scorer, term_dfs).rank(fetched, k)
+    assert [(r.doc_id, bits(r.score)) for r in results] == [
+        (doc_id, bits(score)) for doc_id, score in expected
+    ]
+    candidates = len({posting.doc_id for _, posting in fetched})
+    assert len(results) == min(k, candidates)
+
+
+def test_rank_exactness_on_validated_postings_with_ties():
+    """The same check on real :class:`Posting` objects: documents 3, 5
+    and 9 carry identical evidence (a three-way tie broken by id), k
+    below and above the candidate count."""
+    scorer = BM25Scorer(num_documents=50, average_doc_length=12.5)
+    term_dfs = {"a": 4, "b": 30, "c": 0}
+    fetched = [
+        (("a", "b"), Posting(doc_id=d, tf=1, term_tfs=(2, 1), doc_len=11))
+        for d in (9, 3, 5)
+    ] + [
+        (("a",), Posting(doc_id=3, tf=2, doc_len=11)),
+        (("c", "zz"), Posting(doc_id=7, tf=1, term_tfs=(1, 4), doc_len=40)),
+        (("b",), Posting(doc_id=1, tf=6, term_tfs=(6,), doc_len=3)),
+    ]
+    ranker = DistributedRanker(scorer, term_dfs)
+    for k in (1, 2, 4, 5, 50):
+        results = ranker.rank(fetched, k)
+        assert [(r.doc_id, bits(r.score)) for r in results] == [
+            (doc_id, bits(score))
+            for doc_id, score in reference_rank(scorer, term_dfs, fetched, k)
+        ]
+    tied = [r.doc_id for r in ranker.rank(fetched, 50)]
+    assert tied.index(3) < tied.index(5) < tied.index(9)
+    assert tied.index(5) == tied.index(3) + 1 == tied.index(9) - 1
+
+
+def test_negative_df_still_rejected_when_the_term_scores():
+    scorer = BM25Scorer(num_documents=10, average_doc_length=5.0)
+    fetched = [(("a",), Posting(doc_id=1, tf=1, doc_len=5))]
+    with pytest.raises(RetrievalError):
+        DistributedRanker(scorer, {"a": -1}).rank(fetched, k=1)
