@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from repro.corpus.synthetic import SyntheticCorpusGenerator
-from repro.engine.p2p_engine import P2PSearchEngine
+from repro.engine.service import SearchService
 from repro.net.accounting import Phase
 from repro.net.chord import ChordOverlay
 from repro.net.node_id import KEY_SPACE_SIZE, peer_id_for
@@ -28,8 +28,13 @@ def test_ablation_overlay_equivalence(benchmark):
     rows = []
     postings_by_overlay = {}
     for overlay in ("chord", "pgrid"):
-        engine = P2PSearchEngine.build(
-            collection, num_peers=8, params=params, overlay=overlay
+        engine = SearchService.build(
+            collection,
+            num_peers=8,
+            backend="hdk",
+            params=params,
+            overlay=overlay,
+            cache_capacity=None,
         )
         engine.index()
         snapshot = engine.network.accounting.snapshot()

@@ -8,7 +8,7 @@ the collection at these sizes, and a larger DF_max reduces the HDK index
 
 from __future__ import annotations
 
-from repro.engine.p2p_engine import EngineMode, P2PSearchEngine
+from repro.engine.service import SearchService
 from repro.engine.reporting import render_figure_series, series_by_label
 
 from .conftest import (
@@ -56,11 +56,12 @@ def test_fig3_stored_postings_per_peer(benchmark, growth_results, bench_collecti
     prefix = bench_collection.subset(bench_collection.doc_ids()[:first_docs])
 
     def build_and_index():
-        engine = P2PSearchEngine.build(
+        engine = SearchService.build(
             prefix,
             num_peers=BENCH_EXPERIMENT.initial_peers,
+            backend="hdk",
             params=BENCH_EXPERIMENT.hdk,
-            mode=EngineMode.HDK,
+            cache_capacity=None,
         )
         engine.index()
         return engine.stored_postings_per_peer()

@@ -7,7 +7,7 @@ multiple of single-term indexing.
 
 from __future__ import annotations
 
-from repro.engine.p2p_engine import EngineMode, P2PSearchEngine
+from repro.engine.service import SearchService
 from repro.engine.reporting import render_figure_series, series_by_label
 
 from .conftest import BENCH_DF_MAX_VALUES, BENCH_EXPERIMENT, publish
@@ -53,11 +53,12 @@ def test_fig4_inserted_postings_per_peer(
     prefix = bench_collection.subset(bench_collection.doc_ids()[:first_docs])
 
     def build_and_index_st():
-        engine = P2PSearchEngine.build(
+        engine = SearchService.build(
             prefix,
             num_peers=BENCH_EXPERIMENT.initial_peers,
+            backend="single_term",
             params=BENCH_EXPERIMENT.hdk,
-            mode=EngineMode.SINGLE_TERM,
+            cache_capacity=None,
         )
         engine.index()
         return engine.inserted_postings_per_peer()

@@ -70,16 +70,18 @@ def test_fig6_retrieval_traffic(benchmark, growth_results, bench_collection):
         7 * low
     )
     # Benchmark one query end-to-end on a freshly indexed engine.
-    from repro.engine.p2p_engine import P2PSearchEngine
+    from repro.engine.service import SearchService
 
     first_docs = (
         BENCH_EXPERIMENT.initial_peers * BENCH_EXPERIMENT.docs_per_peer
     )
     prefix = bench_collection.subset(bench_collection.doc_ids()[:first_docs])
-    engine = P2PSearchEngine.build(
+    engine = SearchService.build(
         prefix,
         num_peers=BENCH_EXPERIMENT.initial_peers,
+        backend="hdk",
         params=BENCH_EXPERIMENT.hdk,
+        cache_capacity=None,  # every benchmarked call pays the lookup
     )
     engine.index()
     query = QueryLogGenerator(

@@ -67,7 +67,7 @@ def test_parallel_batch_worker_sweep(benchmark):
     speedups = {}
     for backend, kwargs in (
         ("hdk", {}),
-        ("hdk_disk", {"memory_budget": 1_000}),
+        ("hdk_disk", {"memory_budget_bytes": 7_000}),
     ):
         service = build(backend, **kwargs)
         reference_rankings = None

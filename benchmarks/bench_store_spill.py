@@ -45,9 +45,7 @@ DOCS = 160 if _SMOKE else 360
 NUM_QUERIES = 10 if _SMOKE else 25
 
 #: Byte budgets for the residency sweep ("everything hot" down to
-#: "everything spilled").  Units are encoded posting bytes — the
-#: generation-2 denomination; the deprecated posting-count knob is
-#: covered by tests/store/test_budget_units.py.
+#: "everything spilled"), in encoded posting bytes.
 BUDGET_BYTES = (256 * 1024, 16 * 1024, 1_024, 0)
 
 #: Cold-reopen timing repetitions (best-of to shed scheduler noise).

@@ -8,7 +8,7 @@ collection split) at the harness scale.
 from __future__ import annotations
 
 from repro.config import PAPER_PARAMETERS
-from repro.engine.p2p_engine import P2PSearchEngine
+from repro.engine.service import SearchService
 from repro.utils import format_table
 
 from .conftest import BENCH_DF_MAX_VALUES, BENCH_EXPERIMENT, publish
@@ -16,10 +16,12 @@ from .conftest import BENCH_DF_MAX_VALUES, BENCH_EXPERIMENT, publish
 
 def test_table2_parameters(benchmark, bench_collection):
     engine = benchmark(
-        P2PSearchEngine.build,
+        SearchService.build,
         bench_collection,
-        BENCH_EXPERIMENT.max_peers,
-        BENCH_EXPERIMENT.hdk,
+        num_peers=BENCH_EXPERIMENT.max_peers,
+        backend="hdk",
+        params=BENCH_EXPERIMENT.hdk,
+        cache_capacity=None,
     )
     paper = PAPER_PARAMETERS
     bench = BENCH_EXPERIMENT

@@ -91,8 +91,8 @@ def main() -> None:
         ("hdk", "the paper's model", {}),
         (
             "hdk_disk",
-            "HDK from disk, 500-posting RAM budget",
-            {"memory_budget": 500},
+            "HDK from disk, 3.5 kB RAM budget",
+            {"memory_budget_bytes": 3_500},
         ),
         ("centralized", "single-node oracle, zero network", {}),
     ]:

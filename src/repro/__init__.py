@@ -15,8 +15,7 @@ string-keyed registry (``hdk``, ``hdk_disk``, ``single_term``,
 :class:`SearchService` — the facade owning the query pipeline, an LRU
 result cache, and traffic accounting, with single, batch (optionally
 thread-parallel), and query-log search surfaces, plus ``save``/``load``
-snapshots backed by the :mod:`repro.store` segmented disk store.  The
-legacy :class:`P2PSearchEngine` remains as a thin shim over it.
+snapshots backed by the :mod:`repro.store` segmented disk store.
 
 Every tier is observable through :mod:`repro.obs`: a contextvars-based
 :class:`Tracer` follows a query from the HTTP gateway through the
@@ -56,7 +55,6 @@ from .engine.backends import (
     registry,
 )
 from .engine.experiment import GrowthExperiment, GrowthStepResult
-from .engine.p2p_engine import EngineMode, P2PSearchEngine
 from .engine.service import BatchSearchReport, SearchService
 from .errors import (
     AnalysisError,
@@ -89,7 +87,7 @@ from .replication import (
 )
 from .store import SegmentStore, SpillingGlobalKeyIndex
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ExperimentParameters",
@@ -101,12 +99,10 @@ __all__ = [
     "BatchSearchReport",
     "GrowthExperiment",
     "GrowthStepResult",
-    "EngineMode",
     "HierarchicalRouter",
     "IndexingPipeline",
     "LatencyHistogram",
     "MetricsHub",
-    "P2PSearchEngine",
     "Tracer",
     "get_hub",
     "get_tracer",

@@ -31,6 +31,7 @@ text; machine-readable output can use ``--format csv`` where offered.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -50,6 +51,7 @@ from .engine.backends import registry
 from .engine.experiment import GrowthExperiment
 from .engine.reporting import render_growth_table
 from .engine.service import SearchService
+from .errors import ConfigurationError
 from .utils import format_count, format_table
 
 __all__ = ["main", "build_parser"]
@@ -87,12 +89,6 @@ def _add_hdk_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ff", type=int, default=10_000)
     parser.add_argument("--peers", type=int, default=8)
     parser.add_argument(
-        "--mode",
-        choices=["hdk", "single_term"],
-        default="hdk",
-        help="indexing model (legacy alias; prefer --backend)",
-    )
-    parser.add_argument(
         "--overlay", choices=["chord", "pgrid"], default="chord"
     )
 
@@ -129,6 +125,24 @@ def _hdk_params(args: argparse.Namespace) -> HDKParameters:
 # -- subcommand implementations -----------------------------------------------
 
 
+def _check_service_knobs(args: argparse.Namespace) -> None:
+    """Input checks `search` and `serve` share: both hand these values
+    to a service (in-process, or one per worker process)."""
+    if args.cache_capacity < 0:
+        raise SystemExit(
+            f"--cache-capacity must be >= 0, got {args.cache_capacity}"
+        )
+    if args.link_latency < 0.0:
+        raise SystemExit(
+            f"--link-latency must be >= 0, got {args.link_latency}"
+        )
+    if args.memory_budget_bytes is not None and args.memory_budget_bytes < 0:
+        raise SystemExit(
+            "--memory-budget-bytes must be >= 0, got "
+            f"{args.memory_budget_bytes}"
+        )
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     collection = _build_collection(args)
     stats = compute_statistics(collection)
@@ -141,34 +155,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.batch < 0:
         raise SystemExit(f"--batch must be >= 0, got {args.batch}")
-    if args.cache_capacity < 0:
-        raise SystemExit(
-            f"--cache-capacity must be >= 0, got {args.cache_capacity}"
-        )
     if args.workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     if args.index_workers < 1:
         raise SystemExit(
             f"--index-workers must be >= 1, got {args.index_workers}"
         )
-    if args.link_latency < 0.0:
-        raise SystemExit(
-            f"--link-latency must be >= 0, got {args.link_latency}"
-        )
-    if args.memory_budget is not None and args.memory_budget < 0:
-        raise SystemExit(
-            f"--memory-budget must be >= 0, got {args.memory_budget}"
-        )
-    if args.memory_budget_bytes is not None and args.memory_budget_bytes < 0:
-        raise SystemExit(
-            "--memory-budget-bytes must be >= 0, got "
-            f"{args.memory_budget_bytes}"
-        )
-    if args.memory_budget is not None and args.memory_budget_bytes is not None:
-        raise SystemExit(
-            "pass either --memory-budget-bytes or the deprecated "
-            "--memory-budget, not both"
-        )
+    _check_service_knobs(args)
     if args.overlay_fanout < 1:
         raise SystemExit(
             f"--overlay-fanout must be >= 1, got {args.overlay_fanout}"
@@ -207,7 +200,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         service = SearchService.load(
             args.load,
             backend=args.backend,
-            memory_budget=args.memory_budget,
             memory_budget_bytes=args.memory_budget_bytes,
             wal=args.wal,
             cache_capacity=None if args.no_cache else args.cache_capacity,
@@ -231,12 +223,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         service = SearchService.build(
             collection,
             num_peers=args.peers,
-            backend=args.backend or args.mode,
+            backend=args.backend or "hdk",
             params=params,
             overlay=args.overlay,
             cache_capacity=None if args.no_cache else args.cache_capacity,
             store_dir=args.store_dir,
-            memory_budget=args.memory_budget,
             memory_budget_bytes=args.memory_budget_bytes,
             wal=args.wal,
             overlay_fanout=args.overlay_fanout,
@@ -351,10 +342,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--rate-limit must be >= 0, got {args.rate_limit}"
         )
-    if args.cache_capacity < 0:
-        raise SystemExit(
-            f"--cache-capacity must be >= 0, got {args.cache_capacity}"
-        )
+    _check_service_knobs(args)
     if not args.snapshot.is_dir():
         raise SystemExit(f"snapshot directory not found: {args.snapshot}")
     if not 0.0 <= args.trace_sample <= 1.0:
@@ -381,7 +369,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     spec = WorkerSpec(
         snapshot=str(args.snapshot),
         backend=args.backend,
-        memory_budget=args.memory_budget,
         memory_budget_bytes=args.memory_budget_bytes,
         cache_capacity=args.cache_capacity or None,
         link_latency_s=args.link_latency,
@@ -406,7 +393,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"{args.pool_size} worker process(es)...",
         flush=True,
     )
-    with pool:
+    try:
+        pool.start()
+    except ConfigurationError as exc:
+        raise SystemExit(f"cannot serve {args.snapshot}: {exc}") from None
+    try:
         try:
             gateway.run(install_signal_handlers=True)
         except KeyboardInterrupt:
@@ -420,6 +411,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{snapshot['shed_rate_limited']} rate-limited / "
             f"{snapshot['shed_draining']} draining"
         )
+    finally:
+        pool.shutdown()
     if sink is not None:
         from .obs.trace import get_tracer
 
@@ -509,8 +502,12 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No prefix matching anywhere: a removed flag (--memory-budget,
+    # --mode) must fail as unrecognized, not be silently re-read as a
+    # longer flag with a different unit (--memory-budget-bytes).
     parser = argparse.ArgumentParser(
         prog="repro",
+        allow_abbrev=False,
         description=(
             "HDK-based P2P web retrieval "
             "(Podnar et al., ICDE 2007 reproduction)"
@@ -521,7 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="version",
         version=f"repro {__version__}",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(
+            argparse.ArgumentParser, allow_abbrev=False
+        ),
+    )
 
     stats = subparsers.add_parser("stats", help="collection statistics")
     _add_corpus_options(stats)
@@ -541,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=registry.names(),
         default=None,
-        help="retrieval backend (overrides --mode)",
+        help="retrieval backend (default hdk, or the snapshot's own "
+        "with --load)",
     )
     search.add_argument(
         "--batch",
@@ -596,14 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="segment-store directory for the hdk_disk backend "
         "(default: a private temporary directory)",
-    )
-    search.add_argument(
-        "--memory-budget",
-        type=int,
-        default=None,
-        metavar="POSTINGS",
-        help="deprecated posting-count RAM budget of the hdk_disk "
-        "backend; prefer --memory-budget-bytes",
     )
     search.add_argument(
         "--memory-budget-bytes",
@@ -756,14 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=registry.names(),
         default=None,
         help="override the snapshot manifest's backend for the workers",
-    )
-    serve.add_argument(
-        "--memory-budget",
-        type=int,
-        default=None,
-        metavar="POSTINGS",
-        help="deprecated per-worker posting-count RAM budget "
-        "(hdk_disk backend); prefer --memory-budget-bytes",
     )
     serve.add_argument(
         "--memory-budget-bytes",

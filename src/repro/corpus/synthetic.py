@@ -20,7 +20,6 @@ as-is.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -223,17 +222,3 @@ class SyntheticCorpusGenerator:
         if rank < 1:
             raise CorpusError(f"rank must be >= 1, got {rank}")
         return float(rank) ** -self.config.zipf_skew
-
-
-def _document_entropy_guard(collection: DocumentCollection) -> float:
-    """Return the mean distinct-term ratio of a collection.
-
-    Diagnostic used by tests: topic mixing should keep documents lexically
-    diverse (ratio well above the degenerate single-term case).
-    """
-    if len(collection) == 0:
-        return 0.0
-    ratios = [
-        len(doc.distinct_terms) / max(1, len(doc)) for doc in collection
-    ]
-    return math.fsum(ratios) / len(ratios)

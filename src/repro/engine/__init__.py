@@ -9,9 +9,6 @@
 - :mod:`repro.engine.service` — :class:`SearchService`, the public
   facade (pipeline + backend + query cache + traffic accounting) with
   single, batch, and query-log search surfaces,
-- :mod:`repro.engine.p2p_engine` — :class:`P2PSearchEngine`, the legacy
-  facade (build network, index, search) kept as a thin shim over
-  :class:`SearchService`,
 - :mod:`repro.engine.experiment` — the peer-growth experiment protocol
   (4 -> 28 peers) producing the data series of Figures 3-7,
 - :mod:`repro.engine.reporting` — typed result rows and text rendering.
@@ -29,7 +26,6 @@ from .backends import (
     registry,
 )
 from .experiment import GrowthExperiment, GrowthStepResult
-from .p2p_engine import EngineMode, P2PSearchEngine
 from .peer import Peer
 from .reporting import render_growth_table
 from .service import BatchSearchReport, SearchService, make_overlay
@@ -39,11 +35,9 @@ __all__ = [
     "BackendRegistry",
     "BatchSearchReport",
     "CentralizedBackend",
-    "EngineMode",
     "GrowthExperiment",
     "GrowthStepResult",
     "HDKBackend",
-    "P2PSearchEngine",
     "Peer",
     "RetrievalBackend",
     "SearchResponse",

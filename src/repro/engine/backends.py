@@ -153,9 +153,6 @@ class BackendContext:
             ignore them).
         store_dir: directory for disk-backed backends (``hdk_disk``);
             ``None`` gives the store a private temporary directory.
-        memory_budget: deprecated posting-count RAM budget for
-            disk-backed backends; ``None`` uses the byte-denominated
-            default.  Mutually exclusive with ``memory_budget_bytes``.
         memory_budget_bytes: RAM residency budget for disk-backed
             backends in encoded posting bytes; ``None`` uses the store
             default.
@@ -192,7 +189,6 @@ class BackendContext:
     network: P2PNetwork
     params: HDKParameters
     store_dir: str | Path | None = None
-    memory_budget: int | None = None
     memory_budget_bytes: int | None = None
     wal: bool | None = None
     overlay_fanout: int = 8
@@ -480,16 +476,14 @@ class HDKDiskBackend(HDKBackend):
     (:class:`repro.store.SegmentStore`) and only a bounded hot set plus
     a bounded block cache stay in RAM, so the collection can exceed
     memory.  Configure via :class:`BackendContext` (``store_dir``,
-    ``memory_budget``).
+    ``memory_budget_bytes``).
     """
 
     global_index: SpillingGlobalKeyIndex
 
     def _make_index(self, context: BackendContext) -> GlobalKeyIndex:
         kwargs: dict[str, Any] = {}
-        if context.memory_budget is not None:
-            kwargs["memory_budget"] = context.memory_budget
-        elif context.memory_budget_bytes is not None:
+        if context.memory_budget_bytes is not None:
             kwargs["memory_budget_bytes"] = context.memory_budget_bytes
         if context.wal is not None:
             kwargs["wal"] = context.wal

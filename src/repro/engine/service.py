@@ -24,9 +24,6 @@ Typical use::
     service.index()
     response = service.search("t00042 t00137", k=10)
     report = service.search_batch(["t00042 t00137"] * 50)
-
-The legacy :class:`repro.engine.p2p_engine.P2PSearchEngine` is a thin
-shim over this facade.
 """
 
 from __future__ import annotations
@@ -201,8 +198,6 @@ class SearchService:
             backends).
         store_dir: directory for disk-backed backends (``hdk_disk``);
             ``None`` gives the store a private temporary directory.
-        memory_budget: deprecated posting-count RAM budget for
-            disk-backed backends; prefer ``memory_budget_bytes``.
         memory_budget_bytes: RAM residency budget for disk-backed
             backends, in encoded posting bytes.
         wal: write-ahead-log incremental writes in the disk backend's
@@ -243,7 +238,6 @@ class SearchService:
         cache_capacity: int | None = 256,
         backend_registry: BackendRegistry | None = None,
         store_dir: str | Path | None = None,
-        memory_budget: int | None = None,
         memory_budget_bytes: int | None = None,
         wal: bool | None = None,
         overlay_fanout: int = 8,
@@ -283,7 +277,6 @@ class SearchService:
                 network=network,
                 params=self.params,
                 store_dir=store_dir,
-                memory_budget=memory_budget,
                 memory_budget_bytes=memory_budget_bytes,
                 wal=wal,
                 overlay_fanout=overlay_fanout,
@@ -342,7 +335,6 @@ class SearchService:
         cache_capacity: int | None = 256,
         backend_registry: BackendRegistry | None = None,
         store_dir: str | Path | None = None,
-        memory_budget: int | None = None,
         memory_budget_bytes: int | None = None,
         wal: bool | None = None,
         overlay_fanout: int = 8,
@@ -373,8 +365,6 @@ class SearchService:
             cache_capacity: query-cache size; falsy disables caching.
             backend_registry: custom registry for name resolution.
             store_dir: segment-store directory for ``hdk_disk``.
-            memory_budget: deprecated posting-count RAM budget for
-                ``hdk_disk``; prefer ``memory_budget_bytes``.
             memory_budget_bytes: RAM residency budget for ``hdk_disk``
                 in encoded posting bytes.
             wal: write-ahead-log incremental writes (``hdk_disk``);
@@ -420,7 +410,6 @@ class SearchService:
             cache_capacity=cache_capacity,
             backend_registry=backend_registry,
             store_dir=store_dir,
-            memory_budget=memory_budget,
             memory_budget_bytes=memory_budget_bytes,
             wal=wal,
             overlay_fanout=overlay_fanout,
@@ -894,7 +883,6 @@ class SearchService:
         cls,
         path: str | Path,
         backend: str | None = None,
-        memory_budget: int | None = None,
         memory_budget_bytes: int | None = None,
         wal: bool | None = None,
         cache_capacity: int | None = 256,
@@ -927,8 +915,6 @@ class SearchService:
             backend: override the backend recorded in the manifest
                 (``hdk`` and ``hdk_super`` load eagerly into RAM,
                 ``hdk_disk`` lazily).
-            memory_budget: deprecated posting-count RAM budget
-                (``hdk_disk``); prefer ``memory_budget_bytes``.
             memory_budget_bytes: RAM residency budget in encoded
                 posting bytes (``hdk_disk``).
             wal: write-ahead-log later incremental writes into the
@@ -986,7 +972,6 @@ class SearchService:
             cache_capacity=cache_capacity,
             backend_registry=backend_registry,
             store_dir=snapshot_io.segments_dir(path),
-            memory_budget=memory_budget,
             memory_budget_bytes=memory_budget_bytes,
             wal=wal,
             overlay_fanout=overlay_fanout,
@@ -1079,7 +1064,7 @@ class SearchService:
 
     # -- figure measurements -------------------------------------------------------
     # The per-peer / per-size aggregations the Section-5 growth
-    # experiment plots (previously on the legacy engine shim).
+    # experiment plots.
 
     def stored_postings_per_peer(self) -> float:
         """Average postings stored per peer (Figure 3's y-axis)."""

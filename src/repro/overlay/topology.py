@@ -125,10 +125,6 @@ class SuperPeerTopology:
         """
         self._peer_load[peer_id] = self._peer_load.get(peer_id, 0.0) + amount
 
-    def load_of(self, peer_id: int) -> float:
-        """Cumulative observed load of ``peer_id`` (0 if never charged)."""
-        return self._peer_load.get(peer_id, 0.0)
-
     def _elect(self, members: tuple[int, ...]) -> int:
         """Least observed load wins; ties — including the cold start,
         where every load is zero — break to the lowest id.  Identical

@@ -95,14 +95,6 @@ class ReplicationManager:
         """The key's replica set, primary first."""
         return self.placement.owners(key_id)
 
-    def live_owners(self, key_id: int) -> list[int]:
-        """The live members of the key's replica set, placement order."""
-        return [
-            owner
-            for owner in self.placement.owners(key_id)
-            if self.network.is_live(owner)
-        ]
-
     def effective_owner(self, key_id: int) -> int | None:
         """First live replica in placement order (``None`` when the
         whole replica set is dead)."""

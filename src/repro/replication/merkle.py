@@ -97,9 +97,6 @@ class MerkleTree:
     def __len__(self) -> int:
         return len(self._leaves)
 
-    def bucket_digest(self, index: int) -> bytes:
-        return self._bucket_digests[index]
-
     def keys_in_bucket(self, index: int) -> list[int]:
         """Key ids summarized by bucket ``index``, ascending."""
         return list(self._bucket_keys[index])

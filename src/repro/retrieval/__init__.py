@@ -13,7 +13,7 @@
 - :mod:`repro.retrieval.metrics` — top-k overlap and related measures.
 """
 
-from .cache import CacheStats, CachingSearchEngine, QueryResultCache
+from .cache import CacheStats, QueryResultCache
 from .centralized import CentralizedBM25Engine
 from .hdk_engine import HDKRetrievalEngine, HDKSearchResult
 from .metrics import precision_at_k, top_k_overlap
@@ -31,7 +31,6 @@ __all__ = [
     "DistributedTopKEngine",
     "TopKOutcome",
     "CacheStats",
-    "CachingSearchEngine",
     "QueryResultCache",
     "STSearchOutcome",
     "CentralizedBM25Engine",

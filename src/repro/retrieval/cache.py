@@ -2,15 +2,10 @@
 
 Both [15] and [17] in the paper's related work propose caching (alongside
 top-k joins and Bloom filters) to reduce search cost for repeated
-queries.  This module provides two layers:
-
-- :class:`QueryResultCache` — a payload-agnostic LRU keyed by the
-  query's canonical term set; :class:`repro.engine.service.SearchService`
-  uses it to serve repeated queries locally at zero network cost,
-  whatever backend produced the result.
-- :class:`CachingSearchEngine` — the legacy wrapper around any engine
-  with a ``search(query, k)``-style interface returning
-  :class:`HDKSearchResult`.
+queries.  :class:`QueryResultCache` is a payload-agnostic LRU keyed by
+the query's canonical term set; :class:`repro.engine.service.SearchService`
+uses it to serve repeated queries locally at zero network cost, whatever
+backend produced the result.
 """
 
 from __future__ import annotations
@@ -22,9 +17,8 @@ from typing import Any
 
 from ..corpus.querylog import Query
 from ..errors import RetrievalError
-from .hdk_engine import HDKSearchResult
 
-__all__ = ["CacheStats", "CachingSearchEngine", "QueryResultCache"]
+__all__ = ["CacheStats", "QueryResultCache"]
 
 
 @dataclass
@@ -153,53 +147,3 @@ class QueryResultCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-
-class CachingSearchEngine:
-    """LRU cache in front of a :class:`P2PSearchEngine`-like object.
-
-    A thin HDK-result-shaped wrapper over :class:`QueryResultCache`
-    (one implementation of the LRU/prefix-match/stats mechanics).
-
-    Args:
-        engine: any object exposing ``search(query, k=...) ->
-            HDKSearchResult`` (both engine modes qualify).
-        capacity: maximum number of cached query results.
-    """
-
-    def __init__(self, engine, capacity: int = 256) -> None:
-        self._engine = engine
-        self._cache = QueryResultCache(capacity)
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._cache.stats
-
-    def search(self, query: Query, k: int = 20) -> HDKSearchResult:
-        """Serve from cache when possible; delegate otherwise.
-
-        A cached result is reused when it was computed with a depth of at
-        least ``k`` (a deeper cached ranking prefixes-matches a shallower
-        request); shallower entries are treated as misses and replaced.
-        """
-        cached = self._cache.get(query, k)
-        if cached is not None:
-            clipped = HDKSearchResult(query=query)
-            clipped.results = cached.results[:k]
-            clipped.keys_looked_up = cached.keys_looked_up
-            clipped.keys_found = cached.keys_found
-            clipped.dk_keys = cached.dk_keys
-            clipped.ndk_keys = cached.ndk_keys
-            clipped.postings_transferred = 0  # served locally
-            return clipped
-        result = self._engine.search(query, k=k)
-        self._cache.put(query, k, result, result.postings_transferred)
-        return result
-
-    def invalidate(self) -> None:
-        """Drop every cached entry (call after the index changes, e.g.
-        an incremental join)."""
-        self._cache.invalidate()
-
-    def __len__(self) -> int:
-        return len(self._cache)

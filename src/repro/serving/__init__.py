@@ -10,8 +10,8 @@ into a deployable search tier:
   (``POST /search``, ``POST /search_batch``, ``GET /healthz``,
   ``GET /stats``) with admission control, per-client token-bucket rate
   limits, and graceful SIGTERM drain;
-- :mod:`repro.serving.metrics` — latency histograms + QPS registry
-  surfaced on ``/stats``;
+- :mod:`repro.serving.metrics` — the per-endpoint QPS/latency registry
+  surfaced on ``/stats`` (histograms are :mod:`repro.obs.metrics`);
 - :mod:`repro.serving.loadgen` — the closed-loop load generator the
   serving bench and the CI smoke drive the gateway with.
 
@@ -35,7 +35,6 @@ _EXPORTS = {
     "run_load": "loadgen",
     "run_smoke": "loadgen",
     "wait_ready": "loadgen",
-    "LatencyHistogram": "metrics",
     "MetricsRegistry": "metrics",
     "PoolShutdownError": "pool",
     "WorkerCrashError": "pool",
@@ -60,7 +59,6 @@ def __dir__() -> list[str]:
 __all__ = [
     "Gateway",
     "GatewayConfig",
-    "LatencyHistogram",
     "LoadReport",
     "MetricsRegistry",
     "PoolShutdownError",

@@ -3,14 +3,11 @@
 The gateway records one observation per completed request —
 ``(endpoint, status, latency_ms)`` — into a :class:`MetricsRegistry`,
 which the ``GET /stats`` endpoint renders as plain JSON.  Latencies go
-into fixed log-spaced buckets (:class:`LatencyHistogram`), so the
+into fixed log-spaced buckets
+(:class:`repro.obs.metrics.LatencyHistogram`), so the
 registry costs O(1) memory per endpoint regardless of traffic volume
 and percentiles are read off the cumulative bucket counts with
 within-bucket linear interpolation.
-
-:class:`LatencyHistogram` and :data:`DEFAULT_BUCKET_BOUNDS_MS` moved to
-:mod:`repro.obs.metrics` (the process-wide metrics layer) and are
-re-exported here unchanged — existing imports keep working.
 
 Everything here is plain data + a lock: the registry is shared between
 the asyncio gateway loop and any thread that wants a snapshot (the CLI's
@@ -23,13 +20,9 @@ from __future__ import annotations
 import threading
 import time
 
-from ..obs.metrics import DEFAULT_BUCKET_BOUNDS_MS, LatencyHistogram
+from ..obs.metrics import LatencyHistogram
 
-__all__ = [
-    "DEFAULT_BUCKET_BOUNDS_MS",
-    "LatencyHistogram",
-    "MetricsRegistry",
-]
+__all__ = ["MetricsRegistry"]
 
 
 class _EndpointMetrics:

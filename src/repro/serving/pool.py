@@ -84,8 +84,6 @@ class WorkerSpec:
             loads (read-only: N workers share one snapshot).
         backend: backend-name override for the load (``None`` keeps the
             snapshot manifest's backend, typically ``hdk_disk``).
-        memory_budget: deprecated posting-count RAM budget for
-            disk-backed workers; prefer ``memory_budget_bytes``.
         memory_budget_bytes: RAM residency budget for disk-backed
             workers, in encoded posting bytes.
         cache_capacity: per-worker LRU query-cache size.
@@ -98,7 +96,6 @@ class WorkerSpec:
 
     snapshot: str
     backend: str | None = None
-    memory_budget: int | None = None
     memory_budget_bytes: int | None = None
     cache_capacity: int | None = 256
     link_latency_s: float = 0.0
@@ -141,7 +138,6 @@ def _worker_main(
         service = SearchService.load(
             spec.snapshot,
             backend=spec.backend,
-            memory_budget=spec.memory_budget,
             memory_budget_bytes=spec.memory_budget_bytes,
             cache_capacity=spec.cache_capacity,
         )
@@ -283,13 +279,21 @@ class WorkerPool:
         self._started = False
         self._closed = False
         self._ready = threading.Event()
+        #: The first load failure reported before the pool was ever
+        #: ready; start() raises it instead of waiting out respawns.
+        self._load_error: str | None = None
         self._collector: threading.Thread | None = None
         self._monitor: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn every worker and block until all report ready."""
+        """Spawn every worker and block until all report ready.
+
+        A worker that fails to load its snapshot before the pool has
+        ever been ready fails the start at once, with the worker's own
+        error in the message — the same spec would fail every respawn.
+        """
         if self._started:
             raise ConfigurationError("pool already started")
         self._started = True
@@ -303,7 +307,11 @@ class WorkerPool:
             target=self._monitor_loop, name="pool-monitor", daemon=True
         )
         self._monitor.start()
-        if not self._ready.wait(self.ready_timeout_s):
+        ready = self._ready.wait(self.ready_timeout_s)
+        if self._load_error is not None:
+            self.shutdown()
+            raise ConfigurationError(self._load_error)
+        if not ready:
             self.shutdown()
             raise ConfigurationError(
                 f"workers not ready within {self.ready_timeout_s}s"
@@ -420,6 +428,12 @@ class WorkerPool:
                 continue
             if tag == "__load_failed__":
                 worker_id, detail = rest
+                if not self._ready.is_set():
+                    self._load_error = (
+                        f"worker {worker_id} failed to load: {detail}"
+                    )
+                    self._ready.set()
+                    continue
                 self._fail_slot(
                     self._slots[worker_id],
                     WorkerCrashError(

@@ -5,11 +5,9 @@ this cache keeps the most recently used decoded lists in RAM under a
 budget, so hot keys are served without touching the segments.
 
 The budget is denominated in **encoded bytes** (``capacity_bytes``) —
-what the lists actually cost on disk and on the wire — or, for
-backwards compatibility, in posting counts (``capacity_postings``, the
-paper's cost unit, now a deprecated alias at the store/index level).
-Whichever unit bounds the cache, both occupancy views
-(:attr:`held_postings`, :attr:`held_bytes`) are tracked.
+what the lists actually cost on disk and on the wire.  Both occupancy
+views (:attr:`held_postings`, the paper's unit, and :attr:`held_bytes`)
+are tracked.
 """
 
 from __future__ import annotations
@@ -42,12 +40,12 @@ class BlockCacheStats:
 
 class _Block(NamedTuple):
     postings: PostingList
-    pcost: int  # postings held (floored at 1 so entry count stays bounded)
+    pcost: int  # postings held (floored at 1, as held_postings reports)
     bcost: int  # encoded bytes (caller-provided frame length, or estimated)
 
 
 class BlockCache:
-    """LRU over decoded blocks, bounded in one budget unit.
+    """LRU over decoded blocks, bounded in encoded bytes.
 
     Thread-safe: LRU order, occupancy, and counters are guarded by an
     internal lock, and eviction makes room *before* a new block becomes
@@ -55,41 +53,16 @@ class BlockCache:
     instant under concurrent readers.
 
     Args:
-        capacity_postings: bound by total postings held (the legacy
-            unit); ``0`` disables caching (every get is a miss, puts are
-            dropped).  Empty lists are charged one posting so the entry
-            count stays bounded too.
         capacity_bytes: bound by total encoded bytes held; ``0``
-            disables caching.  Exactly one of the two budgets must be
-            given.
+            disables caching (every get is a miss, puts are dropped).
     """
 
-    def __init__(
-        self,
-        capacity_postings: int | None = None,
-        *,
-        capacity_bytes: int | None = None,
-    ) -> None:
-        if (capacity_postings is None) == (capacity_bytes is None):
+    def __init__(self, capacity_bytes: int) -> None:
+        if capacity_bytes < 0:
             raise StoreError(
-                "pass exactly one of capacity_postings or capacity_bytes"
+                f"capacity_bytes must be >= 0, got {capacity_bytes}"
             )
-        if capacity_postings is not None:
-            if capacity_postings < 0:
-                raise StoreError(
-                    "capacity_postings must be >= 0, got "
-                    f"{capacity_postings}"
-                )
-            self.unit = "postings"
-            self.capacity = capacity_postings
-        else:
-            assert capacity_bytes is not None
-            if capacity_bytes < 0:
-                raise StoreError(
-                    f"capacity_bytes must be >= 0, got {capacity_bytes}"
-                )
-            self.unit = "bytes"
-            self.capacity = capacity_bytes
+        self.capacity = capacity_bytes
         self._blocks: OrderedDict[Hashable, _Block] = OrderedDict()
         self._held_postings = 0
         self._held_bytes = 0
@@ -106,9 +79,6 @@ class BlockCache:
                 else posting_list_wire_size(postings)
             ),
         )
-
-    def _charge(self, block: _Block) -> int:
-        return block.pcost if self.unit == "postings" else block.bcost
 
     @property
     def held_postings(self) -> int:
@@ -149,7 +119,7 @@ class BlockCache:
         if self.capacity == 0:
             return
         block = self._block(postings, nbytes)
-        cost = self._charge(block)
+        cost = block.bcost
         with self._lock:
             existing = self._blocks.pop(block_id, None)
             if existing is not None:
@@ -161,17 +131,11 @@ class BlockCache:
                 # every resident block on each read of an oversized key
                 # (and without counting phantom evictions: nothing left).
                 return
-            held = (
-                self._held_postings
-                if self.unit == "postings"
-                else self._held_bytes
-            )
             # Make room first: the budget must hold even transiently.
-            while held + cost > self.capacity and self._blocks:
+            while self._held_bytes + cost > self.capacity and self._blocks:
                 _, evicted = self._blocks.popitem(last=False)
                 self._held_postings -= evicted.pcost
                 self._held_bytes -= evicted.bcost
-                held -= self._charge(evicted)
                 self.stats.evictions += 1
             self._blocks[block_id] = block
             self._held_postings += block.pcost

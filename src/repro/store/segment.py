@@ -26,7 +26,7 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 from ..errors import StoreError
 from ..index.codec import (
@@ -454,9 +454,3 @@ def read_record_at(path: Path, offset: int) -> SegmentRecord:
     """One-shot form of :func:`read_record_from` (opens ``path``)."""
     with open(path, "rb") as handle:
         return read_record_from(handle, offset, label=str(path))
-
-
-def iter_segment_records(path: Path) -> Iterator[SegmentRecord]:
-    """Yield the valid records of a segment (tail-tolerant)."""
-    for _, _, record in scan_segment(path).records:
-        yield record

@@ -10,8 +10,7 @@ resident in RAM:
 
 - a *hot set* of recently inserted/read keys keeps plain posting lists,
   LRU-tracked under a RAM budget denominated in encoded bytes
-  (``memory_budget_bytes``; the posting-count ``memory_budget`` knob
-  remains as a deprecated alias);
+  (``memory_budget_bytes``);
 - cold keys keep a :class:`SpilledPostings` stub — same length, same
   entry object, zero resident postings — whose data lives in a
   :class:`~repro.store.store.SegmentStore`; touching a stub transparently
@@ -26,7 +25,6 @@ in-memory index.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, ContextManager
@@ -48,10 +46,6 @@ __all__ = [
     "code_to_status",
     "status_to_code",
 ]
-
-#: Legacy default RAM budget in postings held hot (the deprecated
-#: ``memory_budget`` unit; kept for callers that still pass counts).
-DEFAULT_MEMORY_BUDGET = 50_000
 
 #: Default RAM budget of the spilling index, in encoded posting bytes.
 DEFAULT_MEMORY_BUDGET_BYTES = 1 * 1024 * 1024
@@ -217,17 +211,13 @@ class SpillingGlobalKeyIndex(GlobalKeyIndex):
             When given, the store-shaping knobs below (``sync``, ``wal``,
             ``memtable_bytes``, ``background_compaction``,
             ``maintenance_scope``) are ignored.
-        memory_budget: deprecated posting-count alias for the RAM
-            budget; ``0`` spills everything immediately (all reads go
-            through the store's block cache).  Mutually exclusive with
-            ``memory_budget_bytes``.
         store_dir: directory for an implicitly created store.
         sync: fsync segment files on rollover/close and WAL appends
             (forwarded to an implicitly created store).
         memory_budget_bytes: RAM budget in encoded posting bytes — what
-            the hot lists actually cost on disk and on the wire;
-            defaults to :data:`DEFAULT_MEMORY_BUDGET_BYTES` when neither
-            budget knob is given.
+            the hot lists actually cost on disk and on the wire; ``0``
+            spills everything immediately (all reads go through the
+            store's block cache).
         wal: write-ahead-log incremental writes in the backing store
             (crash-durable builds); on by default.
         memtable_bytes: the backing store's memtable flush threshold.
@@ -245,70 +235,37 @@ class SpillingGlobalKeyIndex(GlobalKeyIndex):
         network: P2PNetwork,
         params: HDKParameters,
         store: SegmentStore | None = None,
-        memory_budget: int | None = None,
         store_dir: str | Path | None = None,
         sync: bool = False,
         *,
-        memory_budget_bytes: int | None = None,
+        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
         wal: bool = True,
         memtable_bytes: int = DEFAULT_MEMTABLE_BYTES,
         background_compaction: bool = True,
         maintenance_scope: Callable[[], ContextManager] | None = None,
     ) -> None:
         super().__init__(network, params)
-        if memory_budget is not None and memory_budget_bytes is not None:
+        if memory_budget_bytes < 0:
             raise StoreError(
-                "pass either memory_budget_bytes or the deprecated "
-                "memory_budget, not both"
+                f"memory_budget_bytes must be >= 0, got {memory_budget_bytes}"
             )
-        if memory_budget is not None:
-            warnings.warn(
-                "memory_budget (postings) is deprecated; budget hot "
-                "residency in encoded bytes with memory_budget_bytes",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if memory_budget < 0:
-                raise StoreError(
-                    f"memory_budget must be >= 0, got {memory_budget}"
-                )
-            self.budget_unit = "postings"
-            self.memory_budget = memory_budget
-        else:
-            if memory_budget_bytes is None:
-                memory_budget_bytes = DEFAULT_MEMORY_BUDGET_BYTES
-            if memory_budget_bytes < 0:
-                raise StoreError(
-                    "memory_budget_bytes must be >= 0, got "
-                    f"{memory_budget_bytes}"
-                )
-            self.budget_unit = "bytes"
-            self.memory_budget = memory_budget_bytes
+        self.memory_budget_bytes = memory_budget_bytes
         if maintenance_scope is None:
             maintenance_scope = lambda: network.accounting.phase_scope(
                 Phase.MAINTENANCE
             )
         if store is None:
-            # The block cache is budgeted in the same unit as the hot
-            # set, so one knob governs both tiers of residency.
-            cache_kwargs = (
-                {"cache_postings": self.memory_budget}
-                if self.budget_unit == "postings"
-                else {"cache_bytes": self.memory_budget}
+            # The block cache gets the same budget as the hot set, so
+            # one knob governs both tiers of residency.
+            store = SegmentStore(
+                store_dir,
+                cache_bytes=memory_budget_bytes,
+                sync=sync,
+                wal=wal,
+                memtable_bytes=memtable_bytes,
+                background_compaction=background_compaction,
+                maintenance_scope=maintenance_scope,
             )
-            with warnings.catch_warnings():
-                # The store's own alias warning would double-report the
-                # one already issued above for memory_budget.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                store = SegmentStore(
-                    store_dir,
-                    sync=sync,
-                    wal=wal,
-                    memtable_bytes=memtable_bytes,
-                    background_compaction=background_compaction,
-                    maintenance_scope=maintenance_scope,
-                    **cache_kwargs,
-                )
         self.store = store
         # Hot-set bookkeeping is shared by every thread whose reads
         # re-heat stubs.  Acyclic lock order: a stub's load lock is
@@ -317,9 +274,8 @@ class SpillingGlobalKeyIndex(GlobalKeyIndex):
         # fires).  insert() deliberately runs its merge before
         # acquiring this lock so it follows the same order.
         self._hot_lock = threading.RLock()
-        # key -> (budget charge, posting count); the charge is postings
-        # or encoded bytes depending on budget_unit, the posting count
-        # is always tracked (the paper's stats unit).
+        # key -> (encoded bytes charged to the budget, posting count);
+        # the posting count is the paper's stats unit.
         self._hot: OrderedDict[frozenset[str], tuple[int, int]] = (
             OrderedDict()
         )
@@ -358,11 +314,6 @@ class SpillingGlobalKeyIndex(GlobalKeyIndex):
         value = self.network.storage_by_id(target).get(key)
         return value if isinstance(value, GlobalEntry) else None
 
-    def _charge_of(self, postings: PostingList) -> int:
-        if self.budget_unit == "postings":
-            return len(postings)
-        return posting_list_wire_size(postings)
-
     def _note_hot(
         self,
         key: frozenset[str],
@@ -374,7 +325,7 @@ class SpillingGlobalKeyIndex(GlobalKeyIndex):
             self._hot_charge -= previous[0]
             self._hot_postings -= previous[1]
         if charge is None:
-            charge = self._charge_of(postings)
+            charge = posting_list_wire_size(postings)
         self._hot[key] = (charge, len(postings))
         self._hot_charge += charge
         self._hot_postings += len(postings)
@@ -430,7 +381,7 @@ class SpillingGlobalKeyIndex(GlobalKeyIndex):
 
     def _enforce_budget(self) -> None:
         # Callers hold _hot_lock.
-        while self._hot_charge > self.memory_budget and self._hot:
+        while self._hot_charge > self.memory_budget_bytes and self._hot:
             key, (charge, count) = self._hot.popitem(last=False)
             self._hot_charge -= charge
             self._hot_postings -= count
@@ -491,8 +442,8 @@ class SpillingGlobalKeyIndex(GlobalKeyIndex):
         """RAM-residency counters plus the backing store's statistics."""
         with self._hot_lock:
             return {
-                "memory_budget": self.memory_budget,
-                "budget_unit": self.budget_unit,
+                "memory_budget": self.memory_budget_bytes,
+                "budget_unit": "bytes",
                 "hot_keys": self.hot_keys,
                 "hot_postings": self.hot_postings,
                 "hot_charge": self._hot_charge,

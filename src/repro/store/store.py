@@ -29,8 +29,7 @@ mini-LSM.
 Only an *offset directory* — per-key metadata plus the latest record's
 location (a segment, or the memtable) — is held in memory, fronted by a
 bounded LRU :class:`~repro.store.blockcache.BlockCache` of decoded
-lists, budgeted in encoded bytes (posting counts remain as a deprecated
-alias).
+lists, budgeted in encoded bytes.
 
 Crash recovery composes the layers: orphaned temp files from a killed
 compaction are deleted, segments are replayed in ``(replaces_up_to,
@@ -50,7 +49,6 @@ import os
 import re
 import tempfile
 import threading
-import warnings
 from pathlib import Path
 from typing import (
     BinaryIO,
@@ -137,12 +135,8 @@ class SegmentStore:
     Args:
         directory: where segments/WAL live; ``None`` creates a private
             temporary directory that lives as long as the store object.
-        cache_postings: deprecated posting-count alias for the block
-            cache budget (``0`` disables it).  Mutually exclusive with
-            ``cache_bytes``.
         cache_bytes: budget of the decoded-block LRU cache in encoded
-            bytes (``0`` disables it); defaults to
-            :data:`DEFAULT_CACHE_BYTES` when neither knob is given.
+            bytes (``0`` disables it).
         segment_max_bytes: active segment rollover size.
         compact_dead_ratio: trigger compaction when at least this
             fraction of on-disk record bytes is superseded/tombstoned
@@ -170,8 +164,7 @@ class SegmentStore:
         self,
         directory: str | Path | None = None,
         *,
-        cache_postings: int | None = None,
-        cache_bytes: int | None = None,
+        cache_bytes: int = DEFAULT_CACHE_BYTES,
         segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
         compact_dead_ratio: float = 0.5,
         sync: bool = False,
@@ -193,27 +186,8 @@ class SegmentStore:
             raise StoreError(
                 f"memtable_bytes must be >= 0, got {memtable_bytes}"
             )
-        if cache_postings is not None and cache_bytes is not None:
-            raise StoreError(
-                "pass either cache_bytes or the deprecated "
-                "cache_postings, not both"
-            )
-        if cache_postings is not None:
-            warnings.warn(
-                "cache_postings is deprecated; budget the block cache "
-                "in encoded bytes with cache_bytes",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            cache = BlockCache(cache_postings)
-        else:
-            cache = BlockCache(
-                capacity_bytes=(
-                    cache_bytes
-                    if cache_bytes is not None
-                    else DEFAULT_CACHE_BYTES
-                )
-            )
+        # Built first: a bad budget must fail before a directory exists.
+        self.cache = BlockCache(cache_bytes)
         # One reentrant lock serializes the directory, memtable, writer,
         # reader table, and accounting.  Disk I/O leaves the lock: reads
         # pread through pinned descriptors, background compaction scans
@@ -228,7 +202,6 @@ class SegmentStore:
         self.segment_max_bytes = segment_max_bytes
         self.compact_dead_ratio = compact_dead_ratio
         self.sync = sync
-        self.cache = cache
         self.wal_enabled = bool(wal)
         self.memtable_bytes_limit = memtable_bytes
         self.memtable = Memtable()

@@ -1,7 +1,7 @@
 """Shared fixtures for the test suite.
 
 Fixtures build a deterministic small-scale world: a synthetic collection,
-reduced HDK parameters, and pre-indexed engines.  Session scope is used
+reduced HDK parameters, and pre-indexed services.  Session scope is used
 for the expensive builds (indexing) that many tests only read from.
 """
 
@@ -18,7 +18,7 @@ _TESTS_DIR = str(Path(__file__).resolve().parent)
 if _TESTS_DIR not in sys.path:
     sys.path.insert(0, _TESTS_DIR)
 
-from repro import EngineMode, HDKParameters, P2PSearchEngine
+from repro import HDKParameters, SearchService
 from repro.corpus import (
     DocumentCollection,
     SyntheticCorpusConfig,
@@ -67,27 +67,33 @@ def tiny_collection() -> DocumentCollection:
 
 
 @pytest.fixture(scope="session")
-def hdk_engine(small_collection, small_params) -> P2PSearchEngine:
-    """A fully indexed HDK engine over the small collection (read-only:
-    tests must not mutate it)."""
-    engine = P2PSearchEngine.build(
-        small_collection, num_peers=4, params=small_params
+def hdk_engine(small_collection, small_params) -> SearchService:
+    """A fully indexed, cache-less HDK service over the small collection
+    (read-only: tests must not mutate it)."""
+    service = SearchService.build(
+        small_collection,
+        num_peers=4,
+        backend="hdk",
+        params=small_params,
+        cache_capacity=None,
     )
-    engine.index()
-    return engine
+    service.index()
+    return service
 
 
 @pytest.fixture(scope="session")
-def st_engine(small_collection, small_params) -> P2PSearchEngine:
-    """A fully indexed single-term engine over the same collection."""
-    engine = P2PSearchEngine.build(
+def st_engine(small_collection, small_params) -> SearchService:
+    """A fully indexed, cache-less single-term service over the same
+    collection."""
+    service = SearchService.build(
         small_collection,
         num_peers=4,
+        backend="single_term",
         params=small_params,
-        mode=EngineMode.SINGLE_TERM,
+        cache_capacity=None,
     )
-    engine.index()
-    return engine
+    service.index()
+    return service
 
 
 def make_document(doc_id: int, tokens: list[str]) -> Document:

@@ -11,7 +11,9 @@ from repro.net.pgrid import PGridOverlay
 from repro.store.spill import SpillingGlobalKeyIndex
 from tests.conftest import SMALL_PARAMS
 
-BUDGET = 250
+#: Residency budget in encoded bytes: ~250 postings at the ~7 B a
+#: posting costs here, a small fraction of the index.
+BUDGET_BYTES = 1_750
 
 
 def build(collection, backend, **kwargs):
@@ -44,7 +46,9 @@ def hdk_service(small_collection):
 
 @pytest.fixture(scope="module")
 def disk_service(small_collection):
-    return build(small_collection, "hdk_disk", memory_budget=BUDGET)
+    return build(
+        small_collection, "hdk_disk", memory_budget_bytes=BUDGET_BYTES
+    )
 
 
 def rankings(service, queries, k=10):
@@ -81,19 +85,21 @@ class TestDiskBackendParity:
         assert isinstance(index, SpillingGlobalKeyIndex)
         for query in querylog:
             disk_service.search(query, k=10)
-            assert index.hot_postings <= BUDGET
-            assert index.store.cache.held_postings <= BUDGET
+            assert index.spill_stats()["hot_charge"] <= BUDGET_BYTES
+            assert index.store.cache.held_bytes <= BUDGET_BYTES
 
     def test_budget_is_a_fraction_of_stored(self, disk_service):
-        stored = disk_service.stored_postings_total()
-        assert stored > 4 * BUDGET  # the bound is actually binding
+        # A posting encodes to at least two bytes (doc-id delta + tf).
+        stored_bytes = 2 * disk_service.stored_postings_total()
+        assert stored_bytes > 4 * BUDGET_BYTES  # the bound is binding
 
     def test_stats_expose_spill_counters(self, disk_service):
         stats = disk_service.stats()
         assert stats["backend"] == "hdk_disk"
         spill = stats["spill"]
-        assert spill["memory_budget"] == BUDGET
-        assert spill["hot_postings"] <= BUDGET
+        assert spill["memory_budget"] == BUDGET_BYTES
+        assert spill["budget_unit"] == "bytes"
+        assert spill["hot_charge"] <= BUDGET_BYTES
         assert spill["store"]["keys"] > 0
 
 
@@ -103,7 +109,9 @@ class TestSnapshotRoundTrip:
     ):
         disk_service.save(tmp_path / "snap")
         loaded = SearchService.load(
-            tmp_path / "snap", memory_budget=BUDGET, cache_capacity=None
+            tmp_path / "snap",
+            memory_budget_bytes=BUDGET_BYTES,
+            cache_capacity=None,
         )
         assert loaded.backend_name == "hdk_disk"
         assert rankings(loaded, querylog) == rankings(hdk_service, querylog)
@@ -171,7 +179,9 @@ class TestSnapshotRoundTrip:
         segments = sorted(
             (tmp_path / "snap" / "segments").glob("segment-*.seg")
         )
-        loaded = SearchService.load(tmp_path / "snap", memory_budget=50)
+        loaded = SearchService.load(
+            tmp_path / "snap", memory_budget_bytes=350
+        )
         store = loaded.backend.global_index.store
         assert store.compact_dead_ratio == 1.0
         for query in querylog[:5]:
@@ -318,7 +328,9 @@ class TestParallelBatch:
     def test_disk_backend_parallel_batch(
         self, small_collection, querylog, hdk_service
     ):
-        disk = build(small_collection, "hdk_disk", memory_budget=BUDGET)
+        disk = build(
+            small_collection, "hdk_disk", memory_budget_bytes=BUDGET_BYTES
+        )
         report = disk.search_batch(querylog, k=10, workers=4)
         reference = hdk_service.search_batch(querylog, k=10)
         assert [
@@ -327,4 +339,5 @@ class TestParallelBatch:
             [r.doc_id for r in resp.results]
             for resp in reference.responses
         ]
-        assert disk.backend.global_index.hot_postings <= BUDGET
+        spill = disk.backend.global_index.spill_stats()
+        assert spill["hot_charge"] <= BUDGET_BYTES

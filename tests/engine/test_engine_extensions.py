@@ -1,4 +1,4 @@
-"""Tests for engine extensions: byte-level size, ST-mode growth."""
+"""Tests for single-term-backend growth through the service."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro.corpus.synthetic import (
     SyntheticCorpusConfig,
     SyntheticCorpusGenerator,
 )
-from repro.engine.p2p_engine import EngineMode, P2PSearchEngine
+from repro.engine.service import SearchService
 from repro.errors import ConfigurationError
 
 
@@ -24,57 +24,17 @@ def collection():
     return SyntheticCorpusGenerator(config, seed=19).generate(80)
 
 
-class TestStoredIndexBytes:
-    def test_bytes_positive_after_indexing(self, collection):
-        engine = P2PSearchEngine.build(collection, num_peers=2, params=PARAMS)
-        engine.index()
-        size = engine.stored_index_bytes()
-        assert size > 0
-        # Varint-encoded postings cost a handful of bytes each; the byte
-        # size must be within a plausible band of the posting count.
-        postings = engine.stored_postings_total()
-        assert postings < size < postings * 30
-
-    def test_bytes_track_posting_count(self, collection):
-        small = P2PSearchEngine.build(
-            collection, num_peers=2, params=PARAMS.with_df_max(2)
-        )
-        small.index()
-        large = P2PSearchEngine.build(
-            collection, num_peers=2, params=PARAMS.with_df_max(20)
-        )
-        large.index()
-        if (
-            small.stored_postings_total()
-            < large.stored_postings_total()
-        ):
-            assert small.stored_index_bytes() < large.stored_index_bytes()
-        else:
-            assert (
-                small.stored_index_bytes() >= large.stored_index_bytes()
-            )
-
-    def test_single_term_mode_bytes(self, collection):
-        engine = P2PSearchEngine.build(
-            collection,
-            num_peers=2,
-            params=PARAMS,
-            mode=EngineMode.SINGLE_TERM,
-        )
-        engine.index()
-        assert engine.stored_index_bytes() > 0
-
-
 class TestSingleTermGrowth:
     def test_add_peers_in_st_mode(self, collection):
         ids = collection.doc_ids()
         first = collection.subset(ids[:40])
         second = collection.subset(ids[40:])
-        engine = P2PSearchEngine.build(
+        engine = SearchService.build(
             first,
             num_peers=2,
             params=PARAMS,
-            mode=EngineMode.SINGLE_TERM,
+            backend="single_term",
+            cache_capacity=None,
         )
         engine.index()
         before = engine.stored_postings_total()
@@ -87,11 +47,12 @@ class TestSingleTermGrowth:
         assert result.postings_transferred > 0
 
     def test_add_peers_invalid_count(self, collection):
-        engine = P2PSearchEngine.build(
+        engine = SearchService.build(
             collection,
             num_peers=2,
             params=PARAMS,
-            mode=EngineMode.SINGLE_TERM,
+            backend="single_term",
+            cache_capacity=None,
         )
         engine.index()
         with pytest.raises(ConfigurationError):

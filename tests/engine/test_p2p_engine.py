@@ -1,18 +1,22 @@
-"""Tests for the assembled P2P search engine."""
+"""Tests for the assembled search engine: build, index, and search
+through a cache-less :class:`SearchService` in both paper models."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import EngineMode, HDKParameters, P2PSearchEngine
+from repro import SearchService
 from repro.errors import ConfigurationError, RetrievalError
 from tests.conftest import SMALL_PARAMS
 
 
 class TestBuild:
     def test_splits_collection_across_peers(self, small_collection):
-        engine = P2PSearchEngine.build(
-            small_collection, num_peers=4, params=SMALL_PARAMS
+        engine = SearchService.build(
+            small_collection,
+            num_peers=4,
+            params=SMALL_PARAMS,
+            cache_capacity=None,
         )
         assert len(engine.peers) == 4
         total = sum(p.num_documents for p in engine.peers)
@@ -20,36 +24,48 @@ class TestBuild:
 
     def test_invalid_peer_count(self, small_collection):
         with pytest.raises(ConfigurationError):
-            P2PSearchEngine.build(small_collection, num_peers=0)
+            SearchService.build(
+                small_collection, num_peers=0, cache_capacity=None
+            )
 
     def test_unknown_overlay(self, small_collection):
         with pytest.raises(ConfigurationError):
-            P2PSearchEngine.build(
-                small_collection, num_peers=2, overlay="kademlia"
+            SearchService.build(
+                small_collection,
+                num_peers=2,
+                overlay="kademlia",
+                cache_capacity=None,
             )
 
     def test_pgrid_overlay_accepted(self, small_collection):
-        engine = P2PSearchEngine.build(
+        engine = SearchService.build(
             small_collection,
             num_peers=4,
             params=SMALL_PARAMS,
             overlay="pgrid",
+            cache_capacity=None,
         )
         assert len(engine.network.peer_ids()) == 4
 
 
 class TestIndexing:
     def test_double_index_rejected(self, small_collection):
-        engine = P2PSearchEngine.build(
-            small_collection, num_peers=2, params=SMALL_PARAMS
+        engine = SearchService.build(
+            small_collection,
+            num_peers=2,
+            params=SMALL_PARAMS,
+            cache_capacity=None,
         )
         engine.index()
         with pytest.raises(ConfigurationError):
             engine.index()
 
     def test_search_before_index_rejected(self, small_collection):
-        engine = P2PSearchEngine.build(
-            small_collection, num_peers=2, params=SMALL_PARAMS
+        engine = SearchService.build(
+            small_collection,
+            num_peers=2,
+            params=SMALL_PARAMS,
+            cache_capacity=None,
         )
         with pytest.raises(RetrievalError):
             engine.search("t00001 t00002")

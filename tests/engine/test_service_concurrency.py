@@ -21,7 +21,7 @@ from repro.corpus.querylog import QueryLogGenerator
 from repro.engine.service import SearchService
 from tests.conftest import SMALL_PARAMS
 
-BUDGET = 250
+BUDGET_BYTES = 1_750  # ~250 postings
 
 
 def build(collection, backend, cache_capacity=None, **kwargs):
@@ -38,7 +38,11 @@ def build(collection, backend, cache_capacity=None, **kwargs):
 
 
 def build_kwargs(backend):
-    return {"memory_budget": BUDGET} if backend == "hdk_disk" else {}
+    return (
+        {"memory_budget_bytes": BUDGET_BYTES}
+        if backend == "hdk_disk"
+        else {}
+    )
 
 
 @pytest.fixture(scope="module")

@@ -158,7 +158,7 @@ def test_hdk_disk_interrupted_build_reopens_cleanly(collection, tmp_path):
         backend="hdk_disk",
         params=PARAMS,
         store_dir=store_dir,
-        memory_budget=0,  # spill every entry through the store
+        memory_budget_bytes=0,  # spill every entry through the store
     )
     service.index()
     spilling = service.backend.global_index
@@ -182,7 +182,7 @@ def test_hdk_disk_interrupted_build_reopens_cleanly(collection, tmp_path):
     with open(segments[-1], "ab") as handle:
         handle.write(b"\x9c\x01torn-record-gets-cut-righ")
 
-    reopened = SegmentStore(store_dir, cache_postings=0)
+    reopened = SegmentStore(store_dir, cache_bytes=0)
     assert set(reopened.keys()) == expected_keys
     assert reopened.stats()["truncated_tails_skipped"] == 1
     assert scan_segment(segments[-1]).truncated

@@ -41,7 +41,7 @@ NUM_PEERS = 6
 #: hierarchy has several clusters.
 BACKENDS: dict[str, dict] = {
     "hdk": {},
-    "hdk_disk": {"memory_budget": 400},
+    "hdk_disk": {"memory_budget_bytes": 2_800},
     "hdk_super": {"overlay_fanout": 2},
 }
 

@@ -15,7 +15,7 @@ from repro.corpus.synthetic import (
     SyntheticCorpusConfig,
     SyntheticCorpusGenerator,
 )
-from repro.engine.p2p_engine import P2PSearchEngine
+from repro.engine.service import SearchService
 from repro.net.accounting import Phase
 from repro.net.chord import ChordOverlay
 from repro.net.network import P2PNetwork
@@ -31,7 +31,9 @@ def indexed_engine():
         vocabulary_size=200, mean_doc_length=25, num_topics=4
     )
     collection = SyntheticCorpusGenerator(config, seed=13).generate(60)
-    engine = P2PSearchEngine.build(collection, num_peers=3, params=PARAMS)
+    engine = SearchService.build(
+        collection, num_peers=3, params=PARAMS, cache_capacity=None
+    )
     engine.index()
     return engine
 
@@ -39,17 +41,17 @@ def indexed_engine():
 class TestJoinAfterIndexing:
     def test_all_keys_reachable_after_join(self, indexed_engine):
         engine = indexed_engine
-        keys_before = {e.key for e in engine.global_index.entries()}
+        keys_before = {e.key for e in engine.backend.global_index.entries()}
         stored_before = engine.stored_postings_total()
         engine.network.add_peer("late-joiner")
-        keys_after = {e.key for e in engine.global_index.entries()}
+        keys_after = {e.key for e in engine.backend.global_index.entries()}
         assert keys_after == keys_before
         assert engine.stored_postings_total() == stored_before
         # Every key still resolves through a lookup from any peer.
         sample = list(keys_before)[:20]
         for key in sample:
             assert (
-                engine.global_index.lookup(engine.peers[0].name, key)
+                engine.backend.global_index.lookup(engine.peers[0].name, key)
                 is not None
             )
 
@@ -75,10 +77,10 @@ class TestJoinAfterIndexing:
 class TestLeave:
     def test_keys_survive_departure(self, indexed_engine):
         engine = indexed_engine
-        keys_before = {e.key for e in engine.global_index.entries()}
+        keys_before = {e.key for e in engine.backend.global_index.entries()}
         departing = engine.peers[1].name
         engine.network.remove_peer(departing)
-        keys_after = {e.key for e in engine.global_index.entries()}
+        keys_after = {e.key for e in engine.backend.global_index.entries()}
         assert keys_after == keys_before
 
     def test_search_from_surviving_peer(self, indexed_engine):

@@ -7,7 +7,7 @@ import pytest
 from repro.config import HDKParameters
 from repro.corpus import build_collection_from_texts
 from repro.corpus.querylog import QueryLogGenerator
-from repro.engine.p2p_engine import EngineMode, P2PSearchEngine
+from repro.engine.service import SearchService
 from repro.net.accounting import Phase
 from repro.retrieval.centralized import CentralizedBM25Engine
 from repro.retrieval.metrics import top_k_overlap
@@ -36,8 +36,8 @@ class TestRealTextWorld:
         params = HDKParameters(
             df_max=2, window_size=6, s_max=3, ff=1_000, fr=1
         )
-        engine = P2PSearchEngine.build(
-            collection, num_peers=3, params=params
+        engine = SearchService.build(
+            collection, num_peers=3, params=params, cache_capacity=None
         )
         engine.index()
         return collection, engine
@@ -75,8 +75,11 @@ class TestQualityAgainstCentralized:
     """Figure-7-style comparison on the shared synthetic world."""
 
     def test_overlap_reasonable(self, small_collection, small_params):
-        engine = P2PSearchEngine.build(
-            small_collection, num_peers=4, params=small_params
+        engine = SearchService.build(
+            small_collection,
+            num_peers=4,
+            params=small_params,
+            cache_capacity=None,
         )
         engine.index()
         centralized = CentralizedBM25Engine(small_collection)
@@ -111,8 +114,11 @@ class TestQualityAgainstCentralized:
             params = HDKParameters(
                 df_max=df_max, window_size=8, s_max=3, ff=3_000, fr=3
             )
-            engine = P2PSearchEngine.build(
-                small_collection, num_peers=4, params=params
+            engine = SearchService.build(
+                small_collection,
+                num_peers=4,
+                params=params,
+                cache_capacity=None,
             )
             engine.index()
             overlaps = [

@@ -90,24 +90,23 @@ class TestProtocolMisuse:
             run_incremental_join([], [], PARAMS)
 
     def test_engine_rejects_empty_peer_list(self):
-        from repro.engine.p2p_engine import P2PSearchEngine
+        from repro.engine.service import SearchService
         from repro.net.network import P2PNetwork as Net
         from repro.text.pipeline import TextPipeline
-        from repro.engine.p2p_engine import EngineMode
 
         with pytest.raises(ConfigurationError):
-            P2PSearchEngine(
+            SearchService(
                 peers=[],
                 network=Net(),
                 params=PARAMS,
-                mode=EngineMode.HDK,
+                backend="hdk",
                 pipeline=TextPipeline(),
             )
 
     def test_search_with_unknown_source_peer(self):
-        from repro.engine.p2p_engine import P2PSearchEngine
+        from repro.engine.service import SearchService
 
-        engine = P2PSearchEngine.build(
+        engine = SearchService.build(
             small_collection(), num_peers=1, params=PARAMS
         )
         engine.index()
@@ -117,10 +116,10 @@ class TestProtocolMisuse:
 
 class TestQueryEdgeCases:
     def test_all_stopword_query(self):
-        from repro.engine.p2p_engine import P2PSearchEngine
+        from repro.engine.service import SearchService
         from repro.errors import RetrievalError
 
-        engine = P2PSearchEngine.build(
+        engine = SearchService.build(
             small_collection(), num_peers=1, params=PARAMS
         )
         engine.index()
@@ -128,9 +127,9 @@ class TestQueryEdgeCases:
             engine.search("the of and")
 
     def test_query_of_only_unknown_terms_returns_empty(self):
-        from repro.engine.p2p_engine import P2PSearchEngine
+        from repro.engine.service import SearchService
 
-        engine = P2PSearchEngine.build(
+        engine = SearchService.build(
             small_collection(), num_peers=1, params=PARAMS
         )
         engine.index()

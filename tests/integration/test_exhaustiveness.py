@@ -22,7 +22,7 @@ from repro.corpus.synthetic import (
     SyntheticCorpusConfig,
     SyntheticCorpusGenerator,
 )
-from repro.engine.p2p_engine import EngineMode, P2PSearchEngine
+from repro.engine.service import SearchService
 from repro.hdk.generator import LocalHDKGenerator
 from repro.index.global_index import KeyStatus
 
@@ -36,12 +36,16 @@ def world():
         vocabulary_size=250, mean_doc_length=30, num_topics=5
     )
     collection = SyntheticCorpusGenerator(config, seed=11).generate(120)
-    engine = P2PSearchEngine.build(
-        collection, num_peers=3, params=PARAMS, mode=EngineMode.HDK
+    engine = SearchService.build(
+        collection,
+        num_peers=3,
+        params=PARAMS,
+        backend="hdk",
+        cache_capacity=None,
     )
     engine.index()
     reference = LocalHDKGenerator(collection, PARAMS)
-    entries = {e.key: e for e in engine.global_index.entries()}
+    entries = {e.key: e for e in engine.backend.global_index.entries()}
     return collection, engine, reference, entries
 
 

@@ -21,7 +21,7 @@ from repro.corpus.synthetic import (
     SyntheticCorpusConfig,
     SyntheticCorpusGenerator,
 )
-from repro.engine.p2p_engine import P2PSearchEngine
+from repro.engine.service import SearchService
 
 # F_f low enough that head terms cross it between 80 and 160 documents.
 PARAMS = HDKParameters(df_max=6, window_size=6, s_max=3, ff=2_000, fr=2)
@@ -33,11 +33,13 @@ def worlds():
         vocabulary_size=300, mean_doc_length=30, num_topics=6
     )
     full = SyntheticCorpusGenerator(config, seed=3).generate(160)
-    rebuild = P2PSearchEngine.build(full, num_peers=4, params=PARAMS)
+    rebuild = SearchService.build(
+        full, num_peers=4, params=PARAMS, cache_capacity=None
+    )
     rebuild.index()
     ids = full.doc_ids()
-    incremental = P2PSearchEngine.build(
-        full.subset(ids[:80]), num_peers=2, params=PARAMS
+    incremental = SearchService.build(
+        full.subset(ids[:80]), num_peers=2, params=PARAMS, cache_capacity=None
     )
     incremental.index()
     incremental.add_peers(full.subset(ids[80:]), 2)
@@ -45,7 +47,7 @@ def worlds():
 
 
 def entry_map(engine):
-    return {e.key: e for e in engine.global_index.entries()}
+    return {e.key: e for e in engine.backend.global_index.entries()}
 
 
 def test_crossing_actually_happens(worlds):

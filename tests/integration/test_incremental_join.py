@@ -18,7 +18,7 @@ from repro.corpus.synthetic import (
     SyntheticCorpusConfig,
     SyntheticCorpusGenerator,
 )
-from repro.engine.p2p_engine import P2PSearchEngine
+from repro.engine.service import SearchService
 from repro.errors import ConfigurationError
 from repro.hdk.indexer import (
     PeerIndexer,
@@ -156,7 +156,9 @@ class TestEngineAddPeers:
         params = HDKParameters(
             df_max=5, window_size=6, s_max=3, ff=5_000, fr=2
         )
-        engine = P2PSearchEngine.build(first, num_peers=2, params=params)
+        engine = SearchService.build(
+            first, num_peers=2, params=params, cache_capacity=None
+        )
         engine.index()
         engine.add_peers(second, num_new_peers=2)
         return engine, corpus, params
@@ -180,7 +182,9 @@ class TestEngineAddPeers:
                 PeerIndexer(name, peer.collection, fresh_index, params)
             )
         run_distributed_indexing(indexers, params)
-        assert index_state(engine.global_index) == index_state(fresh_index)
+        assert index_state(engine.backend.global_index) == index_state(
+            fresh_index
+        )
 
     def test_search_works_after_growth(self, grown_engine):
         engine, _, _ = grown_engine
@@ -192,6 +196,8 @@ class TestEngineAddPeers:
             vocabulary_size=150, mean_doc_length=20, num_topics=4
         )
         corpus = SyntheticCorpusGenerator(config, seed=1).generate(20)
-        engine = P2PSearchEngine.build(corpus, num_peers=2, params=PARAMS)
+        engine = SearchService.build(
+            corpus, num_peers=2, params=PARAMS, cache_capacity=None
+        )
         with pytest.raises(ConfigurationError):
             engine.add_peers(corpus, 1)

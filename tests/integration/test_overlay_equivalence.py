@@ -15,7 +15,7 @@ from repro.corpus.synthetic import (
     SyntheticCorpusConfig,
     SyntheticCorpusGenerator,
 )
-from repro.engine.p2p_engine import EngineMode, P2PSearchEngine
+from repro.engine.service import SearchService
 
 
 PARAMS = HDKParameters(df_max=6, window_size=6, s_max=3, ff=2_000, fr=2)
@@ -29,12 +29,13 @@ def engines():
     collection = SyntheticCorpusGenerator(config, seed=9).generate(100)
     built = {}
     for overlay in ("chord", "pgrid"):
-        engine = P2PSearchEngine.build(
+        engine = SearchService.build(
             collection,
             num_peers=4,
             params=PARAMS,
-            mode=EngineMode.HDK,
+            backend="hdk",
             overlay=overlay,
+            cache_capacity=None,
         )
         engine.index()
         built[overlay] = engine
@@ -60,8 +61,8 @@ def test_inserted_postings_identical(engines):
 def test_key_counts_identical(engines):
     _, built = engines
     assert (
-        built["chord"].global_index.key_count()
-        == built["pgrid"].global_index.key_count()
+        built["chord"].backend.global_index.key_count()
+        == built["pgrid"].backend.global_index.key_count()
     )
 
 

@@ -18,7 +18,7 @@ from repro.corpus.synthetic import (
     SyntheticCorpusConfig,
     SyntheticCorpusGenerator,
 )
-from repro.engine.p2p_engine import P2PSearchEngine
+from repro.engine.service import SearchService
 
 
 BASE = HDKParameters(df_max=6, window_size=6, s_max=3, ff=2_000, fr=2)
@@ -36,7 +36,9 @@ def build(collection, threshold):
     params = dataclasses.replace(
         BASE, semantic_pmi_threshold=threshold
     )
-    engine = P2PSearchEngine.build(collection, num_peers=3, params=params)
+    engine = SearchService.build(
+        collection, num_peers=3, params=params, cache_capacity=None
+    )
     engine.index()
     return engine
 
@@ -45,8 +47,8 @@ def test_filter_shrinks_index(collection):
     baseline = build(collection, None)
     filtered = build(collection, 0.5)
     assert (
-        filtered.global_index.key_count()
-        < baseline.global_index.key_count()
+        filtered.backend.global_index.key_count()
+        < baseline.backend.global_index.key_count()
     )
     assert (
         filtered.stored_postings_total()
@@ -58,8 +60,8 @@ def test_stricter_threshold_smaller_index(collection):
     lenient = build(collection, 0.0)
     strict = build(collection, 2.0)
     assert (
-        strict.global_index.key_count()
-        <= lenient.global_index.key_count()
+        strict.backend.global_index.key_count()
+        <= lenient.backend.global_index.key_count()
     )
 
 
@@ -67,10 +69,14 @@ def test_single_term_keys_unaffected(collection):
     baseline = build(collection, None)
     filtered = build(collection, 5.0)
     base_singles = {
-        e.key for e in baseline.global_index.entries() if len(e.key) == 1
+        e.key
+        for e in baseline.backend.global_index.entries()
+        if len(e.key) == 1
     }
     filtered_singles = {
-        e.key for e in filtered.global_index.entries() if len(e.key) == 1
+        e.key
+        for e in filtered.backend.global_index.entries()
+        if len(e.key) == 1
     }
     assert filtered_singles == base_singles
 
@@ -90,7 +96,7 @@ def test_filter_raises_mean_association(collection):
     def mean_pmi(engine):
         values = [
             key_pmi(entry.global_df, dfs, entry.key, len(collection))
-            for entry in engine.global_index.entries()
+            for entry in engine.backend.global_index.entries()
             if len(entry.key) >= 2
         ]
         assert values

@@ -9,7 +9,7 @@ from repro.config import HDKParameters
 from repro.corpus.collection import DocumentCollection
 from repro.corpus.document import Document
 from repro.corpus.querylog import Query
-from repro.engine.p2p_engine import EngineMode, P2PSearchEngine
+from repro.engine.service import SearchService
 from repro.analysis.retrieval_cost import keys_per_query
 
 
@@ -21,13 +21,17 @@ corpora = st.lists(documents, min_size=3, max_size=12)
 query_terms = st.frozensets(tokens, min_size=1, max_size=4)
 
 
-def build_engine(docs_tokens, mode=EngineMode.HDK):
+def build_engine(docs_tokens, backend="hdk"):
     collection = DocumentCollection(
         Document(doc_id=i, tokens=tuple(toks))
         for i, toks in enumerate(docs_tokens)
     )
-    engine = P2PSearchEngine.build(
-        collection, num_peers=2, params=PARAMS, mode=mode
+    engine = SearchService.build(
+        collection,
+        num_peers=2,
+        backend=backend,
+        params=PARAMS,
+        cache_capacity=None,
     )
     engine.index()
     return collection, engine
@@ -86,9 +90,7 @@ def test_scores_sorted_and_deterministic(docs_tokens, terms):
 @settings(max_examples=15, deadline=None)
 @given(corpora, query_terms)
 def test_single_term_mode_fetches_every_matching_doc(docs_tokens, terms):
-    collection, engine = build_engine(
-        docs_tokens, mode=EngineMode.SINGLE_TERM
-    )
+    collection, engine = build_engine(docs_tokens, backend="single_term")
     query = Query(query_id=0, terms=tuple(sorted(terms)))
     result = engine.search(query, k=100)
     expected = {

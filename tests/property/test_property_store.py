@@ -125,7 +125,7 @@ def test_store_write_compact_reopen_roundtrip(record_list):
             expected[record.key] = record
         store.compact()
         store.close()
-        reopened = SegmentStore(tmp, cache_postings=0)
+        reopened = SegmentStore(tmp, cache_bytes=0)
         assert len(reopened) == len(expected)
         for key, record in expected.items():
             assert reopened.get_postings(key) == record.postings()

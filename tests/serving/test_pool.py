@@ -102,6 +102,26 @@ class TestPoolLifecycle:
         with pytest.raises(PoolShutdownError):
             pool.submit("search", {"query": "a", "k": 1})
 
+    def test_unloadable_spec_fails_start_with_the_workers_reason(
+        self, snapshot_dir
+    ):
+        """A spec no worker can load (``centralized`` cannot serve
+        snapshots) fails start() on the first load failure — with the
+        worker's own error — instead of respawning until the ready
+        timeout and reporting only "not ready"."""
+        spec = WorkerSpec(snapshot=str(snapshot_dir), backend="centralized")
+        pool = WorkerPool(spec, size=1)
+        started = time.monotonic()
+        with pytest.raises(ConfigurationError) as excinfo:
+            pool.start()
+        assert time.monotonic() - started < 10.0
+        message = str(excinfo.value)
+        assert "worker 0 failed to load" in message
+        assert "cannot serve snapshots" in message
+        # start() shut the pool down on its way out.
+        with pytest.raises(PoolShutdownError):
+            pool.submit("search", {"query": "a", "k": 1})
+
 
 def test_crash_respawns_without_dropping_other_inflight(
     snapshot_dir, direct_service, query_log

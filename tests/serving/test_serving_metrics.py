@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.serving.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import LatencyHistogram
+from repro.serving.metrics import MetricsRegistry
 
 
 class TestLatencyHistogram:

@@ -1,18 +1,14 @@
-"""Byte-denominated budgets and their deprecated posting-count aliases.
+"""Byte-denominated residency budgets.
 
-Generation 2 budgets RAM in **encoded bytes** at every layer — block
-cache (``cache_bytes``), hot residency (``memory_budget_bytes``),
-memtable (``memtable_bytes``) — while the paper-era posting-count knobs
-(``cache_postings``, ``memory_budget``) survive as deprecated aliases.
-This suite pins the alias contract: each alias warns exactly once at
-construction, mixing the two units of one budget is rejected, and —
-the part that actually matters — the budget unit only moves *where*
-postings live (RAM vs segments), never *what* any read returns.
+RAM is budgeted in **encoded bytes** at every layer — block cache
+(``cache_bytes``), hot residency (``memory_budget_bytes``), memtable
+(``memtable_bytes``); postings stay the *reporting* unit.  This suite
+pins what the budget means: eviction follows encoded size, both
+occupancy views are reported, and a budget only moves *where* postings
+live (RAM vs segments), never *what* any read returns.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -23,7 +19,6 @@ from repro.corpus.synthetic import (
     SyntheticCorpusGenerator,
 )
 from repro.engine.service import SearchService
-from repro.errors import StoreError
 from repro.index.codec import posting_list_wire_size
 from repro.index.postings import Posting, PostingList
 from repro.store.blockcache import BlockCache
@@ -32,7 +27,6 @@ from repro.store.spill import (
     SpillingGlobalKeyIndex,
 )
 from repro.store.store import SegmentStore
-from repro.store.segment import SegmentRecord
 
 PARAMS = HDKParameters(df_max=5, window_size=6, s_max=2, ff=1_000, fr=2)
 
@@ -46,12 +40,6 @@ def _postings(*doc_ids: int) -> PostingList:
 
 
 class TestBlockCache:
-    def test_exactly_one_budget_required(self):
-        with pytest.raises(StoreError, match="exactly one"):
-            BlockCache()
-        with pytest.raises(StoreError, match="exactly one"):
-            BlockCache(10, capacity_bytes=1024)
-
     def test_byte_budget_bounds_encoded_bytes(self):
         """Eviction is driven by the encoded size of what is held, not
         by how many posting entries the lists happen to contain."""
@@ -60,14 +48,14 @@ class TestBlockCache:
         cache.put("big", big)
         assert cache.get("big") is big
         # A second block forces the first out: together they exceed the
-        # byte budget even though posting-count budgets would keep both.
+        # byte budget, however few postings the second one holds.
         cache.put("small", _postings(1))
         assert cache.get("big") is None
         assert cache.held_bytes <= cache.capacity
 
     def test_both_occupancy_views_tracked(self):
-        """Whichever unit bounds the cache, both views stay honest."""
-        cache = BlockCache(capacity_postings=100)
+        """The byte-bounded cache still reports the postings it holds."""
+        cache = BlockCache(1024)
         first, second = _postings(1, 2, 3), _postings(4)
         cache.put("a", first)
         cache.put("b", second)
@@ -76,102 +64,34 @@ class TestBlockCache:
             posting_list_wire_size(first) + posting_list_wire_size(second)
         )
 
-    def test_no_deprecation_warning_at_cache_level(self):
-        """The alias warning lives at the store/index seams; the cache
-        itself is a neutral two-unit primitive."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            BlockCache(capacity_postings=10)
-
 
 class TestSegmentStoreKnobs:
-    def test_cache_postings_deprecated(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="cache_postings"):
-            store = SegmentStore(tmp_path / "s", cache_postings=100)
-        assert store.cache.unit == "postings"
-        store.close()
-
     def test_cache_bytes_is_the_quiet_path(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            store = SegmentStore(tmp_path / "s", cache_bytes=1024)
-        assert store.cache.unit == "bytes"
+        store = SegmentStore(tmp_path / "s", cache_bytes=1024)
+        assert store.cache.capacity == 1024
         store.close()
-
-    def test_both_cache_knobs_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="not both"):
-            SegmentStore(tmp_path / "s", cache_postings=1, cache_bytes=1)
-
-    def test_unit_changes_residency_not_results(self, tmp_path):
-        """Same records through a postings-budgeted and a
-        bytes-budgeted store: identical reads, key by key."""
-        records = [
-            SegmentRecord.from_postings(
-                frozenset({f"k{i:02d}"}),
-                _postings(*range(i % 5 + 1)),
-                global_df=i,
-                status_code=0,
-                contributors=(7,),
-            )
-            for i in range(40)
-        ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = SegmentStore(tmp_path / "legacy", cache_postings=7)
-        modern = SegmentStore(tmp_path / "modern", cache_bytes=64)
-        for record in records:
-            legacy.put_record(record)
-            modern.put_record(record)
-        assert set(legacy.keys()) == set(modern.keys())
-        for record in records:
-            left = legacy.get_postings(record.key)
-            right = modern.get_postings(record.key)
-            assert [(p.doc_id, p.tf) for p in left] == [
-                (p.doc_id, p.tf) for p in right
-            ]
-        legacy.close()
-        modern.close()
 
 
 class TestSpillingIndexKnobs:
     def _index(self, **kwargs):
-        from repro.index.global_index import GlobalKeyIndex  # noqa: F401
         from repro.net.chord import ChordOverlay
         from repro.net.network import P2PNetwork
 
         network = P2PNetwork(overlay=ChordOverlay())
         return SpillingGlobalKeyIndex(network, PARAMS, **kwargs)
 
-    def test_memory_budget_deprecated_postings_unit(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="memory_budget"):
-            index = self._index(memory_budget=25, store_dir=tmp_path / "s")
-        stats = index.spill_stats()
-        assert stats["budget_unit"] == "postings"
-        assert stats["memory_budget"] == 25
-        index.store.close()
-
     def test_default_is_bytes(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            index = self._index(store_dir=tmp_path / "s")
+        index = self._index(store_dir=tmp_path / "s")
         stats = index.spill_stats()
         assert stats["budget_unit"] == "bytes"
         assert stats["memory_budget"] == DEFAULT_MEMORY_BUDGET_BYTES
         index.store.close()
 
-    def test_both_budgets_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="not both"):
-            self._index(
-                memory_budget=1,
-                memory_budget_bytes=1,
-                store_dir=tmp_path / "s",
-            )
-
 
 class TestEndToEndEquivalence:
-    """The budget unit is a residency knob, not a semantics knob: any
-    budget in either unit — including zero, spilling everything — must
-    leave search results identical to the in-RAM ``hdk`` backend."""
+    """The budget is a residency knob, not a semantics knob: any
+    budget — including zero, spilling everything — must leave search
+    results identical to the in-RAM ``hdk`` backend."""
 
     @pytest.fixture(scope="class")
     def collection(self):
@@ -194,46 +114,21 @@ class TestEndToEndEquivalence:
         reference.index()
         expected = self._search_all(reference)
 
-        budget_kwargs = (
-            {"memory_budget": 0},
-            {"memory_budget": 40},
-            {"memory_budget_bytes": 0},
-            {"memory_budget_bytes": 600},
-        )
-        for i, kwargs in enumerate(budget_kwargs):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                service = SearchService.build(
-                    collection,
-                    num_peers=3,
-                    backend="hdk_disk",
-                    params=PARAMS,
-                    store_dir=tmp_path / f"run-{i}",
-                    **kwargs,
-                )
+        for budget in (0, 280, 600):
+            service = SearchService.build(
+                collection,
+                num_peers=3,
+                backend="hdk_disk",
+                params=PARAMS,
+                store_dir=tmp_path / f"run-{budget}",
+                memory_budget_bytes=budget,
+            )
             service.index()
-            assert self._search_all(service) == expected, kwargs
+            assert self._search_all(service) == expected, budget
             service.backend.global_index.store.close()
 
 
 class TestCliKnobs:
-    def test_mixing_units_rejected(self):
-        with pytest.raises(SystemExit, match="not both"):
-            main(
-                [
-                    "search",
-                    "t00001",
-                    "--docs",
-                    "20",
-                    "--backend",
-                    "hdk_disk",
-                    "--memory-budget",
-                    "10",
-                    "--memory-budget-bytes",
-                    "1024",
-                ]
-            )
-
     def test_memory_budget_bytes_accepted(self, capsys):
         code = main(
             [

@@ -139,7 +139,7 @@ def test_replicated_snapshot_loads_unreplicated(saved, querylog):
 def test_disk_backend_round_trips_replication(small_collection, tmp_path):
     service = build(
         small_collection, replication=2, backend="hdk_disk",
-        memory_budget=250,
+        memory_budget_bytes=1_750,
     )
     service.save(tmp_path / "snap")
     loaded = SearchService.load(tmp_path / "snap", cache_capacity=None)

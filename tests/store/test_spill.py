@@ -33,7 +33,8 @@ def make_network(n_peers: int = 4) -> P2PNetwork:
 
 
 def fill(index, keys=12, span=6):
-    """Insert ``keys`` disjoint keys of ``span`` postings each."""
+    """Insert ``keys`` disjoint keys of ``span`` postings each (a
+    6-posting list encodes to 25-26 bytes, a 5-posting one to 21-22)."""
     inserted = {}
     for i in range(keys):
         key = frozenset({f"aa{i}", f"bb{i}"})
@@ -110,10 +111,11 @@ class TestSpillingIndex:
     def test_budget_enforced_after_inserts(self, tmp_path):
         index = SpillingGlobalKeyIndex(
             make_network(), SMALL_PARAMS, store_dir=tmp_path,
-            memory_budget=20,
+            memory_budget_bytes=80,  # three lists
         )
         fill(index, keys=12, span=6)
-        assert index.hot_postings <= 20
+        assert index.spill_stats()["hot_charge"] <= 80
+        assert 0 < index.hot_keys <= 3
         assert index.spill_stats()["spills"] > 0
         # every entry is still reported at full length
         assert index.stored_postings_total() == 12 * 6
@@ -121,7 +123,7 @@ class TestSpillingIndex:
     def test_zero_budget_spills_everything(self, tmp_path):
         index = SpillingGlobalKeyIndex(
             make_network(), SMALL_PARAMS, store_dir=tmp_path,
-            memory_budget=0,
+            memory_budget_bytes=0,
         )
         fill(index, keys=5)
         assert index.hot_postings == 0
@@ -131,7 +133,10 @@ class TestSpillingIndex:
         params = SMALL_PARAMS
         plain = GlobalKeyIndex(make_network(), params)
         spilling = SpillingGlobalKeyIndex(
-            make_network(), params, store_dir=tmp_path, memory_budget=10
+            make_network(),
+            params,
+            store_dir=tmp_path,
+            memory_budget_bytes=45,  # two of the ten lists
         )
         for index in (plain, spilling):
             fill(index, keys=10, span=5)
@@ -147,7 +152,7 @@ class TestSpillingIndex:
     def test_lookup_traffic_counts_spilled_length(self, tmp_path):
         network = make_network()
         index = SpillingGlobalKeyIndex(
-            network, SMALL_PARAMS, store_dir=tmp_path, memory_budget=0
+            network, SMALL_PARAMS, store_dir=tmp_path, memory_budget_bytes=0
         )
         key = frozenset({"aa0", "bb0"})
         index.insert("peer-000", key, make_postings(range(7)))
@@ -160,19 +165,20 @@ class TestSpillingIndex:
     def test_reheat_on_read_respects_budget(self, tmp_path):
         index = SpillingGlobalKeyIndex(
             make_network(), SMALL_PARAMS, store_dir=tmp_path,
-            memory_budget=12,
+            memory_budget_bytes=52,  # two lists
         )
         inserted = fill(index, keys=8, span=6)
         for key, postings in inserted.items():
             entry = index.lookup("peer-002", key)
             assert list(entry.postings) == list(postings)  # materializes
-            assert index.hot_postings <= 12
+            assert index.spill_stats()["hot_charge"] <= 52
+            assert index.hot_keys <= 2
         assert index.spill_stats()["reloads"] > 0
 
     def test_insert_merges_through_spilled_entry(self, tmp_path):
         index = SpillingGlobalKeyIndex(
             make_network(), SMALL_PARAMS, store_dir=tmp_path,
-            memory_budget=0,
+            memory_budget_bytes=0,
         )
         key = frozenset({"aa0", "bb0"})
         index.insert("peer-000", key, make_postings((1, 2)))
@@ -186,7 +192,7 @@ class TestSpillingIndex:
             df_max=3, window_size=8, s_max=3, ff=3_000, fr=3
         )
         index = SpillingGlobalKeyIndex(
-            make_network(), params, store_dir=tmp_path, memory_budget=0
+            make_network(), params, store_dir=tmp_path, memory_budget_bytes=0
         )
         key = frozenset({"aa0"})
         status = index.insert("peer-000", key, make_postings(range(5)))
@@ -199,7 +205,7 @@ class TestSpillingIndex:
     def test_spill_all(self, tmp_path):
         index = SpillingGlobalKeyIndex(
             make_network(), SMALL_PARAMS, store_dir=tmp_path,
-            memory_budget=10_000,
+            memory_budget_bytes=10_000,
         )
         fill(index, keys=6)
         assert index.hot_postings > 0
@@ -211,5 +217,5 @@ class TestSpillingIndex:
         with pytest.raises(StoreError):
             SpillingGlobalKeyIndex(
                 make_network(), SMALL_PARAMS, store_dir=tmp_path,
-                memory_budget=-1,
+                memory_budget_bytes=-1,
             )

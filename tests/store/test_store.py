@@ -22,18 +22,21 @@ def key_of(i: int) -> frozenset[str]:
 
 
 class TestBlockCache:
+    # A 4-posting list encodes to 17 bytes: a 40-byte cache holds two.
+
     def test_lru_eviction_under_budget(self):
-        cache = BlockCache(10)
+        cache = BlockCache(40)
         cache.put("a", make_postings(range(4)))
         cache.put("b", make_postings(range(4)))
         cache.put("c", make_postings(range(4)))  # evicts "a"
         assert cache.get("a") is None
         assert cache.get("b") is not None
-        assert cache.held_postings <= 10
+        assert cache.held_bytes <= 40
+        assert cache.held_postings == 8
         assert cache.stats.evictions == 1
 
     def test_get_refreshes_recency(self):
-        cache = BlockCache(8)
+        cache = BlockCache(40)
         cache.put("a", make_postings(range(4)))
         cache.put("b", make_postings(range(4)))
         cache.get("a")
@@ -42,15 +45,16 @@ class TestBlockCache:
         assert cache.get("a") is not None
 
     def test_oversized_block_not_kept(self):
-        cache = BlockCache(3)
+        cache = BlockCache(12)
         cache.put("big", make_postings(range(10)))
         assert cache.get("big") is None
+        assert cache.held_bytes == 0
         assert cache.held_postings == 0
 
     def test_oversized_block_does_not_flush_residents(self):
         """An unadmittable block must be rejected up front, not paid
         for by evicting every hot resident first."""
-        cache = BlockCache(10)
+        cache = BlockCache(40)
         cache.put("a", make_postings(range(4)))
         cache.put("b", make_postings(range(4)))
         cache.put("big", make_postings(range(20)))
@@ -205,7 +209,7 @@ class TestSegmentStore:
         assert key_of(2) in final and key_of(1) not in final
 
     def test_block_cache_serves_repeat_reads(self, tmp_path):
-        store = SegmentStore(tmp_path, cache_postings=100)
+        store = SegmentStore(tmp_path, cache_bytes=400)
         store.put(key_of(1), make_postings((1, 2)), 2, STATUS_DK)
         store.flush()
         store.cache.clear()

@@ -98,13 +98,13 @@ class TestSpilledPostingsMaterializeRace:
 
 class TestSpillingIndexBudgetUnderConcurrency:
     def test_budget_never_over_admits(self, tmp_path):
-        """Concurrent reloads across many keys: the hot-set posting
+        """Concurrent reloads across many keys: the hot-set byte
         budget must hold at every observable instant and at rest."""
-        budget = 30
+        budget = 130  # five of the 25-26 byte lists below
         span = 6
         index = SpillingGlobalKeyIndex(
             make_network(), SMALL_PARAMS, store_dir=tmp_path,
-            memory_budget=budget,
+            memory_budget_bytes=budget,
         )
         keys = []
         for i in range(24):
@@ -121,7 +121,7 @@ class TestSpillingIndexBudgetUnderConcurrency:
 
         def sampler():
             while not stop.is_set():
-                hot = index.spill_stats()["hot_postings"]  # takes the lock
+                hot = index.spill_stats()["hot_charge"]  # takes the lock
                 if hot > budget:
                     overshoots.append(hot)
 
@@ -143,7 +143,7 @@ class TestSpillingIndexBudgetUnderConcurrency:
             stop.set()
             sampling.join()
         assert overshoots == []
-        assert index.hot_postings <= budget
+        assert index.spill_stats()["hot_charge"] <= budget
         # Budget accounting stayed exact: the hot map and the posting
         # counter agree after the storm.
         stats = index.spill_stats()
@@ -156,7 +156,7 @@ class TestSpillingIndexBudgetUnderConcurrency:
         """Reads racing budget evictions still return exact postings."""
         index = SpillingGlobalKeyIndex(
             make_network(), SMALL_PARAMS, store_dir=tmp_path,
-            memory_budget=10,
+            memory_budget_bytes=45,  # two of the twelve lists
         )
         inserted = {}
         for i in range(12):
@@ -186,8 +186,10 @@ class TestSpillingIndexBudgetUnderConcurrency:
 
 class TestBlockCacheStress:
     def test_held_postings_never_exceeds_capacity(self):
-        capacity = 100
-        cache = BlockCache(capacity_postings=capacity)
+        # The cache is bounded in encoded bytes; an n-posting block
+        # below encodes to 4n+1 bytes, so this also caps the postings.
+        capacity = 400
+        cache = BlockCache(capacity)
         # Deterministic block sizes, disjoint id ranges per thread.
         sizes = [1, 3, 7, 12, 25, 40, 9, 18]
         overshoots = []
@@ -195,7 +197,7 @@ class TestBlockCacheStress:
 
         def sampler():
             while not stop.is_set():
-                held = cache.held_postings
+                held = cache.held_bytes
                 if held > capacity:
                     overshoots.append(held)
 
@@ -219,7 +221,8 @@ class TestBlockCacheStress:
             stop.set()
             sampling.join()
         assert overshoots == []
-        assert cache.held_postings <= capacity
+        assert cache.held_bytes <= capacity
+        assert cache.held_postings <= capacity // 4
         # Bookkeeping agrees with the actual contents after the storm.
         assert cache.held_postings == sum(
             block.pcost for block in cache._blocks.values()
@@ -229,19 +232,20 @@ class TestBlockCacheStress:
         )
 
     def test_oversized_block_still_rejected(self):
-        cache = BlockCache(capacity_postings=10)
+        cache = BlockCache(40)
         cache.put("small", make_postings(range(4)))
         cache.put("huge", make_postings(range(50)))
         assert cache.get("huge") is None
-        assert cache.held_postings <= 10
+        assert cache.get("small") is not None
+        assert cache.held_bytes <= 40
 
 
 class TestSegmentStoreConcurrentReads:
     def test_parallel_readers_share_handles_safely(self, tmp_path):
         """seek+read on a shared OS handle is not atomic; the store
         lock must keep concurrent cold reads exact."""
-        # cache_postings=0 forces every read to hit the segment file.
-        store = SegmentStore(tmp_path, cache_postings=0)
+        # cache_bytes=0 forces every read to hit the segment file.
+        store = SegmentStore(tmp_path, cache_bytes=0)
         expected = {}
         for i in range(30):
             key = frozenset({f"k{i}"})

@@ -61,7 +61,7 @@ class TestSegmentStore:
         self, tmp_path, fsync_calls
     ):
         store = SegmentStore(
-            tmp_path, cache_postings=0, segment_max_bytes=256, sync=True
+            tmp_path, cache_bytes=0, segment_max_bytes=256, sync=True
         )
         for i in range(40):
             record = record_for(i)
@@ -72,13 +72,13 @@ class TestSegmentStore:
         # One fsync per retired segment plus one for the active close.
         assert len(fsync_calls) == segments
         # Reopen: every record survived intact.
-        reopened = SegmentStore(tmp_path, cache_postings=0)
+        reopened = SegmentStore(tmp_path, cache_bytes=0)
         assert len(reopened) == 40
         reopened.close()
 
     def test_sync_off_by_default(self, tmp_path, fsync_calls):
         store = SegmentStore(
-            tmp_path, cache_postings=0, segment_max_bytes=256
+            tmp_path, cache_bytes=0, segment_max_bytes=256
         )
         for i in range(40):
             store.put_record(record_for(i))
@@ -226,7 +226,7 @@ class TestServiceSave:
             backend="hdk_disk",
             params=params,
             store_dir=tmp_path / "store",
-            memory_budget=50,
+            memory_budget_bytes=350,
             sync=True,
         )
         assert service.backend.global_index.store.sync is True

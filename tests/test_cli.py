@@ -64,7 +64,7 @@ class TestSearch:
                 "150",
                 "--peers",
                 "2",
-                "--mode",
+                "--backend",
                 "single_term",
                 "--df-max",
                 "5",
@@ -267,8 +267,8 @@ class TestSyncFlag:
                 "--sync",
                 "--store-dir",
                 str(tmp_path / "store"),
-                "--memory-budget",
-                "100",
+                "--memory-budget-bytes",
+                "700",
                 "--save",
                 str(snap),
             ]
@@ -368,3 +368,65 @@ class TestParser:
         out = capsys.readouterr().out
         for name in ("stats", "search", "experiment", "plan", "traffic"):
             assert name in out
+
+
+class TestRemovedFlags:
+    """Prefix matching is off, so a removed flag fails loudly instead of
+    being re-read as a longer one (--memory-budget 500 must never become
+    --memory-budget-bytes 500: bytes where postings were meant)."""
+
+    @pytest.mark.parametrize(
+        "removed", [["--memory-budget", "500"], ["--mode", "hdk"]]
+    )
+    def test_removed_search_flag_unrecognized(self, removed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(TestSearchBackends.BASE + ["t00001"] + removed)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_serve_flag_unrecognized(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["serve", "--snapshot", str(tmp_path)]
+                + ["--memory-budget", "500"]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_no_parser_abbreviates(self):
+        parser = build_parser()
+        assert parser.allow_abbrev is False
+        (subparsers,) = (
+            action
+            for action in parser._actions
+            if hasattr(action, "choices") and action.dest == "command"
+        )
+        for name, subparser in subparsers.choices.items():
+            assert subparser.allow_abbrev is False, name
+
+
+class TestServeInputChecks:
+    """`serve` rejects the values `search` rejects, before any worker
+    process is spawned (the snapshot directory is never even opened)."""
+
+    @pytest.mark.parametrize(
+        "flag", ["--memory-budget-bytes", "--link-latency", "--cache-capacity"]
+    )
+    def test_negative_value_rejected(self, flag, tmp_path, monkeypatch):
+        from repro.serving import pool
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("a worker pool was constructed")
+
+        monkeypatch.setattr(pool, "WorkerPool", no_spawn)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--snapshot", str(tmp_path), flag, "-1"])
+        assert flag in str(excinfo.value)
+
+    def test_negative_memory_budget_bytes_rejected_by_search(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                TestSearchBackends.BASE
+                + ["t00001", "--memory-budget-bytes", "-1"]
+            )
+        assert "--memory-budget-bytes" in str(excinfo.value)

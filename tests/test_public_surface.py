@@ -1,0 +1,50 @@
+"""The public surface: every exported name resolves, and the names
+removed in 2.0.0 (the legacy engine shims and the serving-side
+histogram re-export) are really gone from every package that exported
+them."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import repro
+
+PACKAGES = ["repro"] + sorted(
+    module.name
+    for module in pkgutil.iter_modules(repro.__path__, prefix="repro.")
+    if module.ispkg
+)
+
+REMOVED = [
+    ("repro", "P2PSearchEngine"),
+    ("repro", "EngineMode"),
+    ("repro.engine", "P2PSearchEngine"),
+    ("repro.engine", "EngineMode"),
+    ("repro.retrieval", "CachingSearchEngine"),
+    ("repro.serving", "LatencyHistogram"),
+    ("repro.serving", "DEFAULT_BUCKET_BOUNDS_MS"),
+]
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    exported = getattr(module, "__all__", [])
+    assert len(exported) == len(set(exported)), "duplicate in __all__"
+    for name in exported:
+        assert getattr(module, name, None) is not None, name
+
+
+@pytest.mark.parametrize("package, name", REMOVED)
+def test_removed_name_is_not_importable(package, name):
+    module = importlib.import_module(package)
+    assert name not in getattr(module, "__all__", [])
+    assert not hasattr(module, name)
+
+
+def test_legacy_engine_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.engine.p2p_engine")
