@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 
-from repro.config import HDKParameters
+from repro.config import HDKParameters, ServiceConfig
 from repro.corpus.querylog import QueryLogGenerator
 from repro.corpus.synthetic import (
     SyntheticCorpusConfig,
@@ -112,7 +112,8 @@ def test_serving_pool_scaling(tmp_path):
 
     spec = WorkerSpec(
         snapshot=str(snapshot),
-        cache_capacity=None,  # every query pays its overlay round-trips
+        # every query pays its overlay round-trips
+        config=ServiceConfig(cache_capacity=None),
         link_latency_s=LINK_LATENCY_S,
     )
     rows = []

@@ -29,6 +29,7 @@ import time
 from pathlib import Path
 
 from repro import HDKParameters, SearchService
+from repro.config import ServiceConfig
 from repro.corpus import SyntheticCorpusConfig, SyntheticCorpusGenerator
 from repro.serving import Gateway, GatewayConfig, WorkerPool, WorkerSpec
 from repro.serving.loadgen import http_request
@@ -75,7 +76,7 @@ def main() -> None:
         pool = WorkerPool(
             WorkerSpec(
                 snapshot=str(snapshot),
-                cache_capacity=None,
+                config=ServiceConfig(cache_capacity=None),
                 link_latency_s=0.002,
             ),
             size=2,

@@ -9,12 +9,9 @@ Subcommands::
                       query or batch query-log replay (--batch); persist
                       an indexed collection with --save and serve it
                       again with --load (skipping indexing entirely);
-                      the hdk_disk backend takes --store-dir,
-                      --memory-budget-bytes, --wal/--no-wal, and
-                      --sync; the hdk_super
-                      backend takes --overlay-fanout and
-                      --path-cache-capacity; --index-workers builds
-                      the index on the sharded parallel pipeline
+                      every repro.config.ServiceConfig knob is a flag
+                      (--cache-capacity, --store-dir, --overlay-fanout,
+                      --index-workers, --replication, ...)
     repro serve       boot the asyncio HTTP gateway over a pool of
                       snapshot-loaded SearchService worker processes
                       (--snapshot --port --pool-size --max-inflight
@@ -31,15 +28,18 @@ text; machine-readable output can use ``--format csv`` where offered.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
+import re
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, get_args, get_type_hints
 
 from . import __version__
 from .analysis.planner import plan_parameters
 from .analysis.traffic import TrafficModel
-from .config import ExperimentParameters, HDKParameters
+from .config import ExperimentParameters, HDKParameters, ServiceConfig
 from .corpus import (
     SyntheticCorpusConfig,
     SyntheticCorpusGenerator,
@@ -125,21 +125,77 @@ def _hdk_params(args: argparse.Namespace) -> HDKParameters:
 # -- subcommand implementations -----------------------------------------------
 
 
-def _check_service_knobs(args: argparse.Namespace) -> None:
-    """Input checks `search` and `serve` share: both hand these values
-    to a service (in-process, or one per worker process)."""
-    if args.cache_capacity < 0:
-        raise SystemExit(
-            f"--cache-capacity must be >= 0, got {args.cache_capacity}"
+def _flag(knob: str) -> str:
+    return "--" + knob.replace("_", "-")
+
+
+def _add_knob_options(
+    parser: argparse.ArgumentParser, names: Sequence[str] | None = None
+) -> None:
+    """One option per :class:`ServiceConfig` field (or just ``names``):
+    flag, type, default and help all come from the field."""
+    hints = get_type_hints(ServiceConfig)
+    for knob in dataclasses.fields(ServiceConfig):
+        if names is not None and knob.name not in names:
+            continue
+        kinds = get_args(hints[knob.name]) or (hints[knob.name],)
+        # Exactly one: a field of a type not mapped here fails the build.
+        (kind,) = [k for k in (bool, int, Path) if k in kinds]
+        if kind is bool:
+            parser.add_argument(
+                _flag(knob.name),
+                action=argparse.BooleanOptionalAction
+                if type(None) in kinds
+                else "store_true",
+                default=knob.default,
+                help=knob.metadata["help"],
+            )
+            continue
+        shown = "" if knob.default is None else f" (default {knob.default})"
+        parser.add_argument(
+            _flag(knob.name),
+            type=kind,
+            default=knob.default,
+            metavar="DIR" if kind is Path else "N",
+            help=knob.metadata["help"] + shown,
         )
+
+
+_KNOB_NAME = re.compile(
+    r"\b(%s)\b"
+    % "|".join(knob.name for knob in dataclasses.fields(ServiceConfig))
+)
+
+
+@contextlib.contextmanager
+def _knob_errors_exit() -> Iterator[None]:
+    """Turn a :class:`ConfigurationError` into a one-line exit that
+    names each knob by its flag."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise SystemExit(
+            _KNOB_NAME.sub(lambda match: _flag(match[0]), str(exc))
+        ) from None
+
+
+def _service_config(args: argparse.Namespace) -> ServiceConfig:
+    """The knob options of ``args`` (whichever the subcommand has) as a
+    :class:`ServiceConfig`; the rest keep their defaults."""
+    with _knob_errors_exit():
+        return ServiceConfig(
+            **{
+                knob.name: getattr(args, knob.name)
+                for knob in dataclasses.fields(ServiceConfig)
+                if hasattr(args, knob.name)
+            }
+        )
+
+
+def _check_link_latency(args: argparse.Namespace) -> None:
     if args.link_latency < 0.0:
         raise SystemExit(
             f"--link-latency must be >= 0, got {args.link_latency}"
-        )
-    if args.memory_budget_bytes is not None and args.memory_budget_bytes < 0:
-        raise SystemExit(
-            "--memory-budget-bytes must be >= 0, got "
-            f"{args.memory_budget_bytes}"
         )
 
 
@@ -157,35 +213,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise SystemExit(f"--batch must be >= 0, got {args.batch}")
     if args.workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    if args.index_workers < 1:
-        raise SystemExit(
-            f"--index-workers must be >= 1, got {args.index_workers}"
-        )
-    _check_service_knobs(args)
-    if args.overlay_fanout < 1:
-        raise SystemExit(
-            f"--overlay-fanout must be >= 1, got {args.overlay_fanout}"
-        )
-    if args.path_cache_capacity < 0:
-        raise SystemExit(
-            "--path-cache-capacity must be >= 0, got "
-            f"{args.path_cache_capacity}"
-        )
-    if args.overlay_split_threshold < 1:
-        raise SystemExit(
-            "--overlay-split-threshold must be >= 1, got "
-            f"{args.overlay_split_threshold}"
-        )
-    if not 0 <= args.overlay_merge_threshold < args.overlay_split_threshold:
-        raise SystemExit(
-            "--overlay-merge-threshold must satisfy 0 <= merge < "
-            f"--overlay-split-threshold, got {args.overlay_merge_threshold} "
-            f"vs {args.overlay_split_threshold}"
-        )
-    if args.replication is not None and args.replication < 1:
-        raise SystemExit(
-            f"--replication must be >= 1, got {args.replication}"
-        )
+    _check_link_latency(args)
     if args.query is None and not args.batch:
         raise SystemExit("a query string is required unless --batch is given")
     if args.query is not None and args.batch:
@@ -193,24 +221,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "--batch replays a generated query log and would ignore "
             f"{args.query!r}; drop the query string or --batch"
         )
+    config = _service_config(args)
     if args.load is not None:
         # Serve a snapshot: no corpus build, no indexing.  The corpus is
         # regenerated only when --batch needs documents to sample
         # queries from (pass the same corpus flags as at build time).
-        service = SearchService.load(
-            args.load,
-            backend=args.backend,
-            memory_budget_bytes=args.memory_budget_bytes,
-            wal=args.wal,
-            cache_capacity=None if args.no_cache else args.cache_capacity,
-            overlay_fanout=args.overlay_fanout,
-            path_cache_capacity=args.path_cache_capacity,
-            overlay_adaptive=args.overlay_adaptive,
-            overlay_split_threshold=args.overlay_split_threshold,
-            overlay_merge_threshold=args.overlay_merge_threshold,
-            sync=args.sync,
-            replication=args.replication,
-        )
+        with _knob_errors_exit():
+            service = SearchService.load(
+                args.load, backend=args.backend, config=config
+            )
         collection = _build_collection(args) if args.batch else None
         print(
             f"loaded snapshot {args.load} "
@@ -226,18 +245,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             backend=args.backend or "hdk",
             params=params,
             overlay=args.overlay,
-            cache_capacity=None if args.no_cache else args.cache_capacity,
-            store_dir=args.store_dir,
-            memory_budget_bytes=args.memory_budget_bytes,
-            wal=args.wal,
-            overlay_fanout=args.overlay_fanout,
-            path_cache_capacity=args.path_cache_capacity,
-            overlay_adaptive=args.overlay_adaptive,
-            overlay_split_threshold=args.overlay_split_threshold,
-            overlay_merge_threshold=args.overlay_merge_threshold,
-            sync=args.sync,
-            index_workers=args.index_workers,
-            replication=args.replication or 1,
+            config=config,
         )
         service.index()
         print(
@@ -342,7 +350,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--rate-limit must be >= 0, got {args.rate_limit}"
         )
-    _check_service_knobs(args)
+    _check_link_latency(args)
+    service_config = _service_config(args)
     if not args.snapshot.is_dir():
         raise SystemExit(f"snapshot directory not found: {args.snapshot}")
     if not 0.0 <= args.trace_sample <= 1.0:
@@ -369,9 +378,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     spec = WorkerSpec(
         snapshot=str(args.snapshot),
         backend=args.backend,
-        memory_budget_bytes=args.memory_budget_bytes,
-        cache_capacity=args.cache_capacity or None,
         link_latency_s=args.link_latency,
+        config=service_config,
     )
     pool = WorkerPool(spec, size=args.pool_size)
     config = GatewayConfig(
@@ -556,33 +564,12 @@ def build_parser() -> argparse.ArgumentParser:
         "and print aggregate traffic and cache statistics",
     )
     search.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the service's query-result cache",
-    )
-    search.add_argument(
-        "--cache-capacity",
-        type=int,
-        default=256,
-        help="LRU query-cache capacity (default 256; 0 disables)",
-    )
-    search.add_argument(
         "--workers",
         type=int,
         default=1,
         metavar="N",
         help="thread-pool width for --batch execution (the backend "
         "section of each query runs genuinely concurrent)",
-    )
-    search.add_argument(
-        "--index-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="thread-pool width of the sharded indexing pipeline used "
-        "to build the index (extraction and message transmission run "
-        "per shard; merges stay ordered, so the built index is "
-        "byte-identical at any value)",
     )
     search.add_argument(
         "--link-latency",
@@ -593,89 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
         "phase (indexing stays instantaneous); non-zero values make "
         "--workers overlap real wait time",
     )
-    search.add_argument(
-        "--store-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="segment-store directory for the hdk_disk backend "
-        "(default: a private temporary directory)",
-    )
-    search.add_argument(
-        "--memory-budget-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="RAM residency budget of the hdk_disk backend in encoded "
-        "posting bytes (default 1048576)",
-    )
-    search.add_argument(
-        "--wal",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="write-ahead-log incremental writes in the hdk_disk "
-        "store (crash-durable builds; default on — --no-wal appends "
-        "straight to segments)",
-    )
-    search.add_argument(
-        "--overlay-fanout",
-        type=int,
-        default=8,
-        metavar="N",
-        help="leaves per super-peer cluster for the hdk_super backend "
-        "(default 8)",
-    )
-    search.add_argument(
-        "--path-cache-capacity",
-        type=int,
-        default=128,
-        metavar="KEYS",
-        help="in-network result-cache size per super-peer for the "
-        "hdk_super backend (default 128; 0 disables path caching)",
-    )
-    search.add_argument(
-        "--overlay-adaptive",
-        action="store_true",
-        help="load-aware overlay adaptation for the hdk_super backend: "
-        "super-peer election weighs observed load, hot clusters split "
-        "(and merge back after a cool-down), and path caching extends "
-        "to every super-peer on the query path",
-    )
-    search.add_argument(
-        "--overlay-split-threshold",
-        type=int,
-        default=64,
-        metavar="SCORE",
-        help="windowed per-cluster load score (lookups + cache churn) "
-        "at which a hot cluster splits (default 64; adaptive overlay "
-        "only)",
-    )
-    search.add_argument(
-        "--overlay-merge-threshold",
-        type=int,
-        default=16,
-        metavar="SCORE",
-        help="score at or below which a split pair counts as calm and "
-        "becomes eligible to merge back (default 16; must be below "
-        "--overlay-split-threshold)",
-    )
-    search.add_argument(
-        "--replication",
-        type=int,
-        default=None,
-        metavar="R",
-        help="replica count per key range (default: 1 when building, "
-        "the manifest's recorded degree when serving a --load "
-        "snapshot).  R >= 2 fans every insert out to R successor "
-        "owners, fails lookups over past crashed replicas, and enables "
-        "Merkle anti-entropy repair",
-    )
-    search.add_argument(
-        "--sync",
-        action="store_true",
-        help="fsync segment files on rollover/close and the snapshot "
-        "manifest on --save (durability knob for disk-backed backends)",
-    )
+    _add_knob_options(search)
     search.add_argument(
         "--save",
         type=Path,
@@ -753,20 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the snapshot manifest's backend for the workers",
     )
-    serve.add_argument(
-        "--memory-budget-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="per-worker RAM residency budget in encoded posting bytes "
-        "(hdk_disk backend)",
-    )
-    serve.add_argument(
-        "--cache-capacity",
-        type=int,
-        default=256,
-        help="per-worker LRU query-cache capacity (0 disables)",
-    )
+    _add_knob_options(serve, ("memory_budget_bytes", "cache_capacity"))
     serve.add_argument(
         "--link-latency",
         type=float,

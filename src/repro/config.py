@@ -1,23 +1,27 @@
-"""Model parameters for HDK indexing and retrieval.
+"""Model parameters for HDK indexing and retrieval, and deployment knobs.
 
 The paper's model is controlled by a small set of parameters (Table 2 of the
 paper): the document-frequency threshold ``DF_max``, the collection-frequency
 cut-off ``F_f`` for very frequent terms, the proximity window size ``w``, and
 the maximal key size ``s_max``.  :class:`HDKParameters` bundles them together
 with validation so that every component of the library shares one coherent
-configuration object.
+configuration object.  :class:`ServiceConfig` does the same for the knobs of a
+deployed :class:`~repro.engine.service.SearchService` (caching, storage,
+overlay, replication): it is the only place a knob is declared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
+from typing import Any, Mapping, get_type_hints
 
 from .errors import ConfigurationError
 
 __all__ = [
     "HDKParameters",
     "ExperimentParameters",
+    "ServiceConfig",
     "PAPER_PARAMETERS",
     "SMALL_SCALE_PARAMETERS",
 ]
@@ -142,6 +146,143 @@ class HDKParameters:
                 f"unknown HDK parameter(s): {sorted(unknown)}"
             )
         return cls(**dict(data))
+
+
+def _knob(default: Any, help: str, minimum: int | None = None) -> Any:
+    """A :class:`ServiceConfig` field: its default, the lower bound the
+    range check enforces, and the one-line help the CLI shows."""
+    return field(
+        default=default, metadata={"help": help, "minimum": minimum}
+    )
+
+
+@dataclass(frozen=True)
+class ServiceConfig:
+    """Deployment knobs of a :class:`~repro.engine.service.SearchService`.
+
+    The single declaration of every knob: default, documentation, range
+    check, and the one-line help the CLI derives its ``--flag`` from.
+    Knobs are read at construction only and never change results —
+    rankings are byte-identical at any setting.
+
+    Attributes:
+        cache_capacity: LRU query-cache size; ``None`` or ``0`` disables
+            caching entirely (every query hits the backend).
+        store_dir: segment-store directory of the disk-backed backend
+            (``hdk_disk``); ``None`` gives the store a private temporary
+            directory.  Not accepted by ``load()``: a snapshot's own
+            ``segments/`` directory is its store.
+        memory_budget_bytes: RAM residency budget of the disk-backed
+            backend, in encoded posting bytes; ``None`` uses the store
+            default.
+        wal: write-ahead-log incremental writes in the disk backend's
+            store (crash-durable builds); ``None`` keeps the index
+            default (on).
+        overlay_fanout: leaves per super-peer cluster (``hdk_super``).
+        path_cache_capacity: per-super-peer in-network result-cache size
+            in keys (``hdk_super``); ``0`` disables path caching.
+        overlay_adaptive: load-aware overlay adaptation (``hdk_super``) —
+            super-peer election weighs observed load, hot clusters split
+            and cooled-down pairs merge back, and path caching extends to
+            every super-peer on the query path with invalidation fan-out.
+            Off keeps the static, byte-reproducible overlay.
+        overlay_split_threshold: windowed per-cluster load score (lookups
+            + cache churn) at which a hot cluster splits (adaptive overlay
+            only).
+        overlay_merge_threshold: score at or below which a split pair
+            counts as calm and may merge back; must be <
+            ``overlay_split_threshold``.
+        sync: fsync segment files on rollover/close and the snapshot
+            manifest on ``save()`` — the durability knob of disk-backed
+            deployments.
+        index_workers: thread-pool width of the sharded indexing pipeline
+            (:mod:`repro.indexing`) that ``index()`` and ``add_peers()``
+            run on; ``1`` is the sequential reference build and any value
+            is byte-identical to it.
+        replication: replica count per key range.  ``None`` means 1 for a
+            built service and the degree recorded in the manifest for a
+            loaded one.  ``1`` disables the replication subsystem entirely
+            (no manager, no failover wrapper, byte-identical results *and*
+            traffic to the unreplicated stack).  With ``R >= 2`` every
+            insert and stats publication fans out to the key's R successor
+            owners, lookups fail over past crashed replicas,
+            ``run_anti_entropy()`` re-converges divergent replicas, and a
+            load places every snapshot entry at all R owners and restores
+            the persisted replication state.
+    """
+
+    cache_capacity: int | None = _knob(
+        256, "LRU query-cache capacity; 0 disables", minimum=0
+    )
+    store_dir: str | Path | None = _knob(
+        None, "segment-store directory of the hdk_disk backend"
+    )
+    memory_budget_bytes: int | None = _knob(
+        None,
+        "RAM budget of the hdk_disk backend in encoded posting bytes",
+        minimum=0,
+    )
+    wal: bool | None = _knob(
+        None, "write-ahead-log incremental hdk_disk writes (on when unset)"
+    )
+    overlay_fanout: int = _knob(
+        8, "leaves per hdk_super super-peer cluster", minimum=1
+    )
+    path_cache_capacity: int = _knob(
+        128,
+        "hdk_super result-cache size per super-peer; 0 disables",
+        minimum=0,
+    )
+    overlay_adaptive: bool = _knob(
+        False, "load-aware hdk_super overlay: election, split/merge, caching"
+    )
+    overlay_split_threshold: int = _knob(
+        64,
+        "load score at which a hot cluster splits (adaptive overlay)",
+        minimum=1,
+    )
+    overlay_merge_threshold: int = _knob(
+        16,
+        "calm score for merging a split pair back; below the split one",
+        minimum=0,
+    )
+    sync: bool = _knob(
+        False, "fsync segment files on rollover/close and the saved manifest"
+    )
+    index_workers: int = _knob(
+        1,
+        "thread-pool width of the sharded index build (same index at any)",
+        minimum=1,
+    )
+    replication: int | None = _knob(
+        None,
+        "replicas per key range (unset: 1 building, the manifest's loading)",
+        minimum=1,
+    )
+
+    def __post_init__(self) -> None:
+        hints = get_type_hints(type(self))
+        for knob in fields(self):
+            value = getattr(self, knob.name)
+            if not isinstance(value, hints[knob.name]):
+                raise ConfigurationError(
+                    f"{knob.name} must be of type {knob.type}, got {value!r}"
+                )
+            minimum = knob.metadata["minimum"]
+            if (
+                minimum is not None
+                and value is not None
+                and value < minimum
+            ):
+                raise ConfigurationError(
+                    f"{knob.name} must be >= {minimum}, got {value}"
+                )
+        if self.overlay_merge_threshold >= self.overlay_split_threshold:
+            raise ConfigurationError(
+                f"overlay_merge_threshold ({self.overlay_merge_threshold}) "
+                f"must be < overlay_split_threshold "
+                f"({self.overlay_split_threshold})"
+            )
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ core again.  This module turns the seam into a first-class API:
   ==================  ====================================================
 
 Backends are constructed from a :class:`BackendContext` (network +
-parameters) and own their indexers/engines; the
+parameters + deployment knobs) and own their indexers/engines; the
 :class:`repro.engine.service.SearchService` facade owns everything above
 (query pipeline, cache, traffic windows, batching).
 """
@@ -40,10 +40,9 @@ parameters) and own their indexers/engines; the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Protocol, runtime_checkable
 
-from ..config import HDKParameters
+from ..config import HDKParameters, ServiceConfig
 from ..corpus.collection import DocumentCollection
 from ..corpus.querylog import Query
 from ..errors import ConfigurationError, RetrievalError
@@ -151,54 +150,17 @@ class BackendContext:
             traffic accounting).
         params: HDK model parameters (backends that don't use them may
             ignore them).
-        store_dir: directory for disk-backed backends (``hdk_disk``);
-            ``None`` gives the store a private temporary directory.
-        memory_budget_bytes: RAM residency budget for disk-backed
-            backends in encoded posting bytes; ``None`` uses the store
-            default.
-        wal: write-ahead-log incremental writes in the disk backend's
-            store (crash-durable builds); ``None`` keeps the index
-            default (on).
-        overlay_fanout: leaves per super-peer cluster (``hdk_super``).
-        path_cache_capacity: per-super-peer in-network result-cache
-            size in keys (``hdk_super``); ``0`` disables path caching.
-        overlay_adaptive: load-aware overlay adaptation
-            (``hdk_super``) — super-peer election weighs observed load,
-            hot clusters split and cooled-down pairs merge back, and
-            path caching extends to every super-peer on the query path
-            with invalidation fan-out.  Off keeps the static,
-            byte-reproducible overlay.
-        overlay_split_threshold: windowed per-cluster load score at
-            which a hot cluster splits (adaptive overlay only).
-        overlay_merge_threshold: score at or below which a split pair
-            counts as calm; must be < ``overlay_split_threshold``.
-        sync: fsync segment files on rollover/close (disk-backed
-            backends) — the durability knob for real deployments.
-        index_workers: thread-pool width of the sharded indexing
-            pipeline the backend builds with (``repro.indexing``);
-            ``1`` is the sequential reference build, any value is
-            byte-identical to it.
-        replication: replica count per key range (``repro.replication``).
-            Informational at this layer — the service installs the
+        config: the deployment knobs (:class:`~repro.config.ServiceConfig`);
+            each backend reads the ones it understands.  ``replication``
+            is informational at this layer — the service installs the
             :class:`~repro.replication.ReplicationManager` on the
             network; backends see its effects only through the network
-            primitives they already use.  ``1`` means the unreplicated
-            stack, byte-identical to before the subsystem existed.
+            primitives they already use.
     """
 
     network: P2PNetwork
     params: HDKParameters
-    store_dir: str | Path | None = None
-    memory_budget_bytes: int | None = None
-    wal: bool | None = None
-    overlay_fanout: int = 8
-    path_cache_capacity: int = 128
-    overlay_adaptive: bool = False
-    overlay_split_threshold: int = 64
-    overlay_merge_threshold: int = 16
-    sync: bool = False
-    index_workers: int = 1
-    replication: int = 1
+    config: ServiceConfig
 
 
 @runtime_checkable
@@ -332,8 +294,10 @@ class HDKBackend:
         self.global_index = self._make_index(context)
         #: The shared build path: initial builds and incremental joins
         #: both run through this sharded pipeline (sequential when
-        #: ``context.index_workers == 1``, byte-identical either way).
-        self.pipeline = IndexingPipeline(workers=context.index_workers)
+        #: ``index_workers == 1``, byte-identical either way).
+        self.pipeline = IndexingPipeline(
+            workers=context.config.index_workers
+        )
         self._indexers: list[PeerIndexer] = []
         self._engine: HDKRetrievalEngine | None = None
         self._index_started = False
@@ -441,15 +405,16 @@ class HDKSuperBackend(HDKBackend):
 
     def __init__(self, context: BackendContext) -> None:
         super().__init__(context)
+        config = context.config
         topology = SuperPeerTopology(
-            context.network, fanout=context.overlay_fanout
+            context.network, fanout=config.overlay_fanout
         )
         self.router = HierarchicalRouter(
             topology,
-            path_cache_capacity=context.path_cache_capacity,
-            adaptive=context.overlay_adaptive,
-            split_threshold=context.overlay_split_threshold,
-            merge_threshold=context.overlay_merge_threshold,
+            path_cache_capacity=config.path_cache_capacity,
+            adaptive=config.overlay_adaptive,
+            split_threshold=config.overlay_split_threshold,
+            merge_threshold=config.overlay_merge_threshold,
         )
         self.router.install(context.network)
 
@@ -475,23 +440,24 @@ class HDKDiskBackend(HDKBackend):
     residency: cold posting lists live in append-only segment files
     (:class:`repro.store.SegmentStore`) and only a bounded hot set plus
     a bounded block cache stay in RAM, so the collection can exceed
-    memory.  Configure via :class:`BackendContext` (``store_dir``,
-    ``memory_budget_bytes``).
+    memory.  Configure via :class:`~repro.config.ServiceConfig`
+    (``store_dir``, ``memory_budget_bytes``, ``wal``, ``sync``).
     """
 
     global_index: SpillingGlobalKeyIndex
 
     def _make_index(self, context: BackendContext) -> GlobalKeyIndex:
+        config = context.config
         kwargs: dict[str, Any] = {}
-        if context.memory_budget_bytes is not None:
-            kwargs["memory_budget_bytes"] = context.memory_budget_bytes
-        if context.wal is not None:
-            kwargs["wal"] = context.wal
+        if config.memory_budget_bytes is not None:
+            kwargs["memory_budget_bytes"] = config.memory_budget_bytes
+        if config.wal is not None:
+            kwargs["wal"] = config.wal
         return SpillingGlobalKeyIndex(
             context.network,
             context.params,
-            store_dir=context.store_dir,
-            sync=context.sync,
+            store_dir=config.store_dir,
+            sync=config.sync,
             **kwargs,
         )
 

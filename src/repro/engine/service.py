@@ -32,11 +32,11 @@ import contextvars
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
-from ..config import HDKParameters
+from ..config import HDKParameters, ServiceConfig
 from ..corpus.collection import DocumentCollection
 from ..corpus.querylog import Query
 from ..errors import ConfigurationError, RetrievalError
@@ -191,41 +191,17 @@ class SearchService:
             or an already-constructed :class:`RetrievalBackend` instance.
         pipeline: the text pipeline queries are processed with; must
             match the one used to build the collections.
-        cache_capacity: LRU query-cache size; ``None`` or ``0`` disables
-            caching entirely (every query hits the backend).
         backend_registry: the registry names are resolved against
             (defaults to the module-level registry with the built-in
             backends).
-        store_dir: directory for disk-backed backends (``hdk_disk``);
-            ``None`` gives the store a private temporary directory.
-        memory_budget_bytes: RAM residency budget for disk-backed
-            backends, in encoded posting bytes.
-        wal: write-ahead-log incremental writes in the disk backend's
-            store (crash-durable builds); ``None`` keeps the index
-            default (on).
-        overlay_fanout: leaves per super-peer cluster (``hdk_super``).
-        path_cache_capacity: per-super-peer in-network result-cache
-            size (``hdk_super``); ``0`` disables path caching.
-        overlay_adaptive: load-aware overlay adaptation (``hdk_super``):
-            load-weighed super-peer election, hot-cluster splitting
-            with cool-down merges, and multi-level path caching with
-            invalidation fan-out.  Results stay byte-identical.
-        overlay_split_threshold: windowed load score at which a hot
-            cluster splits (adaptive overlay).
-        overlay_merge_threshold: score at or below which a split pair
-            counts as calm; must be < ``overlay_split_threshold``.
-        sync: fsync segment files on rollover/close and the snapshot
-            manifest on :meth:`save` (disk-backed durability knob).
-        index_workers: thread-pool width of the sharded indexing
-            pipeline (:mod:`repro.indexing`) the backend builds with;
-            the build outcome is byte-identical at any value.
-        replication: replica count per key range (``1`` disables the
-            replication subsystem entirely — no manager, no failover
-            wrapper, byte-identical results *and* traffic to the
-            unreplicated stack).  With ``R >= 2`` every insert and
-            stats publication fans out to the key's R successor owners,
-            lookups fail over past crashed replicas, and
-            :meth:`run_anti_entropy` re-converges divergent replicas.
+        config: the deployment knobs (cache, store, overlay,
+            replication, ...), declared and documented once in
+            :class:`~repro.config.ServiceConfig`; defaults when omitted.
+        **knobs: individual :class:`~repro.config.ServiceConfig` fields
+            by name, overriding ``config`` (``cache_capacity=None``,
+            ``overlay_fanout=4``, ...); an unknown name is a
+            :class:`TypeError`, an out-of-range value a
+            :class:`ConfigurationError`, both before anything is built.
     """
 
     def __init__(
@@ -235,33 +211,21 @@ class SearchService:
         params: HDKParameters | None = None,
         backend: str | RetrievalBackend = "hdk",
         pipeline: TextPipeline | None = None,
-        cache_capacity: int | None = 256,
         backend_registry: BackendRegistry | None = None,
-        store_dir: str | Path | None = None,
-        memory_budget_bytes: int | None = None,
-        wal: bool | None = None,
-        overlay_fanout: int = 8,
-        path_cache_capacity: int = 128,
-        overlay_adaptive: bool = False,
-        overlay_split_threshold: int = 64,
-        overlay_merge_threshold: int = 16,
-        sync: bool = False,
-        index_workers: int = 1,
-        replication: int = 1,
+        config: ServiceConfig | None = None,
+        **knobs: Any,
     ) -> None:
+        config = replace(config or ServiceConfig(), **knobs)
         if not peers:
             raise ConfigurationError("service needs at least one peer")
-        if replication < 1:
-            raise ConfigurationError(
-                f"replication must be >= 1, got {replication}"
-            )
+        self.config = config
         self.peers = list(peers)
         self.network = network
         self.params = params or HDKParameters()
         self.pipeline = pipeline or TextPipeline(PipelineConfig())
         self.query_processor = QueryProcessor(self.pipeline)
-        self._sync = sync
-        self.replication = replication
+        #: The effective replica count (the config's ``None`` resolved).
+        self.replication = replication = config.replication or 1
         # The manager must exist before the backend is constructed so
         # snapshot population and backend-internal placement see it; the
         # failover wrapper is installed after, so it can wrap whatever
@@ -273,21 +237,7 @@ class SearchService:
         )
         reg = backend_registry or default_registry
         if isinstance(backend, str):
-            context = BackendContext(
-                network=network,
-                params=self.params,
-                store_dir=store_dir,
-                memory_budget_bytes=memory_budget_bytes,
-                wal=wal,
-                overlay_fanout=overlay_fanout,
-                path_cache_capacity=path_cache_capacity,
-                overlay_adaptive=overlay_adaptive,
-                overlay_split_threshold=overlay_split_threshold,
-                overlay_merge_threshold=overlay_merge_threshold,
-                sync=sync,
-                index_workers=index_workers,
-                replication=replication,
-            )
+            context = BackendContext(network, self.params, config)
             self.backend: RetrievalBackend = reg.create(backend, context)
         else:
             self.backend = backend
@@ -301,7 +251,9 @@ class SearchService:
         else:
             self._repairer = None
         self.cache: QueryResultCache | None = (
-            QueryResultCache(cache_capacity) if cache_capacity else None
+            QueryResultCache(config.cache_capacity)
+            if config.cache_capacity
+            else None
         )
         self._indexed = False
         self._reports: list[IndexingReport] = []
@@ -332,19 +284,9 @@ class SearchService:
         overlay: str = "chord",
         pipeline: TextPipeline | None = None,
         accounting: TrafficAccounting | None = None,
-        cache_capacity: int | None = 256,
         backend_registry: BackendRegistry | None = None,
-        store_dir: str | Path | None = None,
-        memory_budget_bytes: int | None = None,
-        wal: bool | None = None,
-        overlay_fanout: int = 8,
-        path_cache_capacity: int = 128,
-        overlay_adaptive: bool = False,
-        overlay_split_threshold: int = 64,
-        overlay_merge_threshold: int = 16,
-        sync: bool = False,
-        index_workers: int = 1,
-        replication: int = 1,
+        config: ServiceConfig | None = None,
+        **knobs: Any,
     ) -> "SearchService":
         """Build a service over ``collection`` split across ``num_peers``.
 
@@ -362,31 +304,11 @@ class SearchService:
             overlay: ``"chord"`` or ``"pgrid"``.
             pipeline: the query text pipeline.
             accounting: shared traffic counters (created when omitted).
-            cache_capacity: query-cache size; falsy disables caching.
             backend_registry: custom registry for name resolution.
-            store_dir: segment-store directory for ``hdk_disk``.
-            memory_budget_bytes: RAM residency budget for ``hdk_disk``
-                in encoded posting bytes.
-            wal: write-ahead-log incremental writes (``hdk_disk``);
-                ``None`` keeps the index default (on).
-            overlay_fanout: super-peer cluster fanout (``hdk_super``).
-            path_cache_capacity: in-network result-cache size per
-                super-peer (``hdk_super``).
-            overlay_adaptive: load-aware overlay adaptation
-                (``hdk_super``): load-weighed election, hot-cluster
-                split/merge, multi-level path caching.
-            overlay_split_threshold: windowed load score at which a
-                hot cluster splits (adaptive overlay).
-            overlay_merge_threshold: calm score for merging a split
-                pair back; must be < ``overlay_split_threshold``.
-            sync: fsync segments on rollover/close and the manifest on
-                :meth:`save`.
-            index_workers: worker threads for the sharded indexing
-                pipeline :meth:`index` (and :meth:`add_peers`) runs on;
-                byte-identical results at any value.
-            replication: replica count per key range; ``1`` is the
-                unreplicated stack.
+            config / **knobs: deployment knobs, as for the constructor
+                (see :class:`~repro.config.ServiceConfig`).
         """
+        config = replace(config or ServiceConfig(), **knobs)
         if not isinstance(backend, str):
             raise ConfigurationError(
                 "build() creates its own network, so it only accepts a "
@@ -407,19 +329,8 @@ class SearchService:
             params=params,
             backend=backend,
             pipeline=pipeline,
-            cache_capacity=cache_capacity,
             backend_registry=backend_registry,
-            store_dir=store_dir,
-            memory_budget_bytes=memory_budget_bytes,
-            wal=wal,
-            overlay_fanout=overlay_fanout,
-            path_cache_capacity=path_cache_capacity,
-            overlay_adaptive=overlay_adaptive,
-            overlay_split_threshold=overlay_split_threshold,
-            overlay_merge_threshold=overlay_merge_threshold,
-            sync=sync,
-            index_workers=index_workers,
-            replication=replication,
+            config=config,
         )
 
     # -- indexing ----------------------------------------------------------------
@@ -869,7 +780,7 @@ class SearchService:
             peer_names=[peer.name for peer in self.peers],
             params=self.params.as_dict(),
             global_index=global_index,
-            sync=self._sync if sync is None else sync,
+            sync=self.config.sync if sync is None else sync,
             replication=self.replication,
             replication_state=(
                 self.replication_manager.export_state()
@@ -883,18 +794,10 @@ class SearchService:
         cls,
         path: str | Path,
         backend: str | None = None,
-        memory_budget_bytes: int | None = None,
-        wal: bool | None = None,
-        cache_capacity: int | None = 256,
         pipeline: TextPipeline | None = None,
         backend_registry: BackendRegistry | None = None,
-        overlay_fanout: int = 8,
-        path_cache_capacity: int = 128,
-        overlay_adaptive: bool = False,
-        overlay_split_threshold: int = 64,
-        overlay_merge_threshold: int = 16,
-        sync: bool = False,
-        replication: int | None = None,
+        config: ServiceConfig | None = None,
+        **knobs: Any,
     ) -> "SearchService":
         """Rebuild a queryable service from a :meth:`save` snapshot.
 
@@ -915,33 +818,19 @@ class SearchService:
             backend: override the backend recorded in the manifest
                 (``hdk`` and ``hdk_super`` load eagerly into RAM,
                 ``hdk_disk`` lazily).
-            memory_budget_bytes: RAM residency budget in encoded
-                posting bytes (``hdk_disk``).
-            wal: write-ahead-log later incremental writes into the
-                snapshot's store (``hdk_disk``); ``None`` keeps the
-                index default (on).
-            cache_capacity: LRU query-cache size for the new service.
             pipeline: query text pipeline (must match the one the
                 collection was built with).
             backend_registry: custom registry for name resolution.
-            overlay_fanout: super-peer cluster fanout (``hdk_super``).
-            path_cache_capacity: in-network result-cache size per
-                super-peer (``hdk_super``).
-            overlay_adaptive: load-aware overlay adaptation
-                (``hdk_super``): load-weighed election, hot-cluster
-                split/merge, multi-level path caching.
-            overlay_split_threshold: windowed load score at which a
-                hot cluster splits (adaptive overlay).
-            overlay_merge_threshold: calm score for merging a split
-                pair back; must be < ``overlay_split_threshold``.
-            sync: durability knob for the loaded service's own writes
-                and later :meth:`save` calls.
-            replication: replica count for the loaded service; ``None``
-                keeps the degree recorded in the manifest.  With
-                ``R >= 2`` every snapshot entry is placed at all R
-                owners and the persisted replication state (origin
-                sequence numbers, version vectors) is restored, so
-                anti-entropy resumes where the saved service left off.
+            config / **knobs: deployment knobs of the loaded service, as
+                for the constructor (see
+                :class:`~repro.config.ServiceConfig`): ``sync`` and
+                ``wal`` govern its own later writes, ``index_workers``
+                its later :meth:`add_peers`, and ``replication=None``
+                keeps the degree recorded in the manifest.
+
+        Raises:
+            ConfigurationError: ``store_dir`` is set — the snapshot's
+                own ``segments/`` directory is the store.
 
         Note: peers of a loaded service carry empty local collections
         (the snapshot persists the *index*, not the documents), so a
@@ -952,6 +841,12 @@ class SearchService:
         snapshot that keeps growing as owned by one service, and
         :meth:`save` a fresh copy to publish it.
         """
+        config = replace(config or ServiceConfig(), **knobs)
+        if config.store_dir is not None:
+            raise ConfigurationError(
+                f"store_dir cannot be set when loading ({config.store_dir}): "
+                "a snapshot is served from its own segments/ directory"
+            )
         manifest = snapshot_io.read_manifest(path)
         params = HDKParameters.from_dict(manifest.params)
         network = P2PNetwork(overlay=make_overlay(manifest.overlay))
@@ -960,27 +855,18 @@ class SearchService:
             network.add_peer(name)
             peers.append(Peer(name=name, collection=DocumentCollection()))
         backend_name = backend or manifest.backend
-        effective_replication = (
-            manifest.replication if replication is None else replication
-        )
         service = cls(
             peers,
             network,
             params=params,
             backend=backend_name,
             pipeline=pipeline,
-            cache_capacity=cache_capacity,
             backend_registry=backend_registry,
-            store_dir=snapshot_io.segments_dir(path),
-            memory_budget_bytes=memory_budget_bytes,
-            wal=wal,
-            overlay_fanout=overlay_fanout,
-            path_cache_capacity=path_cache_capacity,
-            overlay_adaptive=overlay_adaptive,
-            overlay_split_threshold=overlay_split_threshold,
-            overlay_merge_threshold=overlay_merge_threshold,
-            sync=sync,
-            replication=effective_replication,
+            config=replace(
+                config,
+                store_dir=snapshot_io.segments_dir(path),
+                replication=config.replication or manifest.replication,
+            ),
         )
         global_index = getattr(service.backend, "global_index", None)
         restore = getattr(service.backend, "restore", None)

@@ -463,10 +463,6 @@ def run_expansion_cascade(
         pending = global_index.drain_transitions()
 
 
-#: Back-compat alias (pre-pipeline private name).
-_run_expansion_cascade = run_expansion_cascade
-
-
 def run_distributed_indexing(
     indexers: list[PeerIndexer],
     params: HDKParameters,
@@ -500,7 +496,3 @@ def entry_of(global_index: GlobalKeyIndex, key: frozenset[str]):
         if storage.peer_id == target:
             return storage.get(key)
     return None
-
-
-#: Back-compat alias (pre-pipeline private name).
-_entry_of = entry_of

@@ -49,6 +49,7 @@ from pathlib import Path
 from queue import Empty
 from typing import Any
 
+from ..config import ServiceConfig
 from ..errors import ConfigurationError, ReproError
 from ..obs.trace import get_tracer
 
@@ -84,22 +85,20 @@ class WorkerSpec:
             loads (read-only: N workers share one snapshot).
         backend: backend-name override for the load (``None`` keeps the
             snapshot manifest's backend, typically ``hdk_disk``).
-        memory_budget_bytes: RAM residency budget for disk-backed
-            workers, in encoded posting bytes.
-        cache_capacity: per-worker LRU query-cache size.
         link_latency_s: simulated per-hop link latency applied to the
             worker's serving phase — the WAN-shaped regime the repo's
             parallelism benches measure in.
         source_peer: the querying peer name (defaults to the service's
             first peer).
+        config: the deployment knobs every worker's service is loaded
+            with (per-worker query cache, memory budget, ...).
     """
 
     snapshot: str
     backend: str | None = None
-    memory_budget_bytes: int | None = None
-    cache_capacity: int | None = 256
     link_latency_s: float = 0.0
     source_peer: str | None = None
+    config: ServiceConfig = ServiceConfig()
 
 
 def response_payload(response: Any) -> dict[str, Any]:
@@ -136,10 +135,7 @@ def _worker_main(
 
     try:
         service = SearchService.load(
-            spec.snapshot,
-            backend=spec.backend,
-            memory_budget_bytes=spec.memory_budget_bytes,
-            cache_capacity=spec.cache_capacity,
+            spec.snapshot, backend=spec.backend, config=spec.config
         )
         service.network.link_latency_s = spec.link_latency_s
     except Exception as exc:  # surface load failures to the pool

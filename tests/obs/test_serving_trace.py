@@ -10,14 +10,17 @@ import json
 
 import pytest
 
+from repro.config import ServiceConfig
 from repro.obs.trace import Tracer, set_global_tracer
 from repro.serving import Gateway, GatewayConfig, WorkerPool, WorkerSpec
 from repro.serving.loadgen import http_request
 
+NO_CACHE = ServiceConfig(cache_capacity=None)
+
 
 @pytest.fixture(scope="module")
 def pool(snapshot_dir):
-    spec = WorkerSpec(snapshot=str(snapshot_dir), cache_capacity=None)
+    spec = WorkerSpec(snapshot=str(snapshot_dir), config=ServiceConfig(cache_capacity=None))
     with WorkerPool(spec, size=2) as running:
         yield running
 
@@ -163,7 +166,7 @@ class TestCrashSurvival:
     def test_trace_id_survives_crash_and_respawn(self, snapshot_dir):
         """A worker dies; the respawned process must still honor the
         trace envelope and ship spans back under the same trace id."""
-        spec = WorkerSpec(snapshot=str(snapshot_dir), cache_capacity=None)
+        spec = WorkerSpec(snapshot=str(snapshot_dir), config=ServiceConfig(cache_capacity=None))
         with WorkerPool(spec, size=1) as pool:
             envelope = {
                 "query": "t00042 t00137",

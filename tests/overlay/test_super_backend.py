@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import HDKParameters
+from repro.config import HDKParameters, ServiceConfig
 from repro.corpus.querylog import QueryLogGenerator
 from repro.corpus.synthetic import SyntheticCorpusConfig, SyntheticCorpusGenerator
 from repro.engine.backends import registry
@@ -188,7 +188,7 @@ class TestBackendSurface:
 
         with pytest.raises(ConfigurationError):
             HDKSuperBackend(
-                BackendContext(network=service.network, params=PARAMS)
+                BackendContext(service.network, PARAMS, ServiceConfig())
             )
 
     def test_service_cache_composes_with_path_cache(

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.config import ServiceConfig
 from repro.errors import ConfigurationError
 from repro.serving import Gateway, GatewayConfig, TokenBucket, WorkerPool, WorkerSpec
 from repro.serving.loadgen import http_request, run_load
@@ -24,7 +25,7 @@ def pool(snapshot_dir):
     # them, without slowing the module meaningfully.
     spec = WorkerSpec(
         snapshot=str(snapshot_dir),
-        cache_capacity=None,
+        config=ServiceConfig(cache_capacity=None),
         link_latency_s=0.002,
     )
     with WorkerPool(spec, size=2) as running:

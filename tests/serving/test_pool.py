@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.config import ServiceConfig
 from repro.errors import ConfigurationError, ReproError
 from repro.serving.pool import (
     PoolShutdownError,
@@ -26,7 +27,10 @@ def _comparable(payload):
 
 @pytest.fixture(scope="module")
 def pool(snapshot_dir):
-    spec = WorkerSpec(snapshot=str(snapshot_dir), cache_capacity=None)
+    spec = WorkerSpec(
+        snapshot=str(snapshot_dir),
+        config=ServiceConfig(cache_capacity=None),
+    )
     with WorkerPool(spec, size=2) as running:
         yield running
 
@@ -86,6 +90,21 @@ class TestPoolServing:
             pool.submit("bogus", {}).result(timeout=30)
 
 
+class TestWorkerConfig:
+    def test_spec_pickles_with_its_config(self, pool):
+        assert pickle.loads(pickle.dumps(pool.spec)) == pool.spec
+        assert pool.spec.config.cache_capacity is None
+
+    def test_workers_load_with_the_specs_config(self, pool, query_log):
+        """The pool's spec turns the query cache off: a repeated query
+        is never a hit in any worker."""
+        for _ in range(2 * pool.size):
+            pool.submit("search", {"query": query_log[0], "k": 5}).result(30)
+        stats = pool.worker_stats()
+        assert len(stats) == pool.size
+        assert [worker["cache_hits"] for worker in stats] == [0] * pool.size
+
+
 class TestPoolLifecycle:
     def test_size_must_be_positive(self, snapshot_dir):
         spec = WorkerSpec(snapshot=str(snapshot_dir))
@@ -131,7 +150,7 @@ def test_crash_respawns_without_dropping_other_inflight(
     respawned worker 0 serves again."""
     spec = WorkerSpec(
         snapshot=str(snapshot_dir),
-        cache_capacity=None,
+        config=ServiceConfig(cache_capacity=None),
         link_latency_s=0.002,  # keeps the batch genuinely in flight
     )
     with WorkerPool(spec, size=2) as pool:

@@ -136,7 +136,7 @@ class TestSearchBackends:
         assert "cache hits" in out
 
     def test_batch_no_cache(self, capsys):
-        code = main(self.BASE + ["--batch", "5", "--no-cache"])
+        code = main(self.BASE + ["--batch", "5", "--cache-capacity", "0"])
         out = capsys.readouterr().out
         assert code == 0
         assert "cache hit rate" in out
@@ -376,7 +376,8 @@ class TestRemovedFlags:
     --memory-budget-bytes 500: bytes where postings were meant)."""
 
     @pytest.mark.parametrize(
-        "removed", [["--memory-budget", "500"], ["--mode", "hdk"]]
+        "removed",
+        [["--memory-budget", "500"], ["--mode", "hdk"], ["--no-cache"]],
     )
     def test_removed_search_flag_unrecognized(self, removed, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,16 +1,21 @@
-"""The public surface: every exported name resolves, and the names
+"""The public surface: every exported name resolves, the names
 removed in 2.0.0 (the legacy engine shims and the serving-side
 histogram re-export) are really gone from every package that exported
-them."""
+them, and a deployment knob is declared in ``ServiceConfig`` only."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import repro
+from repro import BackendContext, SearchService
+from repro.config import ServiceConfig
+from repro.serving import WorkerSpec
 
 PACKAGES = ["repro"] + sorted(
     module.name
@@ -48,3 +53,25 @@ def test_removed_name_is_not_importable(package, name):
 def test_legacy_engine_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.engine.p2p_engine")
+
+
+KNOBS = {knob.name for knob in dataclasses.fields(ServiceConfig)}
+
+
+@pytest.mark.parametrize(
+    "callable_",
+    [SearchService.__init__, SearchService.build, SearchService.load],
+    ids=["__init__", "build", "load"],
+)
+def test_facade_signatures_declare_no_knob(callable_):
+    parameters = inspect.signature(callable_).parameters
+    assert not KNOBS & set(parameters)
+    assert "config" in parameters
+    assert parameters["knobs"].kind is inspect.Parameter.VAR_KEYWORD
+
+
+@pytest.mark.parametrize("carrier", [BackendContext, WorkerSpec])
+def test_carriers_hold_the_config_not_its_fields(carrier):
+    names = {field.name for field in dataclasses.fields(carrier)}
+    assert not KNOBS & names
+    assert "config" in names
