@@ -30,6 +30,23 @@ sheds with 429, and a full in-flight window (``max_inflight``) sheds
 with 503 — all three are constant-time fast paths, so overload never
 queues unboundedly in front of the pool.
 
+Behind admission, every wait on the pool is bounded by
+``request_timeout_s`` (stretched by what a full batch's simulated link
+sleeps may cost when the workers run under ``link_latency_s``): a
+request whose worker has not answered by then gets 504 and frees its
+in-flight slot, and if that worker has answered *nothing* for as long
+it is wedged, not queueing, and is killed (the pool respawns it; what
+else was assigned to it answers 500).
+
+An error the worker itself reports is a JSON body on a connection that
+stays open: 400 when the worker raised ``RetrievalError`` (the query is
+the client's — e.g. empty after pre-processing), 500 for anything else,
+and for a worker that died.
+
+While it serves, the gateway borrows the pool's read side
+(:meth:`WorkerPool.lend_reader`): worker replies are read by this event
+loop itself, not handed over from another thread.
+
 Graceful drain (SIGTERM or :meth:`Gateway.initiate_drain`): the
 readiness probe flips unready immediately, new search requests are
 refused, every in-flight request runs to completion, and only then does
@@ -52,7 +69,12 @@ from ..errors import ConfigurationError
 from ..obs.metrics import LatencyHistogram
 from ..obs.trace import get_tracer
 from .metrics import MetricsRegistry
-from .pool import PoolShutdownError, WorkerCrashError, WorkerPool
+from .pool import (
+    PoolShutdownError,
+    WorkerCrashError,
+    WorkerPool,
+    WorkerRequestError,
+)
 
 __all__ = [
     "Gateway",
@@ -69,7 +91,16 @@ _REASONS = {
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
+    504: "Gateway Timeout",
 }
+
+#: Deepest accepted ``"k"``: a reply is pickled, framed and JSON-encoded
+#: whole, so its size must not be the client's to choose.
+_MAX_K = 1000
+
+#: Hops one query may take when the pool deadline is stretched for the
+#: workers' simulated link latency (the ledger workloads measure 7-27).
+_HOPS_ALLOWED_PER_QUERY = 128
 
 #: Endpoint -> allowed method (anything else on the path is a 405).
 _ROUTES = {
@@ -131,6 +162,9 @@ class GatewayConfig:
         max_body_bytes: request bodies beyond this are refused with 413.
         max_batch: longest accepted ``/search_batch`` query list.
         default_k: result depth when the request body omits ``"k"``.
+        request_timeout_s: longest a search request waits for its
+            worker before it is answered 504 — and a worker that answers
+            nothing for as long is recycled (see the module docstring).
     """
 
     host: str = "127.0.0.1"
@@ -141,6 +175,7 @@ class GatewayConfig:
     max_body_bytes: int = 1 << 20
     max_batch: int = 256
     default_k: int = 10
+    request_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -150,6 +185,11 @@ class GatewayConfig:
         if self.rate_limit < 0:
             raise ConfigurationError(
                 f"rate_limit must be >= 0, got {self.rate_limit}"
+            )
+        if self.request_timeout_s <= 0:
+            raise ConfigurationError(
+                "request_timeout_s must be > 0, "
+                f"got {self.request_timeout_s}"
             )
         if self.rate_burst <= 0:
             self.rate_burst = max(1.0, float(int(self.rate_limit + 0.999)))
@@ -181,6 +221,14 @@ class Gateway:
         self._draining = False
         self._drain_started = False
         self._inflight = 0
+        self._idle = asyncio.Event()  # set when _inflight falls to 0
+        # The longest a healthy worker may owe one request: the bound
+        # as configured, plus a full batch's sleeps on simulated links.
+        self._deadline_s = self.config.request_timeout_s + (
+            self.config.max_batch
+            * pool.spec.link_latency_s
+            * _HOPS_ALLOWED_PER_QUERY
+        )
         self._buckets: dict[str, TokenBucket] = {}
         self._ready = threading.Event()
         self._finished = threading.Event()
@@ -246,12 +294,17 @@ class Gateway:
         if install_signal_handlers:
             for signum in (signal.SIGTERM, signal.SIGINT):
                 self._loop.add_signal_handler(signum, self.initiate_drain)
+        # False when another gateway over this pool already reads it:
+        # replies then still arrive, through the pool futures' own
+        # thread-safe hand-off.
+        self.pool.lend_reader(self._loop)
         self._ready.set()
         if self.on_ready is not None:
             self.on_ready()
         try:
             await self._stopped.wait()
         finally:
+            self.pool.return_reader(self._loop)
             self._finished.set()
 
     def _schedule_drain(self) -> None:
@@ -261,11 +314,15 @@ class Gateway:
 
     async def _drain(self) -> None:
         self._draining = True
-        # In-flight requests (and their response writes) finish first;
-        # the listener closes only after the last one completed, so
-        # nothing already admitted is ever dropped.
+        # In-flight requests finish first: the listener closes only
+        # after the last one left the pool.  Its handler runs before
+        # this task does and hands the whole response to the transport;
+        # only one above the write buffer's high-water mark (64 KiB) is
+        # still being flushed while the loop winds down — for those,
+        # delivery is the transport's best effort, not a guarantee.
         while self._inflight > 0:
-            await asyncio.sleep(0.005)
+            self._idle.clear()
+            await self._idle.wait()
         assert self._server is not None
         self._server.close()
         await self._server.wait_closed()
@@ -433,23 +490,50 @@ class Gateway:
         try:
             if gw_span is not None:
                 with gw_span:
-                    future = self.pool.submit(method_name, payload)
-                    result = await asyncio.wrap_future(future)
+                    result = await self._ask_pool(method_name, payload)
                 worker_trace = result.pop("trace", None)
                 if worker_trace is not None:
                     tracer.adopt(worker_trace.get("spans") or [])
                 result["trace_id"] = gw_span.trace_id
                 trace_headers = {"X-Trace-Id": gw_span.trace_id}
             else:
-                future = self.pool.submit(method_name, payload)
-                result = await asyncio.wrap_future(future)
+                result = await self._ask_pool(method_name, payload)
+        except WorkerRequestError as exc:
+            # The worker answered, with an error: the query's fault when
+            # retrieval rejected it, the server's otherwise.
+            status = 400 if exc.kind == "RetrievalError" else 500
+            return status, {"error": str(exc)}, trace_headers
         except WorkerCrashError as exc:
             return 500, {"error": str(exc)}, trace_headers
         except PoolShutdownError as exc:
             return 503, {"error": str(exc)}, trace_headers
+        except TimeoutError:  # counted as shed_timeout by its status
+            return 504, {
+                "error": (
+                    f"no worker reply within {self._deadline_s:g}s"
+                ),
+            }, trace_headers
         finally:
             self._inflight -= 1
+            if not self._inflight:
+                self._idle.set()
         return 200, result, trace_headers
+
+    async def _ask_pool(
+        self, method_name: str, payload: dict[str, Any]
+    ) -> dict[str, Any]:
+        """One bounded wait on the pool; on expiry the worker the
+        request was assigned to is recycled if it is wedged — it has
+        answered nothing for the whole wait; one working through a
+        queue is left to it, at the price of this request only."""
+        future = self.pool.submit(method_name, payload)
+        try:
+            # timeout(), not wait_for(): no Task per request.
+            async with asyncio.timeout(self._deadline_s):
+                return await asyncio.wrap_future(future)
+        except TimeoutError:
+            self.pool.recycle(future, stalled_s=self._deadline_s)
+            raise
 
     def _admit_client(self, client_id: str) -> bool:
         if self.config.rate_limit <= 0:
@@ -471,8 +555,10 @@ class Gateway:
         if not isinstance(parsed, dict):
             raise _HttpError(400, "request body must be a JSON object")
         k = parsed.get("k", self.config.default_k)
-        if not isinstance(k, int) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise _HttpError(400, f"'k' must be a positive integer, got {k!r}")
+        if k > _MAX_K:
+            raise _HttpError(400, f"'k' must be at most {_MAX_K}, got {k}")
         if path == "/search":
             query = parsed.get("query")
             if not isinstance(query, str) or not query.strip():

@@ -64,6 +64,7 @@ class MetricsRegistry:
         self._shed_overload = 0
         self._shed_rate_limited = 0
         self._shed_draining = 0
+        self._shed_timeout = 0
 
     def observe(
         self, endpoint: str, status: int, latency_ms: float
@@ -77,6 +78,8 @@ class MetricsRegistry:
             self._completed += 1
             if status == 429:
                 self._shed_rate_limited += 1
+            elif status == 504:
+                self._shed_timeout += 1
 
     def note_shed(self, reason: str) -> None:
         """Count a request refused before any worker was involved
@@ -104,6 +107,7 @@ class MetricsRegistry:
                 "shed_overload": self._shed_overload,
                 "shed_rate_limited": self._shed_rate_limited,
                 "shed_draining": self._shed_draining,
+                "shed_timeout": self._shed_timeout,
                 "endpoints": {
                     endpoint: metrics.as_dict()
                     for endpoint, metrics in sorted(

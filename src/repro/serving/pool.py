@@ -10,43 +10,57 @@ answers queries fully independently, so a pool of N workers uses N cores
 
 Design:
 
-- every worker process runs :func:`_worker_main`: load the snapshot,
-  announce readiness, then loop over a private task queue dispatching
-  ``search`` / ``search_batch`` / ``stats`` requests and pushing plain
-  picklable dicts onto one shared result queue;
-- the pool keeps a private task queue *per worker* so it always knows
-  which in-flight requests are assigned where — when a worker dies, only
-  its own requests fail (:class:`WorkerCrashError`), every other
-  in-flight request is untouched, and a fresh process is respawned into
-  the same slot.  The monitor thread only *detects* the death; it routes
-  a sentinel through the shared result queue so the collector (the
-  queue's single consumer) dooms the slot strictly after every reply the
-  dead worker delivered before dying — a completed request is never
-  failed just because its reply was still in the queue;
-- dispatch is least-loaded: a new request goes to the worker with the
-  fewest outstanding requests (ties to the lowest slot), which keeps the
-  pool busy under a closed-loop client population without any work
-  stealing;
-- results marshal as plain dicts (ints, floats, strings, lists), never
-  live service objects, so a response crosses the process boundary and
-  then the JSON boundary untouched — and worker ``stats`` payloads ride
-  the same rule via the pickle-safe :meth:`SearchService.stats`.
+- every worker owns one duplex connection (``multiprocessing.Pipe``) to
+  the pool and runs :func:`_worker_main`: load the snapshot, send the
+  ready handshake, then ``recv`` → serve → ``send`` plain picklable
+  dicts until the pool closes its end — a synchronous pickle plus one
+  framed write each way, no queue, no feeder thread;
+- replies are read by one handler, :meth:`WorkerPool._on_readable`,
+  registered with ``add_reader`` on exactly one event loop at a time
+  (concurrent ``recv`` would corrupt a connection's framing): by
+  default the pool's own loop on the ``pool-loop`` daemon thread, which
+  keeps ``submit(...).result()`` working from plain threads; while a
+  gateway serves, that gateway's loop (:meth:`WorkerPool.lend_reader`),
+  so a reply completes its future on the loop that awaits it;
+- ``submit`` never blocks its caller, which may be that very loop: it
+  writes what the socket takes at once (:class:`_Outbound`) and leaves
+  the rest of an oversized frame, and what queues behind it, to a
+  short-lived ``pool-flush`` thread — a loop stuck in a write could not
+  read the reply its worker is stuck writing;
+- a worker's death is the end-of-file on its connection, which the
+  kernel delivers strictly after every reply the worker wrote before
+  it died — a completed request is never failed because its reply was
+  still in flight.  The handler then fails only the requests assigned
+  to that worker (:class:`WorkerCrashError`), swaps a fresh connection
+  into the slot, and hands the process start to the reading loop's
+  executor; nothing polls for liveness;
+- dispatch is least-loaded (fewest outstanding requests, ties to the
+  lowest slot), which keeps the pool busy under a closed-loop client
+  population without any work stealing;
+- results marshal as plain dicts (:func:`response_payload`, the
+  pickle-safe :meth:`SearchService.stats`), never live service objects,
+  so they cross the process and then the JSON boundary untouched.
 
-The ``crash`` method is deliberate fault injection (the worker hard-exits
-without cleanup) used by the respawn tests and chaos drills; the gateway
-never routes it.
+``asyncio`` is imported inside :meth:`WorkerPool.start` only — every
+worker process imports this module and must not pay for it.  ``crash``
+and ``hang`` are fault injection (the worker hard-exits without cleanup
+/ never answers again) for the respawn and deadline tests and chaos
+drills; the gateway never routes them.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
+import socket
+import struct
 import threading
 import time
 from concurrent.futures import Future
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from queue import Empty
 from typing import Any
 
 from ..config import ServiceConfig
@@ -57,12 +71,14 @@ __all__ = [
     "PoolShutdownError",
     "WorkerCrashError",
     "WorkerPool",
+    "WorkerRequestError",
     "WorkerSpec",
     "response_payload",
 ]
 
-#: Queue poll granularity for the collector/monitor threads (seconds).
-_POLL_S = 0.05
+
+#: How long :meth:`WorkerPool.start` waits for every worker's handshake.
+_READY_TIMEOUT_S = 60.0
 
 
 class WorkerCrashError(ReproError):
@@ -71,6 +87,15 @@ class WorkerCrashError(ReproError):
 
 class PoolShutdownError(ReproError):
     """The pool is shut down and accepts no new requests."""
+
+
+class WorkerRequestError(ReproError):
+    """The worker answered this request with an error; ``kind`` is the
+    class name of what it raised (``"RetrievalError"``: a bad query)."""
+
+    def __init__(self, kind: str, detail: str) -> None:
+        super().__init__(f"worker error: {detail}")
+        self.kind = kind
 
 
 @dataclass(frozen=True)
@@ -121,112 +146,158 @@ def response_payload(response: Any) -> dict[str, Any]:
     }
 
 
-def _worker_main(
-    worker_id: int,
-    spec: WorkerSpec,
-    tasks: "multiprocessing.queues.Queue",
-    results: "multiprocessing.queues.Queue",
-) -> None:
+def _worker_main(worker_id: int, spec: WorkerSpec, conn: Any) -> None:
     """Worker process entry point: load the snapshot, then serve the
-    task queue until the ``None`` shutdown sentinel arrives."""
+    connection until the pool closes its end."""
     # Import here: under the spawn start method this runs in a fresh
     # interpreter, and the parent's module state is not inherited.
     from ..engine.service import SearchService
 
-    try:
-        service = SearchService.load(
-            spec.snapshot, backend=spec.backend, config=spec.config
-        )
-        service.network.link_latency_s = spec.link_latency_s
-    except Exception as exc:  # surface load failures to the pool
-        results.put(("__load_failed__", worker_id, repr(exc)))
-        return
-    results.put(("__ready__", worker_id, os.getpid()))
-    while True:
-        item = tasks.get()
-        if item is None:
-            return
-        request_id, method, payload = item
-        try:
-            if method == "search":
-                trace = payload.get("trace")
-                if trace:
-                    # The gateway's trace continues here: open a forced
-                    # root parented on the gateway span (force records
-                    # even though this process's tracer is disabled),
-                    # then ship the finished spans back in the reply so
-                    # the gateway can re-parent them into its trace.
-                    tracer = get_tracer()
-                    with tracer.root(
-                        "worker.search",
-                        trace_id=trace["trace_id"],
-                        parent_id=trace.get("parent_span_id"),
-                        force=True,
-                        worker=worker_id,
-                        pid=os.getpid(),
-                    ):
-                        response = service.search(
-                            payload["query"],
-                            k=payload.get("k", 10),
-                            source_peer=spec.source_peer,
-                        )
-                    out = response_payload(response)
-                    out["trace"] = {
-                        "trace_id": trace["trace_id"],
-                        "spans": tracer.take_trace(trace["trace_id"]),
-                    }
-                else:
-                    response = service.search(
-                        payload["query"],
-                        k=payload.get("k", 10),
-                        source_peer=spec.source_peer,
-                    )
-                    out = response_payload(response)
-            elif method == "search_batch":
-                report = service.search_batch(
-                    payload["queries"],
+    def serve(method: str, payload: dict[str, Any]) -> dict[str, Any]:
+        if method == "search":
+            # A traced request continues the gateway's trace: a forced
+            # root parented on the gateway span (this process's tracer is
+            # off), whose spans ship back for the gateway to re-parent.
+            trace = payload.get("trace")
+            span: Any = nullcontext()
+            if trace:
+                tracer = get_tracer()
+                span = tracer.root(
+                    "worker.search",
+                    trace_id=trace["trace_id"],
+                    parent_id=trace.get("parent_span_id"),
+                    force=True,
+                    worker=worker_id,
+                    pid=os.getpid(),
+                )
+            with span:
+                response = service.search(
+                    payload["query"],
                     k=payload.get("k", 10),
                     source_peer=spec.source_peer,
                 )
-                out = {
-                    "responses": [
-                        response_payload(r) for r in report.responses
-                    ],
-                    "cache_hits": report.cache_hits,
-                    "cache_misses": report.cache_misses,
-                    "elapsed_ms": round(report.elapsed_ms, 3),
+            out = response_payload(response)
+            if trace:
+                out["trace"] = {
+                    "trace_id": trace["trace_id"],
+                    "spans": tracer.take_trace(trace["trace_id"]),
                 }
-            elif method == "stats":
-                out = service.stats()
-            elif method == "crash":
-                # Fault injection: die the way a segfaulting or
-                # OOM-killed worker would — no reply, no cleanup.
-                # Flush replies already handed to the queue's feeder
-                # thread first, so the crash loses exactly the requests
-                # that never completed.
-                results.close()
-                results.join_thread()
-                os._exit(1)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            results.put((request_id, "ok", out))
-        except Exception as exc:
-            results.put((request_id, "error", repr(exc)))
+            return out
+        if method == "search_batch":
+            report = service.search_batch(
+                payload["queries"],
+                k=payload.get("k", 10),
+                source_peer=spec.source_peer,
+            )
+            return {
+                "responses": [response_payload(r) for r in report.responses],
+                "cache_hits": report.cache_hits,
+                "cache_misses": report.cache_misses,
+                "elapsed_ms": round(report.elapsed_ms, 3),
+            }
+        if method == "stats":
+            return service.stats()
+        if method == "crash":
+            # Die as a segfaulting or OOM-killed worker would, no cleanup:
+            # earlier replies are written, only unfinished requests lost.
+            os._exit(1)
+        if method == "hang":
+            while True:  # wedged: alive, connected, never answering again
+                time.sleep(3600.0)
+        raise ValueError(f"unknown method {method!r}")
+
+    try:
+        try:
+            service = SearchService.load(
+                spec.snapshot, backend=spec.backend, config=spec.config
+            )
+            service.network.link_latency_s = spec.link_latency_s
+        except Exception as exc:  # surface load failures to the pool
+            reason = f"worker {worker_id} failed to load: {exc!r}"
+            conn.send(("__load_failed__", reason))
+            return
+        conn.send(("__ready__", os.getpid()))
+        while True:
+            request_id, method, payload = conn.recv()
+            try:
+                reply = (request_id, "ok", serve(method, payload))
+            except Exception as exc:
+                reply = (request_id, "error", (type(exc).__name__, repr(exc)))
+            conn.send(reply)
+    except (EOFError, OSError):
+        return  # the pool closed its end: shut down, or its process gone
+
+
+class _Outbound:
+    """The write side of one worker connection.  :meth:`send` never
+    blocks: the pool's end must stay readable whatever a worker is
+    slow to take, or both ends could wait on each other's full socket
+    buffer forever."""
+
+    def __init__(self, conn: Any) -> None:
+        # A second handle on the pool's end, for MSG_DONTWAIT writes;
+        # reads on ``conn`` itself stay blocking, one whole frame each.
+        self.sock = socket.socket(fileno=os.dup(conn.fileno()))
+        self.lock = threading.Lock()  # one writer at a time; also to close
+        #: Unsent bytes while a ``pool-flush`` thread drains them: new
+        #: frames queue behind, or they would cut into a half-sent one.
+        self.backlog: bytearray | None = None
+
+    def send(self, item: tuple) -> None:
+        """Frame ``item`` as ``Connection.recv`` reads it and write
+        what fits now; ``OSError`` when the worker is gone."""
+        body = pickle.dumps(item, pickle.HIGHEST_PROTOCOL)
+        frame = struct.pack("!i", len(body)) + body
+        with self.lock:
+            if self.backlog is not None:
+                self.backlog += frame
+                return
+            try:
+                sent = self.sock.send(frame, socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                sent = 0
+            if sent == len(frame):
+                return
+            self.backlog = bytearray(frame[sent:])
+        threading.Thread(
+            target=self._flush, name="pool-flush", daemon=True
+        ).start()
+
+    def _flush(self) -> None:
+        """Write the backlog (blocking, off every loop) until none is
+        left.  A dead connection keeps its backlog: no more writes."""
+        while True:
+            with self.lock:
+                chunk = bytes(self.backlog)
+                if not chunk:
+                    self.backlog = None
+                    return
+                self.backlog.clear()
+            try:
+                self.sock.sendall(chunk)
+            except OSError:
+                return
+
+    def close(self) -> None:
+        with self.lock:
+            self.sock.close()
 
 
 class _WorkerSlot:
-    """One pool slot: a live process, its task queue, and the ids of the
-    requests currently assigned to it."""
+    """One pool slot: a live process, the pool's end of its connection
+    (``conn`` to read, ``out`` to write), and the requests currently
+    assigned to it (id -> future)."""
 
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self.process: multiprocessing.process.BaseProcess | None = None
-        self.tasks: Any = None
-        self.assigned: set[int] = set()
+        self.conn: Any = None
+        self.out: _Outbound | None = None
+        self.assigned: dict[int, Future] = {}
         self.served = 0
-        # True between the monitor noticing this slot's process died and
-        # the collector finishing the doom + respawn for it.
-        self.dying = False
+        self.ready = False  # the current process sent its handshake
+        #: When the worker last answered, or was handed work while idle.
+        self.progress_at = 0.0
 
 
 class WorkerPool:
@@ -234,26 +305,15 @@ class WorkerPool:
 
     Args:
         spec: the worker build recipe (snapshot path + knobs).
-        size: number of worker processes.
-        start_method: multiprocessing start method; ``spawn`` (the
-            default) gives every worker a fresh interpreter — no
-            fork-with-threads hazards, and the same behaviour on every
-            platform.
-        ready_timeout_s: how long :meth:`start` waits for all workers to
-            finish loading their snapshot.
+        size: number of worker processes, each a fresh interpreter
+            (``spawn``: the pool runs threads, so never ``fork``).
 
     Lifecycle: :meth:`start` → :meth:`submit` freely (thread-safe) →
     :meth:`shutdown`.  A worker death at any point fails only its own
     assigned requests and triggers an automatic respawn.
     """
 
-    def __init__(
-        self,
-        spec: WorkerSpec,
-        size: int,
-        start_method: str = "spawn",
-        ready_timeout_s: float = 60.0,
-    ) -> None:
+    def __init__(self, spec: WorkerSpec, size: int) -> None:
         if size < 1:
             raise ConfigurationError(f"pool size must be >= 1, got {size}")
         if not Path(spec.snapshot).is_dir():
@@ -262,24 +322,25 @@ class WorkerPool:
             )
         self.spec = spec
         self.size = size
-        self.ready_timeout_s = ready_timeout_s
-        self._ctx = multiprocessing.get_context(start_method)
-        self._results: Any = self._ctx.Queue()
+        self._ctx = multiprocessing.get_context("spawn")
         self._slots = [_WorkerSlot(i) for i in range(size)]
         self._lock = threading.Lock()
-        self._pending: dict[int, Future] = {}
         self._next_id = 0
         self._respawns = 0
         self._completed = 0
         self._errors = 0
-        self._started = False
+        self._started = False  # start() returned: every worker loaded
         self._closed = False
+        #: Set while every slot's current process has said it is ready.
         self._ready = threading.Event()
-        #: The first load failure reported before the pool was ever
-        #: ready; start() raises it instead of waiting out respawns.
+        #: The first load failure reported before start() returned;
+        #: start() raises it instead of waiting out respawns.
         self._load_error: str | None = None
-        self._collector: threading.Thread | None = None
-        self._monitor: threading.Thread | None = None
+        #: The pool's own loop and its thread; the loop the connections
+        #: are registered on now (home, a borrower's, None once closed).
+        self._home: Any = None
+        self._home_thread: threading.Thread | None = None
+        self._reader: Any = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -290,38 +351,54 @@ class WorkerPool:
         ever been ready fails the start at once, with the worker's own
         error in the message — the same spec would fail every respawn.
         """
-        if self._started:
+        if self._home is not None:
             raise ConfigurationError("pool already started")
-        self._started = True
-        for slot in self._slots:
-            self._spawn(slot)
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="pool-collector", daemon=True
-        )
-        self._collector.start()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="pool-monitor", daemon=True
-        )
-        self._monitor.start()
-        ready = self._ready.wait(self.ready_timeout_s)
-        if self._load_error is not None:
-            self.shutdown()
-            raise ConfigurationError(self._load_error)
-        if not ready:
-            self.shutdown()
-            raise ConfigurationError(
-                f"workers not ready within {self.ready_timeout_s}s"
-            )
+        import asyncio  # parent side only: see the module docstring
 
-    def _spawn(self, slot: _WorkerSlot) -> None:
-        slot.tasks = self._ctx.Queue()
-        slot.process = self._ctx.Process(
+        self._home = self._reader = asyncio.new_event_loop()
+        for slot in self._slots:
+            self._start_worker(slot, self._connect(slot))
+        self._set_watched(self._home, True)  # not running yet: safe here
+        self._home_thread = threading.Thread(
+            target=self._home.run_forever, name="pool-loop", daemon=True
+        )
+        self._home_thread.start()
+        ready = self._ready.wait(_READY_TIMEOUT_S)
+        if self._load_error is not None or not ready:
+            self.shutdown()
+            late = f"workers not ready within {_READY_TIMEOUT_S:g}s"
+            raise ConfigurationError(self._load_error or late)
+        self._started = True
+
+    def _connect(self, slot: _WorkerSlot) -> Any:
+        """Give ``slot`` a fresh connection; returns the worker's end."""
+        slot.conn, child_end = self._ctx.Pipe(duplex=True)
+        slot.out = _Outbound(slot.conn)
+        slot.ready = False
+        return child_end
+
+    def _start_worker(self, slot: _WorkerSlot, child_end: Any) -> None:
+        """Start a process serving ``child_end`` in ``slot`` (tens of
+        ms under ``spawn``: never on an event loop's thread)."""
+        process = self._ctx.Process(
             target=_worker_main,
-            args=(slot.worker_id, self.spec, slot.tasks, self._results),
+            args=(slot.worker_id, self.spec, child_end),
             name=f"search-worker-{slot.worker_id}",
             daemon=True,
         )
-        slot.process.start()
+        try:
+            process.start()
+        finally:
+            # While our copy stays open the kernel cannot report
+            # end-of-file when the worker (which has its own) dies.
+            child_end.close()
+        # Publish once started: shutdown() cannot join an unstarted one.
+        with self._lock:
+            if not self._closed:
+                slot.process = process
+                return
+        process.terminate()  # shutdown() raced a respawn: no orphans
+        process.join(1.0)
 
     def shutdown(self, timeout_s: float = 10.0) -> None:
         """Stop accepting work, fail whatever is still pending, and
@@ -330,29 +407,33 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-            pending = list(self._pending.values())
-            self._pending.clear()
+            pending = [f for s in self._slots for f in s.assigned.values()]
             for slot in self._slots:
                 slot.assigned.clear()
+            reader, self._reader = self._reader, None
         for future in pending:
             future.set_exception(PoolShutdownError("pool shut down"))
-        for slot in self._slots:
-            if slot.tasks is not None:
-                try:
-                    slot.tasks.put(None)
-                except (OSError, ValueError):
-                    pass
+        if reader is None:
+            return  # never started
+        # Close our ends (the workers' signal) on the loop that reads them.
+        with suppress(RuntimeError):  # a borrower's loop, already closed
+            reader.call_soon_threadsafe(self._close_connections, reader)
         deadline = time.monotonic() + timeout_s
-        for slot in self._slots:
-            process = slot.process
-            if process is None:
-                continue
+        for process in [s.process for s in self._slots if s.process]:
             process.join(max(0.0, deadline - time.monotonic()))
             if process.is_alive():
                 process.terminate()
                 process.join(1.0)
-        # The collector/monitor threads see _closed and exit; daemon
-        # threads, so no join deadline can hang interpreter exit.
+        self._home.call_soon_threadsafe(self._home.stop)
+        self._home_thread.join(max(1.0, deadline - time.monotonic()))
+        if not self._home_thread.is_alive():
+            self._home.close()
+
+    def _close_connections(self, loop: Any) -> None:
+        self._set_watched(loop, False)
+        for slot in self._slots:
+            slot.conn.close()
+            slot.out.close()
 
     def __enter__(self) -> "WorkerPool":
         self.start()
@@ -366,204 +447,181 @@ class WorkerPool:
     def submit(self, method: str, payload: dict[str, Any]) -> "Future[Any]":
         """Dispatch one request to the least-loaded worker.
 
-        Returns a future resolving to the worker's plain-dict reply;
-        it fails with :class:`WorkerCrashError` if the assigned worker
-        dies first, or whatever error the worker reported.
+        Returns a future resolving to the worker's plain-dict reply; it
+        fails with :class:`WorkerCrashError` if the assigned worker dies
+        first, or :class:`WorkerRequestError` if the worker reported one.
         """
-        future: Future = Future()
-        with self._lock:
-            if self._closed or not self._started:
-                raise PoolShutdownError(
-                    "pool is not accepting requests"
-                    if self._closed
-                    else "pool not started"
-                )
-            request_id = self._next_id
-            self._next_id += 1
-            slot = min(
-                self._slots,
-                key=lambda s: (len(s.assigned), s.worker_id),
-            )
-            slot.assigned.add(request_id)
-            self._pending[request_id] = future
-        slot.tasks.put((request_id, method, payload))
-        return future
+        return self._submit(None, method, payload)
 
     def submit_to(
         self, worker_id: int, method: str, payload: dict[str, Any]
     ) -> "Future[Any]":
         """Dispatch to one specific worker (per-worker stats fan-out)."""
+        return self._submit(worker_id, method, payload)
+
+    def _submit(
+        self, worker_id: int | None, method: str, payload: dict[str, Any]
+    ) -> "Future[Any]":
         future: Future = Future()
+        # Not cancellable: the request is on the wire, and a waiter that
+        # gives up must not leave a state the reply cannot complete.
+        future.set_running_or_notify_cancel()
         with self._lock:
             if self._closed or not self._started:
                 raise PoolShutdownError("pool is not accepting requests")
-            slot = self._slots[worker_id]
+            if worker_id is None:  # least loaded; ties to the lowest slot
+                slot = min(self._slots, key=lambda s: len(s.assigned))
+            else:
+                slot = self._slots[worker_id]
             request_id = self._next_id
             self._next_id += 1
-            slot.assigned.add(request_id)
-            self._pending[request_id] = future
-        slot.tasks.put((request_id, method, payload))
+            if not slot.assigned:
+                slot.progress_at = time.monotonic()
+            slot.assigned[request_id] = future
+            out = slot.out
+        # A dead worker's end-of-file fails what is assigned to it.
+        with suppress(OSError):
+            out.send((request_id, method, payload))
         return future
 
-    # -- background threads ------------------------------------------------------
-
-    def _collect_loop(self) -> None:
-        """Drain the shared result queue, completing futures."""
-        while not self._closed:
-            try:
-                item = self._results.get(timeout=_POLL_S)
-            except (Empty, OSError, ValueError):
-                continue
-            tag, *rest = item
-            if tag == "__ready__":
-                self._note_ready()
-                continue
-            if tag == "__worker_died__":
-                worker_id, exitcode = rest
-                self._respawn_slot(self._slots[worker_id], exitcode)
-                continue
-            if tag == "__load_failed__":
-                worker_id, detail = rest
-                if not self._ready.is_set():
-                    self._load_error = (
-                        f"worker {worker_id} failed to load: {detail}"
-                    )
-                    self._ready.set()
-                    continue
-                self._fail_slot(
-                    self._slots[worker_id],
-                    WorkerCrashError(
-                        f"worker {worker_id} failed to load: {detail}"
-                    ),
-                )
-                # Leave the slot dead-on-arrival: the monitor respawns
-                # it, and a persistent load failure shows up as respawn
-                # churn in stats() rather than a silent hang.
-                continue
-            request_id, status, out = item
-            with self._lock:
-                future = self._pending.pop(request_id, None)
-                for slot in self._slots:
-                    if request_id in slot.assigned:
-                        slot.assigned.discard(request_id)
-                        slot.served += status == "ok"
-                if status == "ok":
-                    self._completed += 1
-                else:
-                    self._errors += 1
-            if future is None:
-                continue  # failed by a crash/shutdown path already
-            if status == "ok":
-                future.set_result(out)
-            else:
-                future.set_exception(ReproError(f"worker error: {out}"))
-
-    def _note_ready(self) -> None:
-        with self._lock:
-            alive = sum(
-                1
-                for slot in self._slots
-                if slot.process is not None and slot.process.is_alive()
-            )
-        if alive >= self.size:
-            self._ready.set()
-
-    def _monitor_loop(self) -> None:
-        """Watch worker liveness.  On a death, enqueue a sentinel on the
-        *result* queue rather than dooming the slot here: the collector
-        is the queue's single consumer, so by the time it dequeues the
-        sentinel it has already completed every reply the dead worker
-        managed to deliver before dying — only requests whose replies
-        are truly lost get failed."""
-        while not self._closed:
-            time.sleep(_POLL_S)
+    def recycle(self, future: "Future[Any]", stalled_s: float) -> None:
+        """Kill the worker the still-pending request behind ``future``
+        is assigned to if it has answered nothing for ``stalled_s``
+        (wedged, not merely working through a queue); the end-of-file
+        path then fails what else was queued there and respawns it."""
+        horizon = time.monotonic() - stalled_s
+        with self._lock:  # held to the kill: no reply lands in between
             for slot in self._slots:
-                process = slot.process
-                if (
-                    self._closed
-                    or slot.dying
-                    or process is None
-                    or process.is_alive()
-                ):
-                    continue
-                with self._lock:
-                    if self._closed or slot.dying:
-                        continue
-                    slot.dying = True
-                    exitcode = process.exitcode
-                try:
-                    self._results.put(
-                        ("__worker_died__", slot.worker_id, exitcode)
-                    )
-                except (OSError, ValueError):
-                    return  # result queue torn down: shutting down
+                wedged = slot.progress_at <= horizon
+                if wedged and future in slot.assigned.values():
+                    slot.process.kill()
 
-    def _respawn_slot(self, slot: _WorkerSlot, exitcode: Any) -> None:
-        """Fail a dead worker's still-assigned requests and start a
-        replacement process in its slot (collector thread only)."""
-        error = WorkerCrashError(
-            f"worker {slot.worker_id} died (exitcode={exitcode})"
-        )
-        # Doom-collection and queue swap must be one atomic step:
-        # submit() records an assignment under the lock and then puts
-        # onto slot.tasks, so any request is either collected here (its
-        # queue entry goes to the abandoned dead queue, harmlessly) or
-        # recorded after the swap and enqueued for the replacement
-        # worker.  Nothing can slip between and hang forever.
+    def lend_reader(self, loop: Any) -> bool:
+        """Move the read side from the pool's own loop onto ``loop``
+        (pair with :meth:`return_reader`).  False, and nothing changed,
+        when it is already lent or the pool is not running — the
+        thread-safe futures work either way."""
         with self._lock:
-            if self._closed:
+            if self._reader is None or self._reader is not self._home:
+                return False
+            self._reader = loop
+        with suppress(RuntimeError):  # shut down under us
+            self._home.call_soon_threadsafe(self._hand_over, self._home, loop)
+        return True
+
+    def return_reader(self, loop: Any) -> None:
+        """Give the read side back to the pool's own loop (call on
+        ``loop``'s thread).  A no-op unless ``loop`` is the borrower —
+        in particular after :meth:`shutdown`."""
+        with self._lock:
+            if self._reader is not loop:
                 return
-            doomed = self._collect_doomed(slot)
-            fresh_tasks = self._ctx.Queue()
-            slot.tasks = fresh_tasks
-            self._respawns += 1
-        for future in doomed:
-            future.set_exception(error)
-        replacement = self._ctx.Process(
-            target=_worker_main,
-            args=(slot.worker_id, self.spec, fresh_tasks, self._results),
-            name=f"search-worker-{slot.worker_id}",
-            daemon=True,
-        )
-        # Start before publishing: shutdown() joins slot.process, and an
-        # unstarted Process object cannot be joined.
-        replacement.start()
-        if self._closed:
-            # shutdown() raced us and may have missed this replacement's
-            # queue; don't leave an orphan serving nothing.
-            replacement.terminate()
-            replacement.join(1.0)
+            self._reader = self._home
+        self._hand_over(loop, self._home)
+
+    def _hand_over(self, giver: Any, taker: Any) -> None:
+        """On ``giver``'s thread: remove its readers, and only then have
+        ``taker`` add its own — two loops must never watch one
+        connection, and readers are only touched on their own loop."""
+        self._set_watched(giver, False)
+        with suppress(RuntimeError):  # taker already closed
+            taker.call_soon_threadsafe(self._set_watched, taker, True)
+
+    def _set_watched(self, loop: Any, watched: bool) -> None:
+        """Register (or remove) the reply handler for every open
+        connection on ``loop``; runs on ``loop``'s own thread."""
+        if watched and self._reader is not loop:
+            return  # handed on again before this ran
+        for slot in self._slots:
+            if slot.conn.closed:
+                continue
+            if watched:
+                self._watch(loop, slot)
+            else:
+                loop.remove_reader(slot.conn.fileno())
+
+    def _watch(self, loop: Any, slot: _WorkerSlot) -> None:
+        fd = slot.conn.fileno()
+        loop.add_reader(fd, self._on_readable, loop, slot, slot.conn)
+
+    def _on_readable(self, loop: Any, slot: _WorkerSlot, conn: Any) -> None:
+        """The one reply handler: read one frame ``slot``'s worker wrote
+        (end-of-file: it died).  No poll first — the loop calls this
+        only when the connection is readable, again while frames remain
+        (level-triggered), and nobody else reads it."""
+        try:
+            item = conn.recv()
+        except (EOFError, OSError):
+            self._on_eof(loop, slot, conn)
             return
-        slot.process = replacement
-        slot.dying = False
+        self._deliver(slot, item)
 
-    def _fail_slot(self, slot: _WorkerSlot, error: Exception) -> None:
-        """Fail every request assigned to ``slot`` — and nothing else."""
+    def _deliver(self, slot: _WorkerSlot, item: tuple) -> None:
+        tag = item[0]
+        if tag == "__ready__":
+            slot.ready = True  # written on the reading loop only
+            if all(s.ready for s in self._slots):
+                self._ready.set()
+            return
+        if tag == "__load_failed__":
+            # While booting, wake start() with the worker's reason; later
+            # the end-of-file that follows respawns the slot, so a
+            # persistent failure shows as respawn churn in stats().
+            if not self._started:
+                self._load_error = item[1]
+                self._ready.set()
+            return
+        request_id, status, out = item
         with self._lock:
-            doomed = self._collect_doomed(slot)
+            future = slot.assigned.pop(request_id, None)
+            slot.progress_at = time.monotonic()
+            if status == "ok":
+                slot.served += 1
+                self._completed += 1
+            else:
+                self._errors += 1
+        if future is None:
+            return  # failed by shutdown already
+        if status == "ok":
+            future.set_result(out)
+        else:
+            future.set_exception(WorkerRequestError(*out))
+
+    def _on_eof(self, loop: Any, slot: _WorkerSlot, conn: Any) -> None:
+        """``slot``'s worker died: fail its still-assigned requests and
+        respawn it (runs on the reading loop)."""
+        loop.remove_reader(conn.fileno())
+        conn.close()
+        slot.out.close()
+        error = WorkerCrashError(
+            f"worker {slot.worker_id} died (exitcode={slot.process.exitcode})"
+        )
+        # Doom-collection and connection swap are one atomic step:
+        # _submit() assigns and picks the connection under the same
+        # lock, so a request is either collected here (its write fails
+        # on the dead connection, harmlessly) or buffered in the fresh
+        # connection for the replacement worker.
+        with self._lock:
+            if self._closed or self._load_error is not None:
+                return
+            doomed = list(slot.assigned.values())
+            slot.assigned.clear()
+            self._errors += len(doomed)
+            child_end = self._connect(slot)
+            self._ready.clear()
+            self._respawns += 1
+        self._watch(loop, slot)
         for future in doomed:
             future.set_exception(error)
-
-    def _collect_doomed(self, slot: _WorkerSlot) -> list[Future]:
-        """Pop ``slot``'s assigned requests from the pending table
-        (caller holds the lock); returns their futures to fail."""
-        doomed = [
-            self._pending.pop(request_id)
-            for request_id in sorted(slot.assigned)
-            if request_id in self._pending
-        ]
-        slot.assigned.clear()
-        self._errors += len(doomed)
-        return doomed
+        loop.run_in_executor(None, self._start_worker, slot, child_end)
 
     # -- inspection --------------------------------------------------------------
 
     @property
     def alive_workers(self) -> int:
         return sum(
-            1
+            slot.process is not None and slot.process.is_alive()
             for slot in self._slots
-            if slot.process is not None and slot.process.is_alive()
         )
 
     def stats(self) -> dict[str, Any]:
@@ -572,10 +630,11 @@ class WorkerPool:
             return {
                 "size": self.size,
                 "alive": self.alive_workers,
+                "ready": sum(slot.ready for slot in self._slots),
                 "respawns": self._respawns,
                 "completed": self._completed,
                 "errors": self._errors,
-                "inflight": len(self._pending),
+                "inflight": sum(len(s.assigned) for s in self._slots),
                 "per_worker": [
                     {
                         "worker": slot.worker_id,
@@ -590,24 +649,17 @@ class WorkerPool:
         """Fan ``stats`` out to every worker and gather the replies
         (pickle-safe service snapshots); a worker that cannot answer
         within the deadline reports an ``error`` entry instead."""
-        futures = []
-        for slot in self._slots:
-            try:
-                futures.append(
-                    (slot.worker_id, self.submit_to(slot.worker_id, "stats", {}))
-                )
-            except PoolShutdownError:
-                return []
+        workers = range(self.size)
+        try:
+            futures = [self.submit_to(w, "stats", {}) for w in workers]
+        except PoolShutdownError:
+            return []
         gathered: list[dict[str, Any]] = []
         deadline = time.monotonic() + timeout_s
-        for worker_id, future in futures:
+        for worker_id, future in zip(workers, futures):
             try:
-                stats = future.result(
-                    max(0.0, deadline - time.monotonic())
-                )
+                stats = future.result(max(0.0, deadline - time.monotonic()))
                 gathered.append({"worker": worker_id, **stats})
             except Exception as exc:
-                gathered.append(
-                    {"worker": worker_id, "error": repr(exc)}
-                )
+                gathered.append({"worker": worker_id, "error": repr(exc)})
         return gathered

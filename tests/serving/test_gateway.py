@@ -1,10 +1,13 @@
 """Gateway protocol tests: byte-identical results over HTTP, every
-error-path status code, admission control, and graceful drain."""
+error-path status code, admission control, the pool deadline, the
+hand-over of the pool's read side, and graceful drain."""
 
 from __future__ import annotations
 
 import http.client
 import json
+import os
+import signal
 import threading
 import time
 from contextlib import contextmanager
@@ -161,6 +164,8 @@ class TestProtocolErrors:
             {"query": 7},  # wrong type
             {"query": "terms", "k": 0},  # non-positive k
             {"query": "terms", "k": "five"},  # non-integer k
+            {"query": "terms", "k": True},  # bool is not a result depth
+            {"query": "terms", "k": 1001},  # deeper than any reply goes
         ],
     )
     def test_bad_search_bodies_are_400(self, url, payload):
@@ -175,6 +180,7 @@ class TestProtocolErrors:
             {"queries": "not a list"},
             {"queries": ["ok", ""]},  # blank member
             {"queries": ["q"] * 9},  # exceeds max_batch=8
+            {"queries": ["q"], "k": True},  # bool is not a result depth
         ],
     )
     def test_bad_batch_bodies_are_400(self, url, payload):
@@ -199,6 +205,291 @@ class TestProtocolErrors:
             status, body = _raw_request(gateway, "POST", "/search", big)
             assert status == 413
             assert "large" in body["error"]
+
+
+class TestWorkerErrors:
+    """An error the worker reports is an answer, not a dropped socket."""
+
+    @pytest.mark.parametrize("query", ["!!!", "the of and"])
+    def test_unusable_query_is_400_on_a_live_connection(
+        self, gateway, query, query_log
+    ):
+        before = gateway.metrics.snapshot()["completed"]
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", gateway.port, timeout=10
+        )
+        try:
+            connection.request(
+                "POST", "/search", body=json.dumps({"query": query})
+            )
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 400, body
+            assert "empty after pre-processing" in body["error"]
+            # the same keep-alive connection still serves
+            connection.request(
+                "POST", "/search",
+                body=json.dumps({"query": query_log[0], "k": 3}),
+            )
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["results"]
+        finally:
+            connection.close()
+        assert gateway.metrics.snapshot()["completed"] == before + 2
+
+    def test_batch_with_an_unusable_query_is_400(self, url, query_log):
+        status, body = http_request(
+            url, "POST", "/search_batch", {"queries": [query_log[0], "!!!"]}
+        )
+        assert status == 400, body
+        assert "RetrievalError" in body["error"]
+
+    def test_other_worker_errors_are_500(self, pool, monkeypatch):
+        """Anything but a bad query is the server's fault."""
+        with serving(pool) as (gateway, url):
+            monkeypatch.setattr(
+                gateway,
+                "_parse_search_body",
+                lambda path, body: ("bogus", {}),
+            )
+            status, body = http_request(
+                url, "POST", "/search", {"query": "terms"}
+            )
+            assert status == 500, body
+            assert "unknown method" in body["error"]
+            status, _ = http_request(url, "GET", "/healthz")
+            assert status == 200
+
+
+def _wait_until(predicate, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return predicate()
+
+
+class TestPoolDeadline:
+    def test_wedged_worker_costs_504_and_is_recycled(
+        self, snapshot_dir, query_log
+    ):
+        """Worker 0 hangs; the /search that lands behind it gets 504 at
+        the deadline while worker 1 keeps answering, and the wedged
+        process is killed and respawned."""
+        spec = WorkerSpec(
+            snapshot=str(snapshot_dir),
+            config=ServiceConfig(cache_capacity=None),
+            link_latency_s=0.002,  # keeps worker 1's batch in flight
+        )
+        search = {"query": query_log[0], "k": 3}
+        with WorkerPool(spec, size=2) as pool:
+            # max_batch=1: next to nothing is added to the deadline for
+            # the link sleeps of a full batch
+            with serving(
+                pool, request_timeout_s=3.0, max_batch=1
+            ) as (gateway, url):
+                pool.submit_to(0, "hang", {})
+                # One request each: the tie goes to the lowest slot, so
+                # the next /search lands behind the hang on worker 0.
+                busy = pool.submit_to(
+                    1, "search_batch", {"queries": list(query_log) * 2, "k": 3}
+                )
+                results: list = []
+                doomed = threading.Thread(
+                    target=lambda: results.append(
+                        http_request(url, "POST", "/search", search)
+                    )
+                )
+                started = time.monotonic()
+                doomed.start()
+                assert _wait_until(
+                    lambda: pool.stats()["per_worker"][0]["assigned"] == 2
+                )
+                # meanwhile worker 1 (the less loaded now) keeps answering
+                assert busy.result(timeout=30)["responses"]
+                status, body = http_request(url, "POST", "/search", search)
+                assert status == 200, body
+                doomed.join(30)
+                status, body = results[0]
+                assert status == 504, body
+                assert f"{gateway._deadline_s:g}s" in body["error"]
+                assert 3.0 < gateway._deadline_s < 3.5
+                assert time.monotonic() - started < 15.0
+                assert gateway.inflight == 0
+                # the wedged process was killed; its replacement serves
+                assert _wait_until(lambda: pool.stats()["respawns"] >= 1)
+                assert _wait_until(
+                    lambda: pool.stats()["alive"] == pool.stats()["ready"] == 2
+                )
+                assert pool.submit_to(0, "search", dict(search)).result(30)[
+                    "results"
+                ]
+                _status, served = http_request(url, "GET", "/stats")
+                assert served["gateway"]["shed_timeout"] == 1
+                by_status = served["gateway"]["endpoints"]["/search"][
+                    "by_status"
+                ]
+                assert by_status["504"] == 1
+
+
+    def test_slow_but_answering_worker_is_left_alone(
+        self, snapshot_dir, query_log
+    ):
+        """One healthy worker behind on a long queue of batches: the
+        deadline is stretched by a full batch's link sleeps, a request
+        that waits past it costs its own 504 only, and a worker that
+        keeps answering is never killed — no collateral 500s."""
+        spec = WorkerSpec(
+            snapshot=str(snapshot_dir),
+            config=ServiceConfig(cache_capacity=None),
+            link_latency_s=0.002,
+        )
+        batch = {"queries": list(query_log[:4]), "k": 3}
+        with WorkerPool(spec, size=1) as pool:
+            with serving(
+                pool, request_timeout_s=0.05, max_batch=4
+            ) as (gateway, url):
+                assert 1.0 < gateway._deadline_s < 1.2
+                statuses: list[int] = []
+                clients = [
+                    threading.Thread(
+                        target=lambda: statuses.append(
+                            http_request(url, "POST", "/search_batch", batch)[0]
+                        )
+                    )
+                    for _ in range(24)
+                ]
+                for client in clients:
+                    client.start()
+                for client in clients:
+                    client.join(60)
+                # the head of the queue is served (each batch alone takes
+                # longer than request_timeout_s), the tail times out
+                assert sorted(set(statuses)) == [200, 504], statuses
+                assert pool.stats()["respawns"] == 0
+                assert pool.stats()["alive"] == 1
+                _status, served = http_request(url, "GET", "/stats")
+                assert served["gateway"]["shed_timeout"] == statuses.count(504)
+
+
+class TestBackPressure:
+    def test_oversized_request_to_a_busy_worker_blocks_nothing(
+        self, snapshot_dir, query_log
+    ):
+        """A worker busy on a batch whose reply outgrows the socket
+        buffer is sent a request that outgrows it too.  A loop blocked
+        in that write could never read the reply its worker is blocked
+        writing: both must finish, and /healthz answer meanwhile."""
+        spec = WorkerSpec(
+            snapshot=str(snapshot_dir),
+            config=ServiceConfig(cache_capacity=None),
+            link_latency_s=0.0001,  # the batch keeps the worker a while
+        )
+        deep = {"queries": list(query_log) * 100, "k": 1000}
+        padded = {"queries": [" " * 400_000 + query_log[0]], "k": 3}
+        with WorkerPool(spec, size=1) as pool:
+            with serving(pool, max_batch=len(deep["queries"])) as (_gw, url):
+                replies: dict = {}
+
+                def post(name, body):
+                    replies[name] = http_request(
+                        url, "POST", "/search_batch", body, timeout_s=60
+                    )
+
+                first = threading.Thread(target=post, args=("deep", deep))
+                first.start()
+                assert _wait_until(lambda: pool.stats()["inflight"] == 1)
+                second = threading.Thread(target=post, args=("padded", padded))
+                second.start()
+                assert _wait_until(lambda: pool.stats()["inflight"] == 2)
+                status, _ = http_request(url, "GET", "/healthz", timeout_s=10)
+                assert status == 200
+                first.join(60)
+                second.join(60)
+                status, body = replies["deep"]
+                assert status == 200, body
+                assert len(json.dumps(body)) > 400_000
+                status, body = replies["padded"]
+                assert status == 200, body
+                assert body["responses"][0]["results"]
+            assert pool.stats()["respawns"] == 0
+
+
+class TestReaderHandOver:
+    """Replies are read by exactly one loop: the pool's own, or — while
+    one serves — a gateway's."""
+
+    def test_reader_goes_to_the_gateway_and_comes_home(
+        self, snapshot_dir, query_log, monkeypatch
+    ):
+        spec = WorkerSpec(
+            snapshot=str(snapshot_dir),
+            config=ServiceConfig(cache_capacity=None),
+        )
+        search = {"query": query_log[0], "k": 3}
+        with WorkerPool(spec, size=2) as pool:
+            lent: list[bool] = []
+            lend_reader = pool.lend_reader
+
+            def recording_lend(loop):
+                lent.append(lend_reader(loop))
+                return lent[-1]
+
+            monkeypatch.setattr(pool, "lend_reader", recording_lend)
+            # before any gateway: the pool's own loop reads
+            assert pool.submit("search", dict(search)).result(30)["results"]
+            assert pool._reader is pool._home
+            with serving(pool) as (first, first_url):
+                assert lent == [True]
+                assert pool._reader is first._loop
+                # a plain thread still gets its result while it is lent
+                results: list = []
+                worker = threading.Thread(
+                    target=lambda: results.append(
+                        pool.submit("search", dict(search)).result(30)
+                    )
+                )
+                worker.start()
+                worker.join(30)
+                assert results and results[0]["results"]
+                # a second gateway over the lent pool is refused the
+                # reader and serves all the same
+                with serving(pool) as (_second, second_url):
+                    assert lent == [True, False]
+                    for url in (first_url, second_url, first_url):
+                        status, body = http_request(
+                            url, "POST", "/search", search
+                        )
+                        assert status == 200, body
+                # the second's drain must not take the reader away
+                assert pool._reader is first._loop
+                status, _ = http_request(first_url, "POST", "/search", search)
+                assert status == 200
+            # drained: the reader is home again
+            assert pool._reader is pool._home
+            assert pool.submit("search", dict(search)).result(30)["results"]
+            assert pool.stats()["respawns"] == 0
+
+    def test_worker_killed_while_lent_is_respawned(
+        self, snapshot_dir, query_log
+    ):
+        spec = WorkerSpec(
+            snapshot=str(snapshot_dir),
+            config=ServiceConfig(cache_capacity=None),
+        )
+        search = {"query": query_log[0], "k": 3}
+        with WorkerPool(spec, size=1) as pool:
+            with serving(pool) as (_gateway, url):
+                victim = pool._slots[0].process
+                os.kill(victim.pid, signal.SIGKILL)
+                assert _wait_until(lambda: pool.stats()["respawns"] == 1)
+                # buffered for the replacement, answered through the gateway
+                status, body = http_request(url, "POST", "/search", search)
+                assert status == 200, body
+                assert pool._slots[0].process is not victim
+                assert pool.stats()["alive"] == pool.stats()["ready"] == 1
+            # and the replacement's connection went home with the rest
+            assert pool.submit("search", dict(search)).result(30)["results"]
 
 
 class TestAdmissionControl:
@@ -300,6 +591,8 @@ class TestConfigAndBucket:
             GatewayConfig(max_inflight=0)
         with pytest.raises(ConfigurationError):
             GatewayConfig(rate_limit=-1.0)
+        with pytest.raises(ConfigurationError, match="request_timeout_s"):
+            GatewayConfig(request_timeout_s=0)
 
     def test_burst_defaults_to_ceil_of_rate(self):
         assert GatewayConfig(rate_limit=2.5).rate_burst == 3.0

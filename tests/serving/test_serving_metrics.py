@@ -75,9 +75,11 @@ class TestMetricsRegistry:
         registry.note_shed("overload")
         registry.note_shed("draining")
         registry.note_shed("draining")
+        registry.observe("/search", 504, 30_000.0)  # the pool deadline
         snapshot = registry.snapshot()
         assert snapshot["shed_overload"] == 1
         assert snapshot["shed_draining"] == 2
+        assert snapshot["shed_timeout"] == 1
         with pytest.raises(ValueError):
             registry.note_shed("bogus")
 
