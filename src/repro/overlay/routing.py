@@ -17,33 +17,31 @@ invalidate-on-insert: every insert for K also routes through SP(K),
 which evicts K before the write returns, so a cached answer is never
 stale and results stay byte-identical to flat routing.
 
-Two mid-path short-circuits answer at the home super-peer:
+**One exchange.**  That path is the only one.  A lookup is a request
+along a prefix of it, answered by the first node that can: the leaf's
+own super-peer (``local_cache``), the home super-peer from its path
+cache (``path_cache``) or from its Bloom summary, which proves the key
+was never stored in its range (``summary_skip``; no false negatives,
+see :mod:`repro.overlay.summaries`), else the owner.  ``self_owned``
+and ``dark_range`` (every replica crashed; nobody answers) are the two
+degenerate paths.  :meth:`HierarchicalRouter.route_lookup` picks the
+answerer, and one helper logs the LOOKUP/RESPONSE pair whose hop counts
+are read off the node paths (:func:`_hops`); :meth:`path_hops` prices
+inserts from the same path.
 
-- **path-cache hit** — the key's last response (or absence) is cached;
-- **summary skip** — the cluster's Bloom summary proves the key was
-  never stored in its range (no false negatives; see
-  :mod:`repro.overlay.summaries`).
-
-**Adaptive mode** (``adaptive=True``) extends the scheme in two ways:
-
-- *Multi-level path caches*: responses retrace through the querying
-  leaf's own super-peer too (``owner -> SP(K) -> SP(S) -> S``), and
-  both super-peers cache the answer — the next lookup from that
-  cluster is answered one hop away, before ever leaving for the home
-  range.  Because copies of a key now live at several super-peers,
-  invalidation fans out: the home super-peer tracks which clusters
-  hold copies (a bounded registry) and sends each a
-  ``CACHE_INVALIDATE`` on insert, so freshness is preserved and
-  results stay byte-identical to flat routing.
-- *Load-aware splitting*: the router charges every super-peer it
-  routes through (feeding :meth:`SuperPeerTopology.observe_load`, the
-  election signal) and keeps windowed per-cluster counters of lookups
-  plus cache churn.  Every ``decision_interval`` lookups it closes a
-  window: the hottest cluster at or above ``split_threshold`` is split
-  at its median member, and a split pair whose combined score stays at
-  or below ``merge_threshold`` for ``merge_cool_down`` *consecutive*
-  windows is merged back (the consecutive requirement is the
-  hysteresis that prevents flapping).
+**One controller.**  Whether the overlay adapts to load is a matter of
+which :class:`~repro.overlay.adaptation.LoadController` is installed:
+the router reports the load it sees and follows the splits and merges
+the controller applies with its own state repair, and the static
+overlay (``adaptive=False``) installs one that observes nothing.
+Adaptive routing differs in shape in one way only — *multi-level path
+caches*: responses retrace through the querying leaf's own super-peer
+too (``owner -> SP(K) -> SP(S) -> S``) and both super-peers cache the
+answer, so the next lookup from that cluster is answered one hop away.
+Because copies of a key then live at several super-peers, invalidation
+fans out: the home super-peer tracks which clusters hold copies (a
+bounded registry) and sends each a ``CACHE_INVALIDATE`` on insert, so
+freshness is preserved and results stay byte-identical to flat routing.
 
 Every hop count is bounded by the hierarchy depth (≤ 3 request hops,
 ≤ 3 response hops) instead of Chord's O(log N) walk, and each message's
@@ -57,15 +55,17 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable
+from operator import ne
+from typing import Any, Callable, Iterable
 
 from ..errors import ConfigurationError, PeerNotFoundError
 from ..index.bloom import optimal_bits_per_element
 from ..net.accounting import Phase
 from ..net.messages import MessageKind
-from ..net.network import P2PNetwork
+from ..net.network import MembershipEvent, P2PNetwork
 from ..obs.metrics import get_hub
 from ..retrieval.cache import QueryResultCache
+from .adaptation import LoadController, NullLoadController
 from .summaries import ClusterSummary, scan_cluster_key_ids, summary_for_scan
 from .topology import Cluster, SuperPeerTopology
 
@@ -78,6 +78,41 @@ _ABSENT = object()
 #: Path-cache payloads are depth-independent stored values, so every
 #: cache call uses one nominal depth.
 _CACHE_DEPTH = 1
+
+#: Positions on the request path ``(leaf, SP(leaf), SP(key), owner)``
+#: of the nodes that can answer a routed lookup.
+_LOCAL, _HOME, _OWNER = 1, 2, 3
+
+#: event -> (``RouterStats`` field, ``overlay.*`` hub counter,
+#: ``per_super_peer`` field, ``overlay.sp.*`` hub family) — every level
+#: one occurrence is counted at; ``None`` where it is not.
+_EVENTS = {
+    # Attributed to the super-peer whose cluster answered, if one did.
+    "lookups": ("lookups",) * 4,
+    "cache_hits": (
+        "cache_hits", "path_cache_hits", "path_cache_hits", "path_cache_hits",
+    ),
+    "cache_misses": (
+        "cache_misses", "path_cache_misses", "path_cache_misses",
+        "path_cache_misses",
+    ),
+    "local_cache_hits": ("local_cache_hits", None, None, None),
+    "summary_skips": ("summary_skips",) * 4,
+    "inserts": ("inserts",) * 4,
+    "load": (None, None, "load", None),
+    "invalidations": ("invalidations", "cache_invalidations", None, None),
+    "summary_rebuilds": ("summary_rebuilds", None, None, None),
+    "scoped_repairs": ("scoped_repairs", None, None, None),
+    "splits": (None, "splits", None, None),
+    "merges": (None, "merges", None, None),
+}
+
+
+def _hops(*nodes: int | None) -> int:
+    """Hops along a node path: one per edge between two *different*
+    nodes (a leaf that is its own super-peer, or a super-peer that owns
+    the key, forwards to itself for free), and never fewer than one."""
+    return sum(map(ne, nodes, nodes[1:])) or 1
 
 
 class _KeyProbe:
@@ -103,7 +138,6 @@ class RouterStats:
     #: super-peer (adaptive multi-level caching).
     local_cache_hits: int = 0
     summary_skips: int = 0
-    rebuilds: int = 0
     #: Summary (re)builds installed — full refreshes, saturation
     #: rebuilds, and per-half rebuilds after splits/merges.
     summary_rebuilds: int = 0
@@ -130,14 +164,9 @@ class HierarchicalRouter:
         adaptive: enable load-aware election feedback, cluster
             splitting/merging, and multi-level path caching.  Off by
             default: the static overlay stays byte-reproducible.
-        split_threshold: windowed load score (lookups homed in the
-            cluster + its cache churn) at which a cluster splits.
-        merge_threshold: score at or below which a split pair counts as
-            calm; must be strictly below ``split_threshold`` so a
-            cluster hovering between the two neither splits nor merges.
-        decision_interval: lookups per decision window.
-        merge_cool_down: consecutive calm windows required before a
-            split pair merges back (hysteresis).
+        split_threshold, merge_threshold, decision_interval,
+            merge_cool_down: the split/merge policy's knobs (see
+            :class:`~repro.overlay.adaptation.LoadController`).
 
     Install on the topology's network with :meth:`install`; the network
     then delegates every lookup, and hop counts for inserts and stats
@@ -145,8 +174,9 @@ class HierarchicalRouter:
 
     Locking: ``_adapt_lock`` (outer) serializes every topology mutation
     — full refreshes, scoped crash repairs, splits and merges — while
-    ``_lock`` (inner) guards the hot-path routing state.  ``_lock`` is
-    never held while acquiring ``_adapt_lock``.
+    ``_lock`` (inner) guards the hot-path routing state and the
+    controller's open window.  ``_lock`` is never held while acquiring
+    ``_adapt_lock``.
     """
 
     def __init__(
@@ -165,33 +195,16 @@ class HierarchicalRouter:
                 "path_cache_capacity must be >= 0, got "
                 f"{path_cache_capacity}"
             )
-        if split_threshold < 1:
-            raise ConfigurationError(
-                f"split_threshold must be >= 1, got {split_threshold}"
-            )
-        if not 0 <= merge_threshold < split_threshold:
-            raise ConfigurationError(
-                "merge_threshold must satisfy 0 <= merge_threshold < "
-                f"split_threshold, got {merge_threshold} vs "
-                f"{split_threshold}"
-            )
-        if decision_interval < 1:
-            raise ConfigurationError(
-                f"decision_interval must be >= 1, got {decision_interval}"
-            )
-        if merge_cool_down < 1:
-            raise ConfigurationError(
-                f"merge_cool_down must be >= 1, got {merge_cool_down}"
-            )
         self.topology = topology
         self.path_cache_capacity = path_cache_capacity
         self.use_summaries = use_summaries
-        self.adaptive = adaptive
-        self.split_threshold = split_threshold
-        self.merge_threshold = merge_threshold
-        self.decision_interval = decision_interval
-        self.merge_cool_down = merge_cool_down
+        #: The split/merge policy; the static overlay's observes nothing.
+        self.controller = (LoadController if adaptive else NullLoadController)(
+            topology, split_threshold, merge_threshold, decision_interval,
+            merge_cool_down,
+        )
         self.stats = RouterStats()
+        self._totals = vars(self.stats)  # what _count increments
         # All per-cluster state is keyed by Cluster.start (the lowest
         # member id) — unlike the list index it survives splits and
         # merges of *other* clusters.
@@ -201,14 +214,14 @@ class HierarchicalRouter:
         self._summaries: dict[int, ClusterSummary] = {}
         #: cluster start -> insert generation; a fill is valid only if
         #: no insert hit the cluster between the owner read and the
-        #: fill (see :meth:`_cache_fill`).
+        #: fill (see :meth:`_fill`).
         self._insert_gens: dict[int, int] = {}
         # Single-flight summary rebuilds: a start present in
         # _summary_rebuilding has a rebuild in flight, owned by the
         # recorded epoch; inserts meanwhile append to the pending list,
-        # applied when the rebuild installs.  Bumping _summary_epoch
-        # (refresh) or popping the marker (split/merge/repair) turns
-        # the in-flight install into a no-op.
+        # applied when the rebuild installs.  Popping the marker
+        # (refresh / split / merge / repair, see _forget) or a newer
+        # claim turns the in-flight install into a no-op.
         self._summary_epoch = 0
         self._summary_rebuilding: dict[int, int] = {}
         self._pending_summary_adds: dict[int, list[int]] = {}
@@ -222,18 +235,10 @@ class HierarchicalRouter:
         # themselves (an unregistered copy could go stale silently).
         self._remote_copies: OrderedDict[Any, set[int]] = OrderedDict()
         self._copy_registry_capacity = max(512, 8 * path_cache_capacity)
-        # Windowed adaptation state (cluster start -> count).
-        self._window_lookups: dict[int, int] = {}
-        self._window_churn: dict[int, int] = {}
-        #: upper-half start -> lower-half start of an active split.
-        self._split_pairs: dict[int, int] = {}
-        #: upper-half start -> consecutive calm windows so far.
-        self._calm_windows: dict[int, int] = {}
-        self._decision_tick = 0
         #: super-peer id -> attribution counters (load, lookups, ...).
         self._per_sp: dict[int, dict[str, int]] = {}
-        # Guards stats, the cache/summary maps, windows, the copy
-        # registry, and filter mutation (Bloom add is
+        # Guards stats, the cache/summary maps, the controller's
+        # window, the copy registry, and filter mutation (Bloom add is
         # read-modify-write); the caches themselves are internally
         # locked.
         self._lock = threading.Lock()
@@ -246,27 +251,23 @@ class HierarchicalRouter:
         # ``overlay.sp.*`` families attribute the same events to the
         # serving super-peer.
         hub = get_hub()
-        self._m_lookups = hub.counter("overlay.lookups")
-        self._m_cache_hits = hub.counter("overlay.path_cache_hits")
-        self._m_cache_misses = hub.counter("overlay.path_cache_misses")
-        self._m_summary_skips = hub.counter("overlay.summary_skips")
-        self._m_inserts = hub.counter("overlay.inserts")
-        self._m_splits = hub.counter("overlay.splits")
-        self._m_merges = hub.counter("overlay.merges")
-        self._m_invalidations = hub.counter("overlay.cache_invalidations")
-        self._m_sp_lookups = hub.counter_family("overlay.sp.lookups")
-        self._m_sp_cache_hits = hub.counter_family(
-            "overlay.sp.path_cache_hits"
-        )
-        self._m_sp_cache_misses = hub.counter_family(
-            "overlay.sp.path_cache_misses"
-        )
-        self._m_sp_summary_skips = hub.counter_family(
-            "overlay.sp.summary_skips"
-        )
-        self._m_sp_inserts = hub.counter_family("overlay.sp.inserts")
+        self._counters = {
+            event: (
+                stat,
+                hub.counter(f"overlay.{total}") if total else None,
+                field,
+                hub.counter_family(f"overlay.sp.{family}") if family else None,
+            )
+            for event, (stat, total, field, family) in _EVENTS.items()
+        }
         self._m_window_load = hub.gauge_family("overlay.sp.window_load")
-        self._rebuild_summaries()
+        for cluster in topology.clusters:
+            self._rebuild_cluster_summary(cluster)
+
+    @property
+    def adaptive(self) -> bool:
+        """Whether a load-observing controller is installed."""
+        return self.controller.adaptive
 
     def install(self, network: P2PNetwork) -> None:
         """Attach this router to ``network`` (its topology's network).
@@ -298,317 +299,173 @@ class HierarchicalRouter:
         response_size: Callable[[Any | None], int],
         key_repr: str = "",
     ) -> Any | None:
-        try:
-            return self._route_lookup(
-                network, source_id, key, key_id, response_size, key_repr
-            )
-        finally:
-            if self.adaptive:
-                self._maybe_adapt()
-
-    def _route_lookup(
-        self,
-        network: P2PNetwork,
-        source_id: int,
-        key: Any,
-        key_id: int,
-        response_size: Callable[[Any | None], int],
-        key_repr: str,
-    ) -> Any | None:
-        with self._lock:
-            self.stats.lookups += 1
-        self._m_lookups.add()
         # The *effective* owner: the responsible peer, or — with a
         # replication manager installed — the first live replica.  A
         # crashed owner with no live replica leaves the range dark.
         owner = network.effective_owner(key_id)
-        if owner is None:
-            # The request still travels toward the dark range and times
-            # out; no response arrives.
-            local_sp = self.topology.access_cluster(source_id).super_peer
-            network.log_message(
-                MessageKind.LOOKUP,
-                source_id,
-                network.overlay.responsible_peer(key_id),
-                0,
-                max(1, (source_id != local_sp) + 1),
-                key_repr,
-                route="dark_range",
-            )
-            self._charge((local_sp,), source_id)
-            return None
-        if owner == source_id:
-            # Self-owned key: answered locally, same message shape as
-            # flat routing (request + response, one hop each).
-            network.log_message(
-                MessageKind.LOOKUP, source_id, owner, 0, 1, key_repr,
-                route="self_owned",
-            )
-            value = network.storage_by_id(owner).get(key)
-            network.log_message(
-                MessageKind.RESPONSE,
-                owner,
-                source_id,
-                response_size(value),
-                1,
-                key_repr,
-                route="self_owned",
-            )
-            return value
-        home = self.topology.cluster_of_peer(owner)
-        home_sp = home.super_peer
-        local = self.topology.access_cluster(source_id)
-        local_sp = local.super_peer
-        to_home = (source_id != local_sp) + (local_sp != home_sp)
-        # Sampled before any probe: a cached payload (or a summary
-        # verdict) observed now, then filled into a *second* cache
-        # below, must be dropped if an insert lands in between.
-        with self._lock:
-            generation = self._insert_gens.get(home.start, 0)
-        # Multi-level caching only pays off when the leaf's own
-        # super-peer differs from the home one.
+        path, home, local = self._request_path(source_id, owner)
+        # Copies of a key live at several super-peers only when the
+        # leaf's own one caches too, which only pays off when it
+        # differs from the home one.
+        controller = self.controller
+        multi_level = controller.adaptive and self.path_cache_capacity >= 1
         fill_local = (
-            self.adaptive
-            and self.path_cache_capacity >= 1
-            and local.start != home.start
+            multi_level and home is not None and local.start != home.start
         )
-
-        if fill_local:
-            payload = self._cache_peek(local.start, key)
-            if payload is not None:
-                # Answered one hop away, before leaving the cluster.
-                value = None if payload is _ABSENT else payload
-                with self._lock:
-                    self.stats.cache_hits += 1
-                    self.stats.local_cache_hits += 1
-                    self._per_sp_add(local_sp, "path_cache_hits")
-                    self._note_lookup_locked(local_sp, local.start)
-                self._m_cache_hits.add()
-                self._m_sp_cache_hits.add(local_sp)
-                self._m_sp_lookups.add(local_sp)
-                network.log_message(
-                    MessageKind.LOOKUP,
-                    source_id,
-                    local_sp,
-                    0,
-                    max(1, source_id != local_sp),
-                    key_repr,
-                    route="local_cache",
-                )
-                network.log_message(
-                    MessageKind.RESPONSE,
-                    local_sp,
-                    source_id,
-                    response_size(value),
-                    1,
-                    key_repr,
-                    route="local_cache",
-                )
-                self._charge((local_sp,), source_id)
-                return value
-
-        cached = self._cache_probe(home.start, key, home_sp)
-        if cached is not None:
-            value = None if cached is _ABSENT else cached
-            if fill_local:
-                self._answer_via_local(
-                    network, source_id, local_sp, home_sp, to_home,
-                    response_size(value), key_repr, "path_cache",
-                )
-                self._fill_remote(
-                    local.start, home.start, key, cached, generation
-                )
-            else:
-                self._answer_at_home(
-                    network, source_id, home_sp, to_home,
-                    response_size(value), key_repr, "path_cache",
-                )
-            self._charge((local_sp, home_sp), source_id)
-            self._note_lookup(home_sp, home.start)
-            return value
-        if self.use_summaries and not self._may_contain(home.start, key_id):
+        # Off the hierarchy the whole path is the request.  Self-owned
+        # key: answered locally, same message shape as flat routing
+        # (request + response, one hop each).
+        level, payload, generation = len(path) - 1, None, 0
+        route = "dark_range" if owner is None else "self_owned"
+        if home is not None:
             with self._lock:
-                self.stats.summary_skips += 1
-            self._m_summary_skips.add()
-            self._m_sp_summary_skips.add(home_sp)
-            with self._lock:
-                self._per_sp_add(home_sp, "summary_skips")
-            if fill_local:
-                self._answer_via_local(
-                    network, source_id, local_sp, home_sp, to_home,
-                    response_size(None), key_repr, "summary_skip",
+                # Sampled with the probe: a cached payload (or a
+                # summary verdict) observed now, then filled into a
+                # *second* cache below, must be dropped if an insert
+                # lands in between.
+                generation = self._insert_gens.get(home.start, 0)
+                level, route, payload = self._probe(
+                    key, key_id, local if fill_local else None, home
                 )
-                self._fill_remote(
-                    local.start, home.start, key, _ABSENT, generation
+        value = self._exchange(
+            network, key, key_id, response_size, key_repr,
+            path, level, fill_local, payload, route,
+        )
+        with self._lock:
+            # The response fills the caches it retraces through.
+            if level == _OWNER:
+                self._fill(
+                    home.start, home.start, key, value, generation,
+                    multi_level,
                 )
+            if fill_local and level >= _HOME:
+                self._fill(
+                    local.start, home.start, key, value, generation, True
+                )
+            # One unit of routing work for every distinct peer on the
+            # path except the requester itself — the load signal behind
+            # the per-super-peer gauges and (via the controller) the
+            # topology's election.
+            charged = {*path[1 : level + 1]} - {source_id, None}
+            for peer_id in charged:
+                self._count("load", peer_id)
+            served = local if level == _LOCAL else home
+            if served is None:
+                self._count("lookups")
             else:
-                self._answer_at_home(
-                    network, source_id, home_sp, to_home,
-                    response_size(None), key_repr, "summary_skip",
-                )
-            self._charge((local_sp, home_sp), source_id)
-            self._note_lookup(home_sp, home.start)
-            return None
-
-        # Full path: forward to the responsible peer; the response
-        # retraces through the home super-peer (and, in adaptive mode,
-        # the local one too), filling the caches on its way back.
-        request_hops = max(1, to_home + (home_sp != owner))
-        network.log_message(
-            MessageKind.LOOKUP, source_id, owner, 0, request_hops, key_repr,
-            route="leaf>sp>home>owner",
-        )
-        value = network.storage_by_id(owner).get(key)
-        if fill_local:
-            response_hops = max(
-                1,
-                (owner != home_sp)
-                + (home_sp != local_sp)
-                + (local_sp != source_id),
-            )
-            response_route = "owner>home>local>leaf"
-        else:
-            response_hops = max(
-                1, (owner != home_sp) + (home_sp != source_id)
-            )
-            response_route = "owner>home>leaf"
-        network.log_message(
-            MessageKind.RESPONSE,
-            owner,
-            source_id,
-            response_size(value),
-            response_hops,
-            key_repr,
-            route=response_route,
-        )
-        self._cache_fill(home.start, key, value, generation)
-        if fill_local:
-            self._fill_remote(
-                local.start,
-                home.start,
-                key,
-                _ABSENT if value is None else value,
-                generation,
-            )
-        self._charge((local_sp, home_sp, owner), source_id)
-        self._note_lookup(home_sp, home.start)
+                self._count("lookups", served.super_peer)
+                served = served.start
+            scores = controller.lookup(charged, served)
+        if scores is not None:
+            self._adapt(scores)
         return value
 
-    def _answer_at_home(
-        self,
+    def _request_path(
+        self, source_id: int, owner: int | None
+    ) -> tuple[tuple[int | None, ...], Cluster | None, Cluster | None]:
+        """The nodes a request from ``source_id`` visits on its way to
+        ``owner``, and the home and local clusters it goes through:
+        source -> local SP -> home SP -> owner."""
+        if owner == source_id:
+            return (source_id, owner), None, None
+        local = self.topology.access_cluster(source_id)
+        if owner is None:
+            # Dark range: the message travels to the local super-peer
+            # and on toward the dead region (nobody) before timing out.
+            return (source_id, local.super_peer, None), None, local
+        home = self.topology.cluster_of_peer(owner)
+        path = (source_id, local.super_peer, home.super_peer, owner)
+        return path, home, local
+
+    def _probe(
+        self, key: Any, key_id: int, local: Cluster | None, home: Cluster
+    ) -> tuple[int, str, Any | None]:
+        """The first node on the request path that can answer — from
+        the path cache of ``local`` (multi-level only) or ``home``, or
+        from ``home``'s summary; else the owner.  Returns its position,
+        the route label and the cached payload (possibly
+        :data:`_ABSENT`; ``None``: read storage).  Caller holds
+        ``_lock``."""
+        if self.path_cache_capacity >= 1:
+            probe = _KeyProbe(key)
+            for cluster in (home,) if local is None else (local, home):
+                cache = self._caches.get(cluster.start)
+                if cache is None:
+                    continue
+                payload = cache.try_hit(probe, _CACHE_DEPTH)
+                if payload is None:
+                    continue
+                self._count("cache_hits", cluster.super_peer)
+                if cluster is home:
+                    return _HOME, "path_cache", payload
+                # Answered one hop away, before leaving the cluster.
+                self._count("local_cache_hits")
+                return _LOCAL, "local_cache", payload
+            # Only the home-level probe defines the hit rate, so it
+            # stays comparable to static routing.
+            self._count("cache_misses", home.super_peer)
+        if self.use_summaries:
+            summary = self._summaries.get(home.start)
+            # A missing summary claims nothing: forward the lookup.
+            if summary is not None and key_id not in summary:
+                self._count("summary_skips", home.super_peer)
+                return _HOME, "summary_skip", _ABSENT
+        return _OWNER, "leaf>sp>home>owner", None
+
+    @staticmethod
+    def _exchange(
         network: P2PNetwork,
-        source_id: int,
-        home_sp: int,
-        to_home: int,
-        postings: int,
+        key: Any,
+        key_id: int,
+        response_size: Callable[[Any | None], int],
         key_repr: str,
+        path: tuple[int | None, ...],
+        level: int,
+        via_local: bool,
+        payload: Any | None,
         route: str,
-    ) -> None:
-        """Log the message pair of a lookup answered at the home
-        super-peer (cache hit or summary skip)."""
+    ) -> Any | None:
+        """Log one lookup's message pair and return the answer.  The
+        LOOKUP travels ``path`` up to position ``level``, whose node
+        answers from ``payload`` (its cache or summary) or else reads
+        its storage; the RESPONSE retraces the request — through the
+        leaf's own super-peer only when that one keeps a copy
+        (``via_local``), otherwise straight from the home super-peer."""
+        request = path[: level + 1]
+        source_id, answerer = request[0], request[-1]
+        dark = answerer is None
+        if dark:
+            answerer = network.overlay.responsible_peer(key_id)
+        hops = _hops(*request)
         network.log_message(
-            MessageKind.LOOKUP,
-            source_id,
-            home_sp,
-            0,
-            max(1, to_home),
-            key_repr,
+            MessageKind.LOOKUP, source_id, answerer, 0, hops, key_repr,
             route=route,
         )
+        if dark:
+            # The request still travels toward the dark range and times
+            # out; no response arrives.
+            return None
+        if payload is None:
+            value = network.storage_by_id(answerer).get(key)
+        else:
+            value = None if payload is _ABSENT else payload
+        # A response that retraces every node costs the request's hops.
+        if level >= _HOME and not via_local:
+            hops = _hops(*request[:1:-1], source_id)
+        if level == _OWNER:
+            route = "owner>home>local>leaf" if via_local else "owner>home>leaf"
         network.log_message(
-            MessageKind.RESPONSE, home_sp, source_id, postings, 1, key_repr,
-            route=route,
+            MessageKind.RESPONSE, answerer, source_id, response_size(value),
+            hops, key_repr, route=route,
         )
-
-    def _answer_via_local(
-        self,
-        network: P2PNetwork,
-        source_id: int,
-        local_sp: int,
-        home_sp: int,
-        to_home: int,
-        postings: int,
-        key_repr: str,
-        route: str,
-    ) -> None:
-        """Adaptive variant of :meth:`_answer_at_home`: the response
-        retraces through the leaf's own super-peer so it can keep a
-        copy (the caller fills it)."""
-        network.log_message(
-            MessageKind.LOOKUP,
-            source_id,
-            home_sp,
-            0,
-            max(1, to_home),
-            key_repr,
-            route=route,
-        )
-        network.log_message(
-            MessageKind.RESPONSE,
-            home_sp,
-            source_id,
-            postings,
-            max(1, (home_sp != local_sp) + (local_sp != source_id)),
-            key_repr,
-            route=route,
-        )
-
-    # -- attribution -----------------------------------------------------------------
-
-    def _per_sp_add(self, peer_id: int, field: str, amount: int = 1) -> None:
-        """Bump an attribution counter.  Caller holds ``_lock``."""
-        counters = self._per_sp.setdefault(peer_id, {})
-        counters[field] = counters.get(field, 0) + amount
-
-    def _charge(self, peers: tuple[int, ...], source_id: int) -> None:
-        """Charge one unit of routing work to every distinct peer on
-        the path except the requester itself — the load signal behind
-        both the per-super-peer gauges and (adaptive only) the
-        topology's election."""
-        charged = {p for p in peers if p != source_id}
-        if not charged:
-            return
-        with self._lock:
-            for peer_id in charged:
-                self._per_sp_add(peer_id, "load")
-        if self.adaptive:
-            for peer_id in charged:
-                self.topology.observe_load(peer_id)
-
-    def _note_lookup_locked(self, sp: int, cluster_key: int) -> None:
-        """Attribute a served lookup.  Caller holds ``_lock``."""
-        self._per_sp_add(sp, "lookups")
-        if self.adaptive:
-            self._window_lookups[cluster_key] = (
-                self._window_lookups.get(cluster_key, 0) + 1
-            )
-
-    def _note_lookup(self, sp: int, cluster_key: int) -> None:
-        with self._lock:
-            self._note_lookup_locked(sp, cluster_key)
-        self._m_sp_lookups.add(sp)
+        return value
 
     # -- RoutingPolicy: inserts / generic hops ---------------------------------------
 
     def path_hops(self, source_id: int, key_id: int) -> int:
         """Request-path hops source -> local SP -> home SP -> owner."""
-        network = self.topology.network
-        owner = network.effective_owner(key_id)
-        if owner is None:
-            # Dark range: the message travels to the local super-peer
-            # and on toward the dead region before timing out.
-            local_sp = self.topology.access_cluster(source_id).super_peer
-            return max(1, (source_id != local_sp) + 1)
-        if owner == source_id:
-            return 1
-        home_sp = self.topology.super_peer_of(owner)
-        local_sp = self.topology.access_cluster(source_id).super_peer
-        return max(
-            1,
-            (source_id != local_sp)
-            + (local_sp != home_sp)
-            + (home_sp != owner),
-        )
+        owner = self.topology.network.effective_owner(key_id)
+        return _hops(*self._request_path(source_id, owner)[0])
 
     def on_insert(self, key: Any, key_id: int) -> None:
         """Freshness hook: the insert just routed through the home
@@ -622,44 +479,29 @@ class HierarchicalRouter:
         ids instead of re-triggering, and the rebuilt filter applies
         the queue on install — so no second scan, and no insert is ever
         missing from whichever filter wins (no false negatives)."""
-        self._m_inserts.add()
         home = self.topology.home_cluster(key_id)
-        if home is None:
-            # Dark range: the write was lost, nothing is cached for the
-            # key (dark lookups bypass the cache), nothing to invalidate.
-            with self._lock:
-                self.stats.inserts += 1
-            return
-        home_sp = home.super_peer
-        start = home.start
+        home_sp = None if home is None else home.super_peer
         rebuild_epoch: int | None = None
-        fanout_targets: list[int] = []
         with self._lock:
-            self.stats.inserts += 1
-            self._per_sp_add(home_sp, "inserts")
-            self._m_sp_inserts.add(home_sp)
+            self._count("inserts", home_sp)
+            if home is None:
+                # Dark range: the write was lost, nothing is cached for
+                # the key (dark lookups bypass the cache), nothing to
+                # invalidate.
+                return
+            start = home.start
             # Bump the generation and evict under the same lock the
             # fill path checks the generation under, so a lookup that
             # read the pre-insert value can never re-cache it after
             # this invalidation.
             self._insert_gens[start] = self._insert_gens.get(start, 0) + 1
-            cache = self._caches.get(start)
-            if cache is not None:
-                cache.remove(key)
             # Scoped fan-out: only the clusters registered as holding
             # a copy of *this* key are touched.
-            holders = self._remote_copies.pop(key, None)
-            if holders:
-                for holder_start in holders:
-                    holder_cache = self._caches.get(holder_start)
-                    if holder_cache is not None:
-                        holder_cache.remove(key)
-                    if holder_start != start:
-                        fanout_targets.append(holder_start)
-            if self.adaptive:
-                self._window_churn[start] = (
-                    self._window_churn.get(start, 0) + 1
-                )
+            holders = self._remote_copies.pop(key, ())
+            self._evict(key, (start, *holders))
+            fanout_targets = [h for h in holders if h != start]
+            # Cache churn is load on the home cluster too.
+            self.controller.note(start)
             summary = self._summaries.get(start)
             if summary is not None:
                 summary.add(key_id)
@@ -679,32 +521,42 @@ class HierarchicalRouter:
             # The invalidations ride the insert (same phase): one
             # zero-posting message per holding super-peer, so the
             # paper's posting counts are unchanged.
-            network = self.topology.network
-            by_start = {c.start: c for c in self.topology.clusters}
-            sent = 0
-            for holder_start in sorted(fanout_targets):
-                holder = by_start.get(holder_start)
-                if holder is None or holder.super_peer == home_sp:
-                    continue
-                network.log_message(
-                    MessageKind.CACHE_INVALIDATE,
-                    home_sp,
-                    holder.super_peer,
-                    0,
-                    1,
-                    key_repr=str(key_id),
-                )
-                sent += 1
-            if sent:
-                self._m_invalidations.add(sent)
-                with self._lock:
-                    self.stats.invalidations += sent
+            self._fan_out(
+                self.topology.network.log_message, home_sp, fanout_targets,
+                str(key_id),
+            )
         if rebuild_epoch is not None:
             self._rebuild_cluster_summary(home, epoch=rebuild_epoch)
 
+    def _fan_out(
+        self,
+        log: Callable[..., None],
+        announcer: int,
+        holder_starts: Iterable[int],
+        key_repr: str = "",
+    ) -> None:
+        """``log`` one ``CACHE_INVALIDATE`` from super-peer ``announcer``
+        to the super-peer of every cluster in ``holder_starts`` (lowest
+        start first; its own and vanished clusters skipped)."""
+        sent = 0
+        for holder_start in sorted(holder_starts):
+            holder = self.topology.cluster_starting_at(holder_start)
+            if holder is None or holder.super_peer == announcer:
+                continue
+            log(
+                MessageKind.CACHE_INVALIDATE, announcer, holder.super_peer,
+                key_repr=key_repr,
+            )
+            sent += 1
+        if sent:
+            with self._lock:
+                self._count("invalidations", amount=sent)
+
     # -- RoutingPolicy: membership -------------------------------------------------
 
-    def on_membership_change(self, event=None) -> None:
+    def on_membership_change(
+        self, event: MembershipEvent | None = None
+    ) -> None:
         """Membership hook.  Join and leave change the live population,
         so the base chunking shifts and the whole map re-clusters.
         Crash and respawn do *not*: the fault model keeps the peer's
@@ -712,15 +564,11 @@ class HierarchicalRouter:
         unchanged), so only the affected cluster's routing state is
         repaired — a single crash no longer throws away every other
         cluster's path cache."""
-        if event is not None and getattr(event, "kind", None) in (
-            "crash",
-            "respawn",
-        ):
-            if self._scoped_membership_repair(event):
-                return
-        self.refresh()
+        scoped = event is not None and event.kind in ("crash", "respawn")
+        if not (scoped and self._scoped_membership_repair(event)):
+            self.refresh()
 
-    def _scoped_membership_repair(self, event: Any) -> bool:
+    def _scoped_membership_repair(self, event: MembershipEvent) -> bool:
         """Repair routing state around one crashed/respawned peer.
 
         Drops the affected cluster's cache and summary (a respawned
@@ -737,64 +585,24 @@ class HierarchicalRouter:
             cluster = self.topology.cluster_of_peer(event.peer_id)
         except PeerNotFoundError:
             return False
+        network = self.topology.network
         with self._adapt_lock:
-            current = cluster
-            if (
-                event.kind == "crash"
-                and cluster.super_peer == event.peer_id
-            ):
+            if event.kind == "crash" and cluster.super_peer == event.peer_id:
                 reelected = self.topology.reelect(cluster)
                 if reelected is not None:
-                    current = reelected
-            self._drop_cluster_state(current)
+                    cluster = reelected
+            holders = self._forget((cluster.start,), flush_copies=True)
+            # The flush is announced (and accounted as maintenance) by
+            # the cluster's super-peer, if there is a live one.
+            if network.is_live(cluster.super_peer):
+                self._fan_out(
+                    network.log_maintenance, cluster.super_peer, holders
+                )
             with self._lock:
-                self.stats.scoped_repairs += 1
-            network = self.topology.network
-            if self.use_summaries and any(
-                network.is_live(m) for m in current.members
-            ):
-                self._rebuild_cluster_summary(current)
+                self._count("scoped_repairs")
+            if any(network.is_live(m) for m in cluster.members):
+                self._rebuild_cluster_summary(cluster)
         return True
-
-    def _drop_cluster_state(self, cluster: Cluster) -> None:
-        """Invalidate one cluster's routing state (cache, summary, any
-        in-flight summary rebuild) plus the whole remote-copy registry,
-        and account the invalidation fan-out as maintenance."""
-        network = self.topology.network
-        start = cluster.start
-        with self._lock:
-            self._caches.pop(start, None)
-            self._insert_gens[start] = self._insert_gens.get(start, 0) + 1
-            self._summaries.pop(start, None)
-            self._summary_rebuilding.pop(start, None)
-            self._pending_summary_adds.pop(start, None)
-            holder_starts: set[int] = set()
-            for key, holders in self._remote_copies.items():
-                for holder_start in holders:
-                    holder_cache = self._caches.get(holder_start)
-                    if holder_cache is not None:
-                        holder_cache.remove(key)
-                    holder_starts.add(holder_start)
-            self._remote_copies.clear()
-        if not holder_starts:
-            return
-        announce = cluster.super_peer
-        if not network.is_live(announce):
-            return
-        by_start = {c.start: c for c in self.topology.clusters}
-        sent = 0
-        for holder_start in sorted(holder_starts):
-            holder = by_start.get(holder_start)
-            if holder is None or holder.super_peer == announce:
-                continue
-            network.log_maintenance(
-                MessageKind.CACHE_INVALIDATE, announce, holder.super_peer
-            )
-            sent += 1
-        if sent:
-            self._m_invalidations.add(sent)
-            with self._lock:
-                self.stats.invalidations += sent
 
     def refresh(self) -> None:
         """Re-cluster and rebuild all routing state.
@@ -806,130 +614,51 @@ class HierarchicalRouter:
         """
         with self._adapt_lock:
             self.topology.rebuild()
-            with self._lock:
-                self._caches = {}
-                self._remote_copies.clear()
-                self._window_lookups.clear()
-                self._window_churn.clear()
-                self._split_pairs.clear()
-                self._calm_windows.clear()
-                # Supersede every in-flight summary rebuild: cluster
-                # boundaries moved, so an install scanned against the
-                # old map must not resurrect a stale filter.
-                self._summary_epoch += 1
-                self._summary_rebuilding.clear()
-                self._pending_summary_adds.clear()
-                self._summaries = {}
-                self.stats.rebuilds += 1
-            self._rebuild_summaries()
+            self._forget()
+            for cluster in self.topology.clusters:
+                self._rebuild_cluster_summary(cluster)
 
-    # -- adaptive split/merge controller ---------------------------------------------
-
-    def _maybe_adapt(self) -> None:
-        """Close a decision window every ``decision_interval`` lookups
-        and act on it: merge calm split pairs, split the hottest
-        overloaded cluster."""
-        with self._lock:
-            self._decision_tick += 1
-            if self._decision_tick < self.decision_interval:
-                return
-            self._decision_tick = 0
-            scores: dict[int, int] = dict(self._window_lookups)
-            for start, churn in self._window_churn.items():
-                scores[start] = scores.get(start, 0) + churn
-            self._window_lookups.clear()
-            self._window_churn.clear()
+    def _adapt(self, scores: dict[int, int]) -> None:
+        """Act on a closed decision window: publish its per-super-peer
+        load, then follow each split or merge the controller applies
+        with the routing-state repair around it."""
         with self._adapt_lock:
-            self._apply_adaptation(scores)
+            for cluster in self.topology.clusters:
+                self._m_window_load.set(
+                    cluster.super_peer, float(scores.get(cluster.start, 0))
+                )
+            for event, retired, produced in self.controller.decide(scores):
+                with self._lock:
+                    self._count(event)
+                self._forget(retired)
+                for cluster in produced:
+                    self._rebuild_cluster_summary(cluster)
 
-    def _apply_adaptation(self, scores: dict[int, int]) -> None:
-        """One decision round.  Caller holds ``_adapt_lock``."""
-        clusters = self.topology.clusters
-        for cluster in clusters:
-            self._m_window_load.set(
-                cluster.super_peer, float(scores.get(cluster.start, 0))
-            )
-        # Merges first: a pair must stay calm for merge_cool_down
-        # *consecutive* windows (one hot window resets the count), so a
-        # cluster oscillating around the thresholds never flaps.
-        for upper_start in sorted(self._split_pairs):
-            lower_start = self._split_pairs[upper_start]
-            by_start = {c.start: c for c in self.topology.clusters}
-            lower = by_start.get(lower_start)
-            upper = by_start.get(upper_start)
-            if (
-                lower is None
-                or upper is None
-                or upper.index != lower.index + 1
-            ):
-                # The map changed underneath (full rebuild or another
-                # reshape); the pair no longer exists.
-                del self._split_pairs[upper_start]
-                self._calm_windows.pop(upper_start, None)
-                continue
-            combined = scores.get(lower_start, 0) + scores.get(
-                upper_start, 0
-            )
-            if combined > self.merge_threshold:
-                self._calm_windows[upper_start] = 0
-                continue
-            calm = self._calm_windows.get(upper_start, 0) + 1
-            if calm < self.merge_cool_down:
-                self._calm_windows[upper_start] = calm
-                continue
-            merged = self.topology.merge(lower, upper)
-            del self._split_pairs[upper_start]
-            self._calm_windows.pop(upper_start, None)
-            if merged is not None:
-                self._m_merges.add()
-                self._on_merged(lower, upper, merged)
-        # One split per window, hottest first (ties to the lowest
-        # start, keeping identical histories deterministic).
-        candidates = [
-            c
-            for c in self.topology.clusters
-            if len(c.members) >= 2
-            and scores.get(c.start, 0) >= self.split_threshold
-        ]
-        if not candidates:
-            return
-        hottest = min(
-            candidates, key=lambda c: (-scores.get(c.start, 0), c.start)
-        )
-        result = self.topology.split(hottest)
-        if result is None:
-            return
-        lower, upper = result
-        self._split_pairs[upper.start] = lower.start
-        self._calm_windows[upper.start] = 0
-        self._m_splits.add()
-        self._on_split(lower, upper)
-
-    def _on_split(self, lower: Cluster, upper: Cluster) -> None:
-        """Routing-state follow-up to a topology split.  Caller holds
-        ``_adapt_lock``."""
-        self._drop_reshaped_state((lower.start, upper.start))
-        if self.use_summaries:
-            self._rebuild_cluster_summary(lower)
-            self._rebuild_cluster_summary(upper)
-
-    def _on_merged(
-        self, lower: Cluster, upper: Cluster, merged: Cluster
-    ) -> None:
-        """Routing-state follow-up to a topology merge.  Caller holds
-        ``_adapt_lock``."""
-        self._drop_reshaped_state((lower.start, upper.start))
-        if self.use_summaries:
-            self._rebuild_cluster_summary(merged)
-
-    def _drop_reshaped_state(self, starts: tuple[int, ...]) -> None:
-        """Drop caches/summaries keyed by ``starts`` after a split or
-        merge.  Generations are bumped so in-flight fills sampled
-        against the old shape are discarded (a pre-split home cache
-        slot must not receive a fill meant for what is now another
-        cluster's range), and in-flight summary installs for the old
-        shape become no-ops (marker popped)."""
+    def _forget(
+        self, starts: Iterable[int] | None = None, flush_copies: bool = False
+    ) -> set[int]:
+        """Drop the routing state keyed by the cluster ``starts`` —
+        all of it, and the controller's, when ``None`` (the map was
+        re-clustered).  Insert generations are bumped so in-flight
+        fills sampled against the old shape are discarded (a pre-split
+        home cache slot must not receive a fill meant for what is now
+        another cluster's range), and in-flight summary installs for it
+        become no-ops (marker popped).  Copies *held by* the forgotten
+        clusters died with their caches and are de-registered, so later
+        inserts do not fan out to clusters that no longer hold
+        anything; ``flush_copies`` evicts every other registered copy
+        too and returns the starts of the clusters that held one."""
+        flushed: set[int] = set()
         with self._lock:
+            if starts is None:
+                self.controller.reset()
+                self._remote_copies.clear()
+                starts = {
+                    *self._insert_gens,
+                    *self._caches,
+                    *self._summaries,
+                    *self._summary_rebuilding,
+                }
             for start in starts:
                 self._caches.pop(start, None)
                 self._insert_gens[start] = (
@@ -938,151 +667,67 @@ class HierarchicalRouter:
                 self._summaries.pop(start, None)
                 self._summary_rebuilding.pop(start, None)
                 self._pending_summary_adds.pop(start, None)
-            # Copies *held by* the reshaped clusters died with their
-            # caches; de-register them so later inserts do not fan out
-            # to clusters that no longer hold anything.
-            for key in list(self._remote_copies):
-                holders = self._remote_copies[key]
-                for start in starts:
-                    holders.discard(start)
+            for key, holders in list(self._remote_copies.items()):
+                if flush_copies:
+                    self._evict(key, holders)
+                    flushed |= holders
+                    holders.clear()
+                else:
+                    holders.difference_update(starts)
                 if not holders:
                     del self._remote_copies[key]
+        return flushed
 
     # -- path caches -----------------------------------------------------------------
 
-    def _cache_peek(self, cluster_key: int, key: Any) -> Any | None:
-        """The cached payload for ``key`` at ``cluster_key``'s
-        super-peer, without touching hit/miss counters (the local-level
-        probe of a two-level lookup: only the home-level probe defines
-        the hit rate, so it stays comparable to static routing)."""
-        if self.path_cache_capacity < 1:
-            return None
-        with self._lock:
-            cache = self._caches.get(cluster_key)
-        if cache is None:
-            return None
-        return cache.try_hit(_KeyProbe(key), _CACHE_DEPTH)
-
-    def _cache_probe(
-        self, cluster_key: int, key: Any, sp: int
-    ) -> Any | None:
-        """The cached payload for ``key`` at the home super-peer
-        (possibly :data:`_ABSENT`), or ``None`` on a miss."""
-        if self.path_cache_capacity < 1:
-            return None
-        with self._lock:
-            cache = self._caches.get(cluster_key)
-        payload = (
-            cache.try_hit(_KeyProbe(key), _CACHE_DEPTH)
-            if cache is not None
-            else None
-        )
-        with self._lock:
-            if payload is None:
-                self.stats.cache_misses += 1
-                self._per_sp_add(sp, "path_cache_misses")
-            else:
-                self.stats.cache_hits += 1
-                self._per_sp_add(sp, "path_cache_hits")
-        (self._m_cache_misses if payload is None else self._m_cache_hits).add()
-        (
-            self._m_sp_cache_misses
-            if payload is None
-            else self._m_sp_cache_hits
-        ).add(sp)
-        return payload
-
-    def _cache_fill(
+    def _fill(
         self,
-        cluster_key: int,
+        holder_start: int,
+        home_start: int,
         key: Any,
         value: Any | None,
         generation: int,
+        register: bool,
     ) -> None:
-        """Cache the response that just retraced through the home
-        super-peer (absences included — repeated lattice probes of
-        never-indexed subsets are the common case).
-
-        ``generation`` is the cluster's insert generation sampled
-        before the owner's storage was read; if any insert hit the
-        cluster since, the read may predate it and the fill is dropped
-        (the put runs under the router lock so it is atomic with
+        """Cache the answer that just retraced through the super-peer
+        of the cluster at ``holder_start`` (absences included —
+        repeated lattice probes of never-indexed subsets are the common
+        case) and ``register`` the copy for invalidation fan-out.
+        ``generation`` is the *home* cluster's insert generation
+        sampled before the answer was produced; if any insert hit the
+        cluster since, the answer may predate it and the fill is
+        dropped (the caller holds ``_lock``, so the put is atomic with
         :meth:`on_insert`'s bump-and-evict)."""
-        if self.path_cache_capacity < 1:
+        if (
+            self.path_cache_capacity < 1
+            or self._insert_gens.get(home_start, 0) != generation
+        ):
             return
-        payload = _ABSENT if value is None else value
-        with self._lock:
-            if self._insert_gens.get(cluster_key, 0) != generation:
-                return
-            cache = self._caches.get(cluster_key)
-            if cache is None:
-                cache = QueryResultCache(self.path_cache_capacity)
-                self._caches[cluster_key] = cache
-            cache.put(_KeyProbe(key), _CACHE_DEPTH, payload)
-            if self.adaptive:
-                # The home itself is a registered holder in adaptive
-                # mode: a failover, respawn, or split can re-home the
-                # key, and this copy would then still be reachable
-                # through the local-level probe.
-                self._register_copy_locked(key, cluster_key)
-
-    def _fill_remote(
-        self,
-        holder_key: int,
-        home_key: int,
-        key: Any,
-        payload: Any,
-        generation: int,
-    ) -> None:
-        """Fill a *remote* copy (the querying cluster's super-peer) and
-        register it for invalidation fan-out.  Guarded by the home
-        cluster's insert generation exactly like :meth:`_cache_fill`."""
-        if self.path_cache_capacity < 1:
+        cache = self._caches.get(holder_start)
+        if cache is None:
+            cache = QueryResultCache(self.path_cache_capacity)
+            self._caches[holder_start] = cache
+        cache.put(
+            _KeyProbe(key), _CACHE_DEPTH, _ABSENT if value is None else value
+        )
+        if not register:
             return
-        with self._lock:
-            if self._insert_gens.get(home_key, 0) != generation:
-                return
-            cache = self._caches.get(holder_key)
-            if cache is None:
-                cache = QueryResultCache(self.path_cache_capacity)
-                self._caches[holder_key] = cache
-            cache.put(_KeyProbe(key), _CACHE_DEPTH, payload)
-            self._register_copy_locked(key, holder_key)
-
-    def _register_copy_locked(self, key: Any, holder_key: int) -> None:
-        """Record that ``holder_key``'s super-peer caches ``key``.
-        Caller holds ``_lock``.  The registry is LRU-bounded; evicting
-        a registry entry evicts the copies themselves."""
-        holders = self._remote_copies.get(key)
-        if holders is None:
-            holders = set()
-            self._remote_copies[key] = holders
-        holders.add(holder_key)
+        self._remote_copies.setdefault(key, set()).add(holder_start)
         self._remote_copies.move_to_end(key)
+        # The registry is LRU-bounded; evicting a registry entry evicts
+        # the copies themselves.
         while len(self._remote_copies) > self._copy_registry_capacity:
-            evicted_key, evicted_holders = self._remote_copies.popitem(
-                last=False
-            )
-            for evicted_holder in evicted_holders:
-                holder_cache = self._caches.get(evicted_holder)
-                if holder_cache is not None:
-                    holder_cache.remove(evicted_key)
+            self._evict(*self._remote_copies.popitem(last=False))
+
+    def _evict(self, key: Any, holder_starts: Iterable[int]) -> None:
+        """Drop ``key`` from the path caches of the clusters at
+        ``holder_starts``.  Caller holds ``_lock``."""
+        for holder_start in holder_starts:
+            cache = self._caches.get(holder_start)
+            if cache is not None:
+                cache.remove(key)
 
     # -- summaries ---------------------------------------------------------------------
-
-    def _may_contain(self, cluster_key: int, key_id: int) -> bool:
-        with self._lock:
-            summary = self._summaries.get(cluster_key)
-            # A missing summary claims nothing: forward the lookup.
-            return summary is None or key_id in summary
-
-    def _rebuild_summaries(self) -> None:
-        if not self.use_summaries:
-            with self._lock:
-                self._summaries = {}
-            return
-        for cluster in self.topology.clusters:
-            self._rebuild_cluster_summary(cluster)
 
     def _rebuild_cluster_summary(
         self, cluster: Cluster, epoch: int | None = None
@@ -1136,10 +781,27 @@ class HierarchicalRouter:
                 summary.add(key_id)
             del self._summary_rebuilding[cluster_key]
             self._summaries[cluster_key] = summary
-            self.stats.summary_rebuilds += 1
+            self._count("summary_rebuilds")
         return True
 
-    # -- inspection --------------------------------------------------------------------
+    # -- attribution / inspection ------------------------------------------------------
+
+    def _count(
+        self, event: str, sp: int | None = None, amount: int = 1
+    ) -> None:
+        """Count ``amount`` occurrences of ``event`` — attributed to
+        super-peer ``sp`` when given — at every level :data:`_EVENTS`
+        lists for it.  Caller holds ``_lock``."""
+        stat, total, field, family = self._counters[event]
+        if stat is not None:
+            self._totals[stat] += amount
+        if total is not None:
+            total.add(amount)
+        if sp is not None and field is not None:
+            counters = self._per_sp.setdefault(sp, {})
+            counters[field] = counters.get(field, 0) + amount
+            if family is not None:
+                family.add(sp, amount)
 
     def describe(self) -> dict[str, object]:
         """Topology shape + routing/caching counters (backend stats)."""

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import ConfigurationError, NetworkError, PeerNotFoundError
 from ..net.accounting import Phase
@@ -62,7 +63,7 @@ class Cluster:
     super_peer: int
     members: tuple[int, ...]
 
-    @property
+    @cached_property
     def start(self) -> int:
         """Stable identity of the cluster's key range: its lowest
         member id.  Unlike :attr:`index` it survives splits and merges
@@ -89,9 +90,9 @@ class SuperPeerTopology:
     one).  Full rebuilds are driven by membership changes, which the
     simulator performs sequentially; split/merge/re-election are driven
     by the router, which serializes them behind its own adaptation
-    lock.  Load observation is a plain dict update — concurrent
-    observers may lose increments, which only blurs an already
-    heuristic signal; sequential histories stay exactly deterministic.
+    lock.  Load observation is an unlocked read-modify-write: the
+    router charges it while holding its routing lock, so concurrent
+    lookups lose no increments.
     """
 
     def __init__(self, network: P2PNetwork, fanout: int = 8) -> None:
@@ -391,6 +392,15 @@ class SuperPeerTopology:
             raise PeerNotFoundError(
                 f"peer id {peer_id} not in any cluster"
             ) from None
+
+    def cluster_starting_at(self, start: int) -> Cluster | None:
+        """The cluster whose :attr:`Cluster.start` is ``start``, or
+        ``None`` when no current cluster begins at that member."""
+        clusters, cluster_of = self._state
+        index = cluster_of.get(start)
+        if index is None or clusters[index].start != start:
+            return None
+        return clusters[index]
 
     def super_peer_of(self, peer_id: int) -> int:
         """Overlay id of the super-peer serving ``peer_id``."""

@@ -5,6 +5,7 @@ and per-super-peer attribution."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -242,7 +243,7 @@ class TestSplitMerge:
         # Calm traffic: absent keys homed outside the split range, so
         # the pair's windowed score is 0 for merge_cool_down windows.
         cold = keys_homed_outside(
-            network, set(hot.members), 3 * router.decision_interval
+            network, set(hot.members), 3 * router.controller.decision_interval
         )
         for key in cold:
             lookup(network, source, key)
@@ -253,7 +254,7 @@ class TestSplitMerge:
     def test_hysteresis_prevents_flapping(self):
         network, router, hot, keys, source = self.heat_and_split()
         topology = router.topology
-        interval = router.decision_interval
+        interval = router.controller.decision_interval
         merges_before = topology.merges
         # Alternate windows: warm-on-the-pair (score above the merge
         # threshold, below the split threshold), then fully calm.  The
@@ -491,7 +492,8 @@ class TestSummarySingleFlight:
         with router._lock:
             assert start not in router._summary_rebuilding
         # The rebuilt filter still claims the freshly inserted key.
-        assert router._may_contain(start, network._key_id(key))
+        with router._lock:
+            assert network._key_id(key) in router._summaries[start]
 
     def test_concurrent_saturating_insert_queues_instead_of_rescanning(self):
         network, router = make_static()
@@ -514,7 +516,8 @@ class TestSummarySingleFlight:
         # The owning rebuild installs and folds the queued id in.
         replacement = summary_for_scan([])
         assert router._install_summary(start, replacement, epoch)
-        assert router._may_contain(start, key_id)
+        with router._lock:
+            assert key_id in router._summaries[start]
 
     def test_refresh_supersedes_inflight_install(self):
         network, router = make_static()
@@ -561,6 +564,70 @@ class TestSummarySingleFlight:
         # surface as a summary-skip answering None.
         for key in keys:
             assert lookup(network, "peer-001", key) == [1]
+
+
+class TestLoadChargesUnderConcurrency:
+    def test_no_election_charge_is_lost(self):
+        # The topology's load observation is an unlocked
+        # read-modify-write; the router must charge it under its own
+        # lock, or concurrent lookups lose election signal.  Every unit
+        # the router attributes to a peer is also a unit charged to the
+        # topology, so the two sums must agree exactly.
+        network, router = make_adaptive(
+            num_peers=16,
+            fanout=4,
+            path_cache_capacity=0,
+            decision_interval=1_000_000,
+            split_threshold=1_000_000,
+        )
+        names = network.peer_names()
+        keys = [frozenset({f"charged-{i}"}) for i in range(40)]
+        errors: list[Exception] = []
+        # Lost updates are rare enough to slip through a short run, so
+        # the discipline itself is checked too: no charge outside the
+        # routing lock (deterministic on the warm-up lookups below).
+        observe_load = router.topology.observe_load
+        unlocked: list[int] = []
+
+        def checked_observe_load(peer_id, amount=1.0):
+            if not router._lock.locked():
+                unlocked.append(peer_id)
+            observe_load(peer_id, amount)
+
+        router.topology.observe_load = checked_observe_load
+        for i, key in enumerate(keys):
+            lookup(network, names[i % len(names)], key)
+        assert not unlocked
+
+        def worker(offset: int) -> None:
+            try:
+                for round_index in range(25):
+                    for i, key in enumerate(keys):
+                        source = names[(offset + i + round_index) % len(names)]
+                        lookup(network, source, key)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(offset,))
+            for offset in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(thread.is_alive() for thread in threads)
+        assert not unlocked
+        assert router.stats.lookups == (6 * 25 + 1) * len(keys)
+        attributed = sum(router.describe()["sp_load"].values())
+        assert attributed > 0
+        assert sum(router.topology._peer_load.values()) == attributed
 
 
 class TestPerSuperPeerAttribution:
@@ -686,9 +753,8 @@ class TestServiceEquivalence:
         )
         # Force the merge path: feed empty (calm) decision windows.
         merges_before = router.topology.merges
-        for _ in range(router.merge_cool_down + 1):
-            with router._adapt_lock:
-                router._apply_adaptation({})
+        for _ in range(router.controller.merge_cool_down + 1):
+            router._adapt({})
         assert router.topology.merges > merges_before
         assert_fingerprints_equal(
             reference,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.net.accounting import Phase
@@ -171,7 +173,11 @@ class TestPathCache:
             generation = router._insert_gens.get(cluster.start, 0)
         stale_value = [1]  # what a pre-insert read returned
         insert(network, "peer-001", key, [2])  # bumps the generation
-        router._cache_fill(cluster.start, key, stale_value, generation)
+        with router._lock:
+            router._fill(
+                cluster.start, cluster.start, key, stale_value, generation,
+                register=False,
+            )
         assert network.lookup(
             "peer-004", key, lambda v: len(v or [])
         ) == [1, 2]
@@ -279,3 +285,56 @@ class TestStatsAndDescribe:
         assert delta.messages_by_phase.get(Phase.MAINTENANCE, 0) > 0
         assert delta.messages_by_phase.get(Phase.RETRIEVAL, 0) == 0
         assert delta.messages_by_phase.get(Phase.INDEXING, 0) == 0
+
+
+class TestPathHopsIsTheLookupPath:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_peers=st.integers(2, 24),
+        fanout=st.integers(1, 6),
+        adaptive=st.booleans(),
+        capacity=st.sampled_from([0, 8]),
+        crashed=st.sets(st.integers(0, 23), max_size=3),
+        lookups=st.lists(
+            st.tuples(st.integers(0, 23), st.integers(0, 10_000)),
+            min_size=1,
+            max_size=12,
+            unique_by=lambda pair: pair[1],
+        ),
+    )
+    def test_path_hops_equals_cold_lookup_hops(
+        self, num_peers, fanout, adaptive, capacity, crashed, lookups
+    ):
+        # Inserts are priced by path_hops, lookups by route_lookup; the
+        # two must read the same path.  Summaries off and every key
+        # looked up once, so no lookup is answered mid-path; crashes
+        # make some ranges dark and some sources mapless.
+        network = P2PNetwork()
+        for i in range(num_peers):
+            network.add_peer(f"peer-{i:03d}")
+        router = HierarchicalRouter(
+            SuperPeerTopology(network, fanout=fanout),
+            path_cache_capacity=capacity,
+            use_summaries=False,
+            adaptive=adaptive,
+            decision_interval=4,
+            split_threshold=2,
+            merge_threshold=0,
+        )
+        router.install(network)
+        for index in sorted(crashed):
+            if index < num_peers and len(network.live_peer_ids()) > 1:
+                network.kill_peer(f"peer-{index:03d}")
+        seen = []
+        record = network.accounting.record
+        network.accounting.record = lambda m: (seen.append(m), record(m))
+        for source_index, term in lookups:
+            source = f"peer-{source_index % num_peers:03d}"
+            key = frozenset({f"term-{term}"})
+            expected = router.path_hops(
+                network.id_of(source), network.key_id(key)
+            )
+            del seen[:]
+            network.lookup(source, key, lambda v: 0)
+            requests = [m for m in seen if m.kind is MessageKind.LOOKUP]
+            assert [m.hops for m in requests] == [expected]
