@@ -97,12 +97,15 @@ class StagedInsert:
         key: the term set.
         payload: the published (possibly locally truncated) postings.
         local_df: the peer's true local document frequency for the key.
+        key_id: the key's overlay id, hashed once in the send phase and
+            carried to the apply phase (``None``: derived on apply).
     """
 
     source_peer_name: str
     key: frozenset[str]
     payload: PostingList
     local_df: int
+    key_id: int | None = None
 
 
 class GlobalKeyIndex:
@@ -185,7 +188,7 @@ class GlobalKeyIndex:
                 f"local_df ({local_df}) below published postings "
                 f"({len(local_postings)}) for {key_repr(key)}"
             )
-        self.network.send_insert(
+        key_id = self.network.send_insert(
             source_peer_name,
             key,
             payload_postings=len(local_postings),
@@ -196,6 +199,7 @@ class GlobalKeyIndex:
             key=key,
             payload=local_postings,
             local_df=local_df,
+            key_id=key_id,
         )
 
     def apply_staged(self, staged: StagedInsert) -> KeyStatus:
@@ -251,7 +255,9 @@ class GlobalKeyIndex:
         # tags the op for idempotent redelivery; ``transition`` then
         # collects one entry per replica, but the truthy check and the
         # single notification below are unaffected.
-        entry = self.network.apply_insert(key, merge, origin=source_id)
+        entry = self.network.apply_insert(
+            key, merge, origin=source_id, key_id=staged.key_id
+        )
         if transition:
             self._notify_contributors(entry)
             self._transition_log.append(

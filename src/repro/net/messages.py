@@ -10,8 +10,8 @@ system would have sent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = ["Message", "MessageKind"]
 
@@ -72,9 +72,19 @@ class MessageKind(Enum):
 _message_counter = itertools.count()
 
 
-@dataclass(frozen=True)
-class Message:
-    """A logged protocol message.
+class _MessageFields(NamedTuple):
+    kind: MessageKind
+    source: int
+    destination: int
+    postings: int
+    hops: int
+    key_repr: str
+    message_id: int
+
+
+class Message(_MessageFields):
+    """A logged protocol message (immutable; built at least twice per
+    lookup, so it is a plain tuple rather than a dataclass).
 
     Attributes:
         kind: protocol message kind.
@@ -83,19 +93,29 @@ class Message:
         postings: number of postings carried in the payload.
         hops: overlay hops the message traversed.
         key_repr: human-readable key the message concerns (diagnostics).
-        message_id: monotonically increasing id (log ordering).
+        message_id: monotonically increasing id (log ordering); issued
+            from a process-wide counter when omitted.
     """
 
-    kind: MessageKind
-    source: int
-    destination: int
-    postings: int = 0
-    hops: int = 1
-    key_repr: str = ""
-    message_id: int = field(default_factory=lambda: next(_message_counter))
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.postings < 0:
-            raise ValueError(f"postings must be >= 0, got {self.postings}")
-        if self.hops < 0:
-            raise ValueError(f"hops must be >= 0, got {self.hops}")
+    def __new__(
+        cls,
+        kind: MessageKind,
+        source: int,
+        destination: int,
+        postings: int = 0,
+        hops: int = 1,
+        key_repr: str = "",
+        message_id: int | None = None,
+    ) -> "Message":
+        if postings < 0:
+            raise ValueError(f"postings must be >= 0, got {postings}")
+        if hops < 0:
+            raise ValueError(f"hops must be >= 0, got {hops}")
+        if message_id is None:
+            message_id = next(_message_counter)
+        return tuple.__new__(
+            cls,
+            (kind, source, destination, postings, hops, key_repr, message_id),
+        )

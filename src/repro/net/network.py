@@ -465,10 +465,10 @@ class P2PNetwork:
 
         Returns the merged stored value.
         """
-        self.send_insert(
+        key_id = self.send_insert(
             source_peer_name, key, payload_postings, key_repr=key_repr
         )
-        return self.apply_insert(key, merge)
+        return self.apply_insert(key, merge, key_id=key_id)
 
     def send_insert(
         self,
@@ -476,11 +476,12 @@ class P2PNetwork:
         key: Any,
         payload_postings: int,
         key_repr: str = "",
-    ) -> None:
+    ) -> int:
         """Transmission phase of an insert: log the routed INSERT message
         and pay its simulated link latency.  Touches no storage, so
         concurrent sends for different peers are safe; the insert
-        completes when :meth:`apply_insert` runs its merge."""
+        completes when :meth:`apply_insert` runs its merge.  Returns the
+        key's id, so the apply phase need not hash the key again."""
         source_id = self.id_of(source_peer_name)
         key_id = self._key_id(key)
         target_id = self.overlay.responsible_peer(key_id)
@@ -507,12 +508,14 @@ class P2PNetwork:
                 payload_postings,
                 key_repr=key_repr or repr(key),
             )
+        return key_id
 
     def apply_insert(
         self,
         key: Any,
         merge: Callable[[Any | None], Any],
         origin: int | None = None,
+        key_id: int | None = None,
     ) -> Any:
         """Application phase of an insert: run ``merge`` against the
         stored value at the responsible peer (no message is logged — the
@@ -526,8 +529,11 @@ class P2PNetwork:
         is applied independently at *every* live replica.  Without
         replication a write whose responsible peer crashed is simply
         lost (``merge(None)`` is still evaluated so the caller observes
-        the value the acknowledgement would have carried)."""
-        key_id = self._key_id(key)
+        the value the acknowledgement would have carried).  ``key_id``
+        is the id :meth:`send_insert` returned for ``key`` (derived here
+        when omitted)."""
+        if key_id is None:
+            key_id = self._key_id(key)
         if self.replication is not None:
             merged = self.replication.apply_write(
                 self, key, key_id, merge, origin=origin
@@ -587,12 +593,11 @@ class P2PNetwork:
             ),
             route="flat",
         )
-        storage = self._storage.get(target_id)
         # A crashed owner answers nothing; an empty RESPONSE stands in
         # for the requester's timeout (unreplicated crash semantics —
         # with replication installed the failover router takes over
         # before this path runs).
-        value = storage.get(key) if storage is not None else None
+        value = self.value_at(target_id, key)
         self._send(
             Message(
                 kind=MessageKind.RESPONSE,
@@ -701,6 +706,13 @@ class P2PNetwork:
             raise PeerNotFoundError(
                 f"peer id {peer_id} not in the network (or crashed)"
             ) from None
+
+    def value_at(self, peer_id: int, key: Any) -> Any | None:
+        """What ``peer_id`` stores under ``key``; ``None`` when nothing,
+        or when the peer is crashed — a read aimed at a peer that died
+        after it was picked gets no data instead of failing the query."""
+        storage = self._storage.get(peer_id)
+        return storage.get(key) if storage is not None else None
 
     def storages(self) -> Iterator[PeerStorage]:
         """Iterate over every peer's storage."""

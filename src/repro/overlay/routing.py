@@ -75,6 +75,11 @@ __all__ = ["HierarchicalRouter", "RouterStats"]
 #: key" — distinct from a cache miss (no entry at all).
 _ABSENT = object()
 
+#: Default ``owner`` of :meth:`HierarchicalRouter.route_lookup`: no
+#: failover wrapper picked the answering peer, so the router asks the
+#: network.
+_UNRESOLVED: Any = object()
+
 #: Path-cache payloads are depth-independent stored values, so every
 #: cache call uses one nominal depth.
 _CACHE_DEPTH = 1
@@ -298,11 +303,15 @@ class HierarchicalRouter:
         key_id: int,
         response_size: Callable[[Any | None], int],
         key_repr: str = "",
+        *,
+        owner: int | None = _UNRESOLVED,
     ) -> Any | None:
         # The *effective* owner: the responsible peer, or — with a
-        # replication manager installed — the first live replica.  A
-        # crashed owner with no live replica leaves the range dark.
-        owner = network.effective_owner(key_id)
+        # replication manager installed — the first live replica (the
+        # failover wrapper passes the one it picked).  A crashed owner
+        # with no live replica leaves the range dark.
+        if owner is _UNRESOLVED:
+            owner = network.effective_owner(key_id)
         path, home, local = self._request_path(source_id, owner)
         # Copies of a key live at several super-peers only when the
         # leaf's own one caches too, which only pays off when it
@@ -327,18 +336,21 @@ class HierarchicalRouter:
                 level, route, payload = self._probe(
                     key, key_id, local if fill_local else None, home
                 )
-        value = self._exchange(
+        value, answered = self._exchange(
             network, key, key_id, response_size, key_repr,
             path, level, fill_local, payload, route,
         )
         with self._lock:
-            # The response fills the caches it retraces through.
-            if level == _OWNER:
+            # The response fills the caches it retraces through — unless
+            # the owner had crashed by the time it was read: its silence
+            # says nothing about the key, which a live replica still
+            # holds.
+            if level == _OWNER and answered:
                 self._fill(
                     home.start, home.start, key, value, generation,
                     multi_level,
                 )
-            if fill_local and level >= _HOME:
+            if fill_local and level >= _HOME and answered:
                 self._fill(
                     local.start, home.start, key, value, generation, True
                 )
@@ -424,13 +436,14 @@ class HierarchicalRouter:
         via_local: bool,
         payload: Any | None,
         route: str,
-    ) -> Any | None:
-        """Log one lookup's message pair and return the answer.  The
-        LOOKUP travels ``path`` up to position ``level``, whose node
-        answers from ``payload`` (its cache or summary) or else reads
-        its storage; the RESPONSE retraces the request — through the
-        leaf's own super-peer only when that one keeps a copy
-        (``via_local``), otherwise straight from the home super-peer."""
+    ) -> tuple[Any | None, bool]:
+        """Log one lookup's message pair and return the answer, and
+        whether a live node gave it.  The LOOKUP travels ``path`` up to
+        position ``level``, whose node answers from ``payload`` (its
+        cache or summary) or else reads its storage; the RESPONSE
+        retraces the request — through the leaf's own super-peer only
+        when that one keeps a copy (``via_local``), otherwise straight
+        from the home super-peer."""
         request = path[: level + 1]
         source_id, answerer = request[0], request[-1]
         dark = answerer is None
@@ -444,9 +457,12 @@ class HierarchicalRouter:
         if dark:
             # The request still travels toward the dark range and times
             # out; no response arrives.
-            return None
+            return None, False
+        answered = True
         if payload is None:
-            value = network.storage_by_id(answerer).get(key)
+            # An owner picked before it crashed reads as empty.
+            answered = network.is_live(answerer)
+            value = network.value_at(answerer, key)
         else:
             value = None if payload is _ABSENT else payload
         # A response that retraces every node costs the request's hops.
@@ -458,7 +474,7 @@ class HierarchicalRouter:
             MessageKind.RESPONSE, answerer, source_id, response_size(value),
             hops, key_repr, route=route,
         )
-        return value
+        return value, answered
 
     # -- RoutingPolicy: inserts / generic hops ---------------------------------------
 
@@ -755,8 +771,6 @@ class HierarchicalRouter:
         summary = summary_for_scan(rows)
         with network.accounting.phase_scope(Phase.MAINTENANCE):
             for member, key_ids in rows:
-                for key_id in key_ids:
-                    summary.add(key_id)
                 if key_ids and member != cluster.super_peer:
                     network.log_message(
                         MessageKind.ROUTING_UPDATE,

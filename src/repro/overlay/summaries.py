@@ -23,6 +23,7 @@ it at double capacity.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from ..index.bloom import BloomFilter
@@ -68,10 +69,10 @@ class ClusterSummary:
         inserted once per contributing peer, and counting repeats would
         saturate the filter (triggering rebuilds) without adding any
         information.  On a false positive the skip is still sound: the
-        membership test already answers "may contain" for the id.
+        membership test already answers "may contain" for the id.  The
+        test and the insert share one hash pass.
         """
-        if key_id not in self._filter:
-            self._filter.add(key_id)
+        self._filter.add_if_absent(key_id)
 
     def __contains__(self, key_id: int) -> bool:
         """May-contain test (false positives possible, negatives not)."""
@@ -128,10 +129,14 @@ def summary_for_scan(
     rows: list[tuple[int, list[int]]],
     minimum_capacity: int = DEFAULT_SUMMARY_CAPACITY,
 ) -> ClusterSummary:
-    """An empty summary sized for a :func:`scan_cluster_key_ids` result:
-    2x the scanned key count (headroom before the next saturation),
-    floored at ``minimum_capacity``.  The caller adds the scanned ids —
-    sizing and population are split so the router can charge each
-    member's shipment while it populates."""
+    """The summary of a :func:`scan_cluster_key_ids` result: sized at 2x
+    the scanned key count (headroom before the next saturation),
+    floored at ``minimum_capacity``, holding every scanned id.  An id
+    several members store (a key and its replica in one cluster) is
+    hashed once: adding it again could not change the filter."""
     total = sum(len(key_ids) for _, key_ids in rows)
-    return ClusterSummary(capacity=max(minimum_capacity, 2 * total))
+    summary = ClusterSummary(capacity=max(minimum_capacity, 2 * total))
+    scanned = chain.from_iterable(key_ids for _, key_ids in rows)
+    for key_id in dict.fromkeys(scanned):
+        summary.add(key_id)
+    return summary

@@ -5,9 +5,9 @@ that redirects each lookup to the first *live* owner in placement order.
 It wraps an optional inner policy, so the flat network (no inner) and
 the super-peer hierarchy (inner = ``HierarchicalRouter``) both gain
 failover without duplicating their path logic: the wrapper only decides
-*which peer answers*, the inner policy still decides *how the message
-gets there* — through ``network.effective_owner``, which every routing
-layer already consults for the destination.
+*which peer answers* — one walk of the replica set, handed to the inner
+policy as ``owner`` — and the inner policy still decides *how the
+message gets there*.
 
 Skipping a crashed owner costs a REPLICA_PROBE message per dead replica
 tried (the timeout-and-retry a real requester pays), logged with zero
@@ -34,7 +34,8 @@ class ReplicaFailoverRouter:
         manager: the installed :class:`ReplicationManager` (placement and
             liveness come from it).
         inner: the policy being wrapped (``None`` wraps the flat overlay
-            walk).
+            walk); its ``route_lookup`` takes the answering peer as the
+            ``owner`` keyword, as ``HierarchicalRouter``'s does.
     """
 
     def __init__(
@@ -56,8 +57,10 @@ class ReplicaFailoverRouter:
         response_size: Callable[[Any | None], int],
         key_repr: str = "",
     ) -> Any | None:
-        skipped = self.manager.dead_owners_before(key_id)
-        target_id = self.manager.effective_owner(key_id)
+        # One walk decides both the probe cost and the answering peer,
+        # and the inner policy is handed that peer instead of walking
+        # the replica set again.
+        skipped, target_id = self.manager.failover_target(key_id)
         if skipped > 0 and target_id is not None:
             # Each dead owner tried costs one probe round (request that
             # times out); postings stay zero — no data moved.
@@ -74,7 +77,7 @@ class ReplicaFailoverRouter:
         if self.inner is not None:
             return self.inner.route_lookup(
                 network, source_id, key, key_id, response_size,
-                key_repr=key_repr,
+                key_repr=key_repr, owner=target_id,
             )
         return self._flat_lookup(
             network, source_id, key, key_id, target_id, response_size,
@@ -118,7 +121,7 @@ class ReplicaFailoverRouter:
             key_repr=key_repr,
             route="replica_flat",
         )
-        value = network.storage_by_id(target_id).get(key)
+        value = network.value_at(target_id, key)
         network.log_message(
             MessageKind.RESPONSE,
             target_id,

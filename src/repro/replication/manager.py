@@ -95,23 +95,25 @@ class ReplicationManager:
         """The key's replica set, primary first."""
         return self.placement.owners(key_id)
 
+    def failover_target(self, key_id: int) -> tuple[int, int | None]:
+        """One walk of the key's replica set in placement order:
+        ``(dead owners skipped, first live owner)`` — the probe cost of
+        a failover read and the peer it lands on (``None`` when the
+        whole replica set is dead).  Both come from the same liveness
+        reads, so a crash or respawn racing the walk can never make the
+        probe count disagree with the target."""
+        is_live = self.network.is_live
+        skipped = 0
+        for owner in self.placement.owners(key_id):
+            if is_live(owner):
+                return skipped, owner
+            skipped += 1
+        return skipped, None
+
     def effective_owner(self, key_id: int) -> int | None:
         """First live replica in placement order (``None`` when the
         whole replica set is dead)."""
-        for owner in self.placement.owners(key_id):
-            if self.network.is_live(owner):
-                return owner
-        return None
-
-    def dead_owners_before(self, key_id: int) -> int:
-        """How many dead replicas a failover read skips before reaching
-        the effective owner (the probe cost of the lookup)."""
-        skipped = 0
-        for owner in self.placement.owners(key_id):
-            if self.network.is_live(owner):
-                return skipped
-            skipped += 1
-        return skipped
+        return self.failover_target(key_id)[1]
 
     # -- write path --------------------------------------------------------------
 

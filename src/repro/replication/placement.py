@@ -13,7 +13,7 @@ anti-entropy repair re-converges it.
 
 from __future__ import annotations
 
-import bisect
+import threading
 
 from ..errors import ConfigurationError
 from ..net.chord import Overlay
@@ -38,22 +38,48 @@ class ReplicaPlacement:
             )
         self.overlay = overlay
         self.replication = replication
-        # The sorted ring is cached between membership changes: owners()
-        # runs on every lookup/insert, and re-sorting 256 ids per
-        # message would dominate the simulation.
-        self._ring: tuple[int, ...] | None = None
+        #: ``(ring ascending, {primary: replica set})`` of one ring
+        #: generation, derived on first use after a membership change
+        #: and replaced as one tuple: owners() runs on every lookup and
+        #: several times per insert, so it is one dict read, and a
+        #: reader gets the ring and the table of the same generation in
+        #: one load.
+        self._placement: (
+            tuple[tuple[int, ...], dict[int, tuple[int, ...]]] | None
+        ) = None
+        # Serializes derivation against invalidate(), so a derivation
+        # that read the old ring can never be published after the
+        # invalidation meant to drop it.  Readers of a current
+        # generation never take it.
+        self._lock = threading.Lock()
 
     def invalidate(self) -> None:
-        """Drop the cached ring (call on join/leave; crash and respawn
-        do not change the ring)."""
-        self._ring = None
+        """Drop the cached placement (call on join/leave; crash and
+        respawn do not change the ring)."""
+        with self._lock:
+            self._placement = None
+
+    def _current(
+        self,
+    ) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+        placement = self._placement
+        if placement is None:
+            with self._lock:
+                placement = self._placement
+                if placement is None:
+                    ring = tuple(sorted(self.overlay.peer_ids()))
+                    count = min(self.replication, len(ring))
+                    wrapped = ring + ring[:count]
+                    table = {
+                        primary: wrapped[start : start + count]
+                        for start, primary in enumerate(ring)
+                    }
+                    placement = self._placement = (ring, table)
+        return placement
 
     def ring(self) -> tuple[int, ...]:
         """All peer ids (live and crashed), ascending."""
-        ring = self._ring
-        if ring is None:
-            ring = self._ring = tuple(sorted(self.overlay.peer_ids()))
-        return ring
+        return self._current()[0]
 
     def owners(self, key_id: int) -> tuple[int, ...]:
         """The R owners of ``key_id``: primary first, then its ring
@@ -63,13 +89,9 @@ class ReplicaPlacement:
     def owners_of_primary(self, primary_id: int) -> tuple[int, ...]:
         """The replica set of the key range whose primary is
         ``primary_id`` (primary first)."""
-        ring = self.ring()
-        start = bisect.bisect_left(ring, primary_id)
-        if start == len(ring) or ring[start] != primary_id:
+        try:
+            return self._current()[1][primary_id]
+        except KeyError:
             raise ConfigurationError(
                 f"peer id {primary_id} is not on the ring"
-            )
-        count = min(self.replication, len(ring))
-        return tuple(
-            ring[(start + offset) % len(ring)] for offset in range(count)
-        )
+            ) from None

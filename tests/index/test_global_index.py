@@ -6,7 +6,12 @@ import pytest
 
 from repro.config import HDKParameters
 from repro.errors import IndexError_
-from repro.index.global_index import GlobalKeyIndex, KeyStatus, key_repr
+from repro.index.global_index import (
+    GlobalKeyIndex,
+    KeyStatus,
+    StagedInsert,
+    key_repr,
+)
 from repro.index.postings import Posting, PostingList
 from repro.net.accounting import Phase
 from repro.net.messages import MessageKind
@@ -182,6 +187,36 @@ class TestInspection:
         assert index.key_count() == 2
         keys = {entry.key for entry in index.entries()}
         assert keys == {key("a"), key("b", "c")}
+
+
+class TestStagedInsert:
+    def test_send_phase_carries_the_key_id(self, index):
+        staged = index.stage_insert("peer-0", key("a", "b"), pl(1))
+        assert staged.key_id == index.network.key_id(key("a", "b"))
+
+    def test_each_insert_hashes_its_key_once(self, index, monkeypatch):
+        # The id hashed for the INSERT message is the one the merge
+        # stores under: an insert that does not transition to NDK (no
+        # notification fan-out) hashes its key exactly once.
+        calls = []
+        hash_key = P2PNetwork._key_id
+
+        def counting(key_):
+            calls.append(key_)
+            return hash_key(key_)
+
+        monkeypatch.setattr(P2PNetwork, "_key_id", staticmethod(counting))
+        index.insert("peer-0", key("a"), pl(1))
+        index.insert("peer-1", key("a"), pl(2))
+        assert calls == [key("a"), key("a")]
+        entry = index.lookup("peer-2", key("a"))
+        assert [p.doc_id for p in entry.postings] == [1, 2]
+
+    def test_staged_without_key_id_still_applies(self, index):
+        # Older callers build StagedInsert without the id.
+        staged = StagedInsert("peer-0", key("a"), pl(1), local_df=1)
+        assert index.apply_staged(staged) is KeyStatus.DISCRIMINATIVE
+        assert index.lookup("peer-1", key("a")) is not None
 
 
 def test_key_repr():

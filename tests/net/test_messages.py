@@ -20,6 +20,19 @@ def test_defaults():
     assert msg.key_repr == ""
 
 
+def test_message_is_immutable():
+    msg = Message(kind=MessageKind.LOOKUP, source=1, destination=2)
+    with pytest.raises(AttributeError):
+        msg.hops = 3
+
+
+def test_explicit_message_id_kept_and_positional_order():
+    msg = Message(MessageKind.INSERT, 1, 2, 5, 3, "k", 99)
+    assert (msg.postings, msg.hops, msg.key_repr, msg.message_id) == (
+        5, 3, "k", 99,
+    )
+
+
 def test_negative_postings_rejected():
     with pytest.raises(ValueError):
         Message(kind=MessageKind.INSERT, source=1, destination=2, postings=-1)

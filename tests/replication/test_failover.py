@@ -6,6 +6,9 @@ import pytest
 
 from replication_helpers import build_replicated, name_of
 from repro.net.messages import MessageKind
+from repro.net.network import P2PNetwork
+from repro.overlay import HierarchicalRouter, SuperPeerTopology
+from repro.replication import ReplicaFailoverRouter, ReplicationManager
 
 
 @pytest.fixture()
@@ -67,3 +70,100 @@ def test_describe_reports_wrapped_policy(replicated):
     net, _ = replicated
     info = net.router.describe()
     assert info == {"failover_probes": 0, "inner": None}
+
+
+# -- a crash or respawn racing the failover decision ----------------------------------
+
+
+def _build_hierarchical():
+    """R=2 failover wrapped around the super-peer hierarchy."""
+    net = P2PNetwork()
+    for i in range(9):
+        net.add_peer(f"peer-{i}")
+    manager = ReplicationManager(net, 2).install()
+    router = HierarchicalRouter(SuperPeerTopology(net, fanout=3))
+    router.install(net)
+    net.router = ReplicaFailoverRouter(manager, inner=router)
+    return net, manager
+
+
+def _key_with_one_cluster(net, manager):
+    """A key whose primary and backup sit in one cluster, so the lookup
+    is answered by whichever replica the failover picked (not by a
+    summary that never heard of the other one)."""
+    topology = getattr(net.router.inner, "topology", None)
+    for probe in range(200):
+        key = f"k{probe}"
+        primary, backup = manager.owners(net.key_id(key))
+        if topology is None or topology.cluster_of_peer(
+            primary
+        ) is topology.cluster_of_peer(backup):
+            return key, primary, backup
+    raise AssertionError("no key with both replicas in one cluster")
+
+
+@pytest.mark.parametrize(
+    "build", [build_replicated, _build_hierarchical], ids=["flat", "super"]
+)
+@pytest.mark.parametrize("event", ["crash", "respawn"])
+def test_liveness_change_during_failover_is_read_once(build, event):
+    """The primary crashes (or respawns) right after the failover walk
+    first asks whether it is live.  The lookup must act on that one
+    answer: a primary seen live is where the lookup goes, with no
+    probe; a primary seen dead costs exactly one probe and the lookup
+    lands on the backup the probe names.  Two separate walks would
+    fail over without a probe, or charge a probe for a skip that never
+    happened."""
+    net, manager = build()
+    key, primary, backup = _key_with_one_cluster(net, manager)
+    net.insert("peer-0", key, lambda cur: "v", 1)
+    victim = name_of(net, primary)
+    source = name_of(
+        net, next(p for p in net.peer_ids() if p not in (primary, backup))
+    )
+    if event == "respawn":
+        # It comes back empty: only the backup can answer.
+        net.kill_peer(victim)
+    sent = []
+    send = net._send
+
+    def recording_send(message, route=None):
+        sent.append(message)
+        send(message, route=route)
+
+    is_live = net.is_live
+    flipped = []
+
+    def racing_is_live(peer_id):
+        live = is_live(peer_id)
+        if peer_id == primary and not flipped:
+            flipped.append(live)
+            if event == "crash":
+                net.kill_peer(victim)
+            else:
+                net.respawn_peer(victim)
+        return live
+
+    net._send = recording_send
+    net.is_live = racing_is_live
+    value = net.lookup(source, key, lambda v: 0 if v is None else 1)
+    assert flipped == [event == "crash"]
+    probes = [m for m in sent if m.kind is MessageKind.REPLICA_PROBE]
+    (lookup,) = [m for m in sent if m.kind is MessageKind.LOOKUP]
+    if event == "crash":
+        # Seen live: the request is aimed at the primary, which died
+        # on the way and answers nothing.
+        assert probes == []
+        assert lookup.destination == primary
+        assert value is None
+    else:
+        # Seen dead: one probe past it, and the backup answers.
+        assert [(m.destination, m.hops) for m in probes] == [(backup, 1)]
+        assert lookup.destination == backup
+        assert value == "v"
+    assert net.router.failover_probes == len(probes)
+    if event == "crash":
+        # The dead primary's silence was not cached as the key's value:
+        # the next lookup fails over to the backup, which still has it.
+        net.is_live = is_live
+        assert net.lookup(source, key, lambda v: 0) == "v"

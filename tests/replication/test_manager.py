@@ -159,9 +159,10 @@ class TestCrashModel:
         assert net.effective_owner(key_id) == primary
         net.kill_peer(name_of(net, primary))
         assert net.effective_owner(key_id) == backup
-        assert manager.dead_owners_before(key_id) == 1
+        assert manager.failover_target(key_id) == (1, backup)
         net.kill_peer(name_of(net, backup))
         assert net.effective_owner(key_id) is None
+        assert manager.failover_target(key_id) == (2, None)
 
     def test_kill_then_graceful_remove_skips_handoff(self, replicated):
         net, _ = replicated
