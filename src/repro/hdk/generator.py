@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from ..config import HDKParameters
 from ..corpus.collection import DocumentCollection
 from ..errors import KeyGenerationError
-from ..index.postings import Posting, PostingList
+from ..index.postings import PostingList, Row
 
 __all__ = ["GenerationRound", "LocalHDKGenerator"]
 
@@ -85,23 +85,16 @@ class LocalHDKGenerator:
                 like stop words.
         """
         round_ = GenerationRound(key_size=1)
+        rows: dict[frozenset[str], list[Row]] = {}
         for doc in self.collection:
             doc_len = len(doc)
             for term, tf in doc.term_frequencies().items():
                 if term in very_frequent_terms:
                     continue
-                key = frozenset((term,))
-                posting = Posting(
-                    doc_id=doc.doc_id,
-                    tf=tf,
-                    term_tfs=(tf,),
-                    doc_len=doc_len,
+                rows.setdefault(frozenset((term,)), []).append(
+                    (doc.doc_id, tf, (tf,), doc_len)
                 )
-                existing = round_.candidates.get(key)
-                if existing is None:
-                    round_.candidates[key] = PostingList([posting])
-                else:
-                    existing.add(posting)
+        round_.candidates = _posting_lists(rows)
         return round_
 
     # -- rounds s > 1 -----------------------------------------------------------------
@@ -138,6 +131,7 @@ class LocalHDKGenerator:
         window_size = self.params.window_size
         check_subkeys = self.params.redundancy_filtering
         # Per-document accumulation keyed by candidate.
+        rows: dict[frozenset[str], list[Row]] = {}
         for doc in self.collection:
             doc_candidates = self._document_candidates(
                 doc.tokens,
@@ -154,17 +148,10 @@ class LocalHDKGenerator:
             for key in doc_candidates:
                 sorted_terms = sorted(key)
                 term_tfs = tuple(frequencies[t] for t in sorted_terms)
-                posting = Posting(
-                    doc_id=doc.doc_id,
-                    tf=min(term_tfs),
-                    term_tfs=term_tfs,
-                    doc_len=doc_len,
+                rows.setdefault(key, []).append(
+                    (doc.doc_id, min(term_tfs), term_tfs, doc_len)
                 )
-                existing = round_.candidates.get(key)
-                if existing is None:
-                    round_.candidates[key] = PostingList([posting])
-                else:
-                    existing.add(posting)
+        round_.candidates = _posting_lists(rows)
         return round_
 
     def _document_candidates(
@@ -261,7 +248,7 @@ class LocalHDKGenerator:
             return {}
         window_size = self.params.window_size
         check = self.params.redundancy_filtering
-        results: dict[frozenset[str], PostingList] = {}
+        rows: dict[frozenset[str], list[Row]] = {}
         rejected: set[frozenset[str]] = set()
         for doc in self.collection:
             tokens = doc.tokens
@@ -296,18 +283,10 @@ class LocalHDKGenerator:
             for candidate in doc_candidates:
                 sorted_terms = sorted(candidate)
                 term_tfs = tuple(frequencies[t] for t in sorted_terms)
-                posting = Posting(
-                    doc_id=doc.doc_id,
-                    tf=min(term_tfs),
-                    term_tfs=term_tfs,
-                    doc_len=doc_len,
+                rows.setdefault(candidate, []).append(
+                    (doc.doc_id, min(term_tfs), term_tfs, doc_len)
                 )
-                existing = results.get(candidate)
-                if existing is None:
-                    results[candidate] = PostingList([posting])
-                else:
-                    existing.add(posting)
-        return results
+        return _posting_lists(rows)
 
     @staticmethod
     def _expansion_subkeys_ndk(
@@ -359,3 +338,10 @@ class LocalHDKGenerator:
             if key <= window_terms:
                 return True
         return False
+
+
+def _posting_lists(
+    rows: dict[frozenset[str], list[Row]],
+) -> dict[frozenset[str], PostingList]:
+    """One posting list per candidate key, in first-seen key order."""
+    return {key: PostingList._from_rows(found) for key, found in rows.items()}

@@ -43,7 +43,7 @@ def value_fingerprint(value: Any) -> bytes:
     ``global_df`` / ``status`` / ``contributors``) without importing it —
     the net/replication layers stay value-agnostic — and falls back to
     ``repr`` for anything else.  Spilled posting-list stubs materialize
-    through their normal iteration path, so ``hdk_disk`` replicas
+    through their normal load path, so ``hdk_disk`` replicas
     fingerprint the same bytes as in-memory ones.
     """
     postings = getattr(value, "postings", None)
@@ -54,12 +54,14 @@ def value_fingerprint(value: Any) -> bytes:
         digest.update(str(getattr(status, "value", status)).encode())
         contributors = getattr(value, "contributors", ())
         digest.update(",".join(map(str, sorted(contributors))).encode())
-        for posting in postings:
+        doc_ids, tfs, doc_lens, offsets, term_tfs = postings.columns()
+        for row, doc_id in enumerate(doc_ids):
+            own_tfs = term_tfs[offsets[row] : offsets[row + 1]]
             digest.update(
                 (
-                    f"{posting.doc_id}:{posting.tf}:"
-                    f"{','.join(map(str, posting.term_tfs))}:"
-                    f"{posting.doc_len};"
+                    f"{doc_id}:{tfs[row]}:"
+                    f"{','.join(map(str, own_tfs))}:"
+                    f"{doc_lens[row]};"
                 ).encode()
             )
         return digest.digest()

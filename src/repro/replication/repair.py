@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ConfigurationError
-from ..index.postings import PostingList
 from ..net.accounting import Phase
 from ..net.messages import MessageKind
 from .merkle import DEFAULT_BUCKETS, MerkleTree, value_fingerprint
@@ -268,10 +267,11 @@ class AntiEntropyRepairer:
         postings = getattr(value, "postings", None)
         if postings is not None and hasattr(value, "global_df"):
             clone = copy.copy(value)
-            # Always a plain list: iterating a spilled stub materializes
-            # it through its store, and the replica's copy must be
-            # resident (replicas do not share the primary's store).
-            clone.postings = PostingList(list(postings))
+            # Posting lists are immutable, so the clone shares the list;
+            # a spilled stub loads through its store and hands over a
+            # plain list, because the replica's copy must be resident
+            # (replicas do not share the primary's store).
+            clone.postings = postings.resident()
             contributors = getattr(value, "contributors", None)
             if contributors is not None:
                 clone.contributors = set(contributors)

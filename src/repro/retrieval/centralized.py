@@ -46,7 +46,6 @@ class CentralizedBM25Engine:
         if k < 1:
             raise RetrievalError(f"k must be >= 1, got {k}")
         scores: dict[int, float] = {}
-        doc_lens: dict[int, int] = {}
         dfs = {
             term: self.index.document_frequency(term)
             for term in query.terms
@@ -54,14 +53,11 @@ class CentralizedBM25Engine:
         for term in query.terms:
             if term not in self.index:
                 continue
-            for posting in self.index.posting_list(term):
-                contribution = self.scorer.term_score(
-                    posting.tf, posting.doc_len, dfs[term]
-                )
-                scores[posting.doc_id] = (
-                    scores.get(posting.doc_id, 0.0) + contribution
-                )
-                doc_lens[posting.doc_id] = posting.doc_len
+            postings = self.index.posting_list(term)
+            doc_ids, tfs, doc_lens, _, _ = postings.columns()
+            for doc_id, tf, doc_len in zip(doc_ids, tfs, doc_lens):
+                contribution = self.scorer.term_score(tf, doc_len, dfs[term])
+                scores[doc_id] = scores.get(doc_id, 0.0) + contribution
         ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
         return [
             RankedResult(doc_id=doc_id, score=score)

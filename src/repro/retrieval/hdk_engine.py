@@ -30,7 +30,7 @@ from ..corpus.querylog import Query
 from ..errors import RetrievalError
 from ..index.bm25 import BM25Scorer
 from ..index.global_index import GlobalKeyIndex, KeyStatus
-from ..index.postings import Posting
+from ..index.postings import PostingList
 from ..net.accounting import Phase
 from .ranking import DistributedRanker, RankedResult
 
@@ -84,7 +84,7 @@ class HDKRetrievalEngine:
             raise RetrievalError(f"k must be >= 1, got {k}")
         self.global_index.set_phase(Phase.RETRIEVAL)
         result = HDKSearchResult(query=query)
-        fetched: list[tuple[tuple[str, ...], Posting]] = []
+        fetched: list[tuple[tuple[str, ...], PostingList]] = []
         # Subsets whose status allows supersets to be indexed.
         expandable: set[frozenset[str]] = set()
         query_terms = sorted(query.term_set)
@@ -99,9 +99,10 @@ class HDKRetrievalEngine:
                     continue
                 result.keys_found += 1
                 result.postings_transferred += len(entry.postings)
-                key_terms = tuple(sorted(subset))
-                for posting in entry.postings:
-                    fetched.append((key_terms, posting))
+                # The answer arrives here: a spilled list loads now.
+                fetched.append(
+                    (tuple(sorted(subset)), entry.postings.resident())
+                )
                 if entry.status is KeyStatus.NON_DISCRIMINATIVE:
                     result.ndk_keys += 1
                     expandable.add(subset)
@@ -144,7 +145,7 @@ class HDKRetrievalEngine:
 
     def _rank(
         self,
-        fetched: list[tuple[tuple[str, ...], Posting]],
+        fetched: list[tuple[tuple[str, ...], PostingList]],
         query: Query,
         k: int,
     ) -> list[RankedResult]:

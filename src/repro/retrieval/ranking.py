@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..errors import RetrievalError
 from ..index.bm25 import BM25Scorer
-from ..index.postings import Posting
+from ..index.postings import PostingList
 
 __all__ = ["RankedResult", "DistributedRanker"]
 
@@ -42,15 +42,16 @@ class DistributedRanker:
 
     def rank(
         self,
-        fetched: list[tuple[tuple[str, ...], Posting]],
+        fetched: list[tuple[tuple[str, ...], PostingList]],
         k: int,
     ) -> list[RankedResult]:
         """Rank the union of fetched postings.
 
         Args:
-            fetched: (key terms in sorted order, posting) pairs as returned
-                by the lattice walk; a document may appear under several
-                keys, in which case its per-term evidence is merged.
+            fetched: (key terms in sorted order, posting list) pairs, one
+                per key the lattice walk found; a document may appear
+                under several keys, in which case its per-term evidence
+                is merged.
             k: result list depth.
 
         Returns:
@@ -63,29 +64,40 @@ class DistributedRanker:
         # they were first seen in: the score below sums in that order.
         evidence: dict[int, dict[str, int]] = {}
         doc_lens: dict[int, int] = {}
-        for key_terms, posting in fetched:
-            doc_id = posting.doc_id
-            term_map = evidence.setdefault(doc_id, {})
-            if posting.doc_len > doc_lens.get(doc_id, 0):
-                doc_lens[doc_id] = posting.doc_len
-            term_tfs = posting.term_tfs
-            if term_tfs:
-                for index, term in enumerate(key_terms):
-                    if term_tfs[index] > term_map.setdefault(term, 0):
-                        term_map[term] = term_tfs[index]
-            elif len(key_terms) == 1:
-                if posting.tf > term_map.setdefault(key_terms[0], 0):
-                    term_map[key_terms[0]] = posting.tf
+        for key_terms, postings in fetched:
+            doc_ids, tfs, lengths, offsets, term_tfs = postings.columns()
+            bare_term = key_terms[0] if len(key_terms) == 1 else None
+            for row, (doc_id, doc_len) in enumerate(zip(doc_ids, lengths)):
+                term_map = evidence.get(doc_id)
+                if term_map is None:
+                    term_map = evidence[doc_id] = {}
+                    doc_lens[doc_id] = doc_len
+                elif doc_len > doc_lens[doc_id]:
+                    doc_lens[doc_id] = doc_len
+                index = offsets[row]
+                if offsets[row + 1] > index:
+                    for term in key_terms:
+                        tf = term_tfs[index]
+                        index += 1
+                        if tf > term_map.setdefault(term, 0):
+                            term_map[term] = tf
+                elif bare_term is not None:
+                    if tfs[row] > term_map.setdefault(bare_term, 0):
+                        term_map[bare_term] = tfs[row]
         # BM25Scorer.score_document inlined, operation for operation (so
-        # every score keeps its exact bits), with the two things that do
-        # not vary hoisted: a term's idf is computed once per call, a
-        # document's length normalization once per document.
+        # every score keeps its exact bits), with the things that do not
+        # vary hoisted: a term's idf is computed once per call, a length
+        # normalization once per distinct document length.
         scorer = self.scorer
         k1_plus_1 = scorer.k1 + 1
         idfs: dict[str, float] = {}
+        norms: dict[int, float] = {}
         ranked: list[tuple[float, int]] = []
         for doc_id, term_map in evidence.items():
-            norm = scorer.length_norm(doc_lens.get(doc_id, 0))
+            doc_len = doc_lens[doc_id]
+            norm = norms.get(doc_len)
+            if norm is None:
+                norm = norms[doc_len] = scorer.length_norm(doc_len)
             score = 0.0
             for term, tf in term_map.items():
                 if tf > 0:

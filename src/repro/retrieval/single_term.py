@@ -149,7 +149,7 @@ class SingleTermRetrievalEngine:
         if k < 1:
             raise RetrievalError(f"k must be >= 1, got {k}")
         self.network.accounting.set_phase(Phase.RETRIEVAL)
-        fetched: list[tuple[tuple[str, ...], Posting]] = []
+        fetched: list[tuple[tuple[str, ...], PostingList]] = []
         term_dfs: dict[str, int] = {}
         transferred = 0
         for term in query.terms:
@@ -166,8 +166,7 @@ class SingleTermRetrievalEngine:
                 continue
             term_dfs[term] = len(entry.postings)
             transferred += len(entry.postings)
-            for posting in entry.postings:
-                fetched.append(((term,), posting))
+            fetched.append(((term,), entry.postings))
         ranker = DistributedRanker(self.scorer, term_dfs)
         return STSearchOutcome(
             results=ranker.rank(fetched, k),

@@ -29,7 +29,6 @@ from ..corpus.querylog import Query
 from ..errors import RetrievalError
 from ..index.bloom import BloomFilter
 from ..index.bm25 import BM25Scorer
-from ..index.postings import Posting
 from ..net.accounting import Phase
 from ..net.messages import MessageKind
 from ..net.network import P2PNetwork
@@ -154,7 +153,7 @@ class BloomSingleTermEngine:
         # Step 1: ship the filter along the term chain (each hop pays the
         # filter size once; real protocols re-filter, we keep the first
         # filter which is the rarest list's).
-        candidates: list[Posting] | None = None
+        candidates: list[int] | None = None
         false_positives = 0
         for term in order[1:]:
             peer = self._peer_name_for(term)
@@ -168,21 +167,19 @@ class BloomSingleTermEngine:
             transferred += filter_cost
             entry = entries[term]
             surviving = [
-                posting
-                for posting in entry.postings
-                if posting.doc_id in filter_
+                doc_id
+                for doc_id in entry.postings.doc_ids()
+                if doc_id in filter_
             ]
             if candidates is None:
                 candidates = surviving
             else:
-                surviving_ids = {p.doc_id for p in surviving}
-                candidates = [
-                    p for p in candidates if p.doc_id in surviving_ids
-                ]
+                surviving_ids = set(surviving)
+                candidates = [d for d in candidates if d in surviving_ids]
             previous_peer = peer
         if candidates is None:
             # Single-term query: the full list ships to the source.
-            candidates = list(first_entry.postings)
+            candidates = first_entry.postings.doc_ids()
         # Step 2: candidates return to the first peer for exact
         # verification (removes Bloom false positives).
         first_peer = self._peer_name_for(first_term)
@@ -195,7 +192,7 @@ class BloomSingleTermEngine:
         )
         transferred += len(candidates)
         exact_ids = set(first_entry.postings.doc_ids())
-        verified = [p for p in candidates if p.doc_id in exact_ids]
+        verified = [d for d in candidates if d in exact_ids]
         false_positives = len(candidates) - len(verified)
         # Step 3: the verified result travels to the query initiator.
         self.network.transfer(
@@ -219,7 +216,7 @@ class BloomSingleTermEngine:
 
     def _rank(
         self,
-        verified: list[Posting],
+        verified: list[int],
         entries: dict[str, STEntry],
         query: Query,
         k: int,
@@ -228,11 +225,10 @@ class BloomSingleTermEngine:
         term_dfs = {
             term: len(entry.postings) for term, entry in entries.items()
         }
-        fetched: list[tuple[tuple[str, ...], Posting]] = []
-        match_ids = {p.doc_id for p in verified}
-        for term, entry in entries.items():
-            for posting in entry.postings:
-                if posting.doc_id in match_ids:
-                    fetched.append(((term,), posting))
+        match_ids = set(verified)
+        fetched = [
+            ((term,), entry.postings.filter_docs(match_ids.__contains__))
+            for term, entry in entries.items()
+        ]
         ranker = DistributedRanker(self.scorer, term_dfs)
         return ranker.rank(fetched, k)

@@ -132,14 +132,15 @@ class DistributedTopKEngine:
         # maintains this order; sorting cost is local, not traffic).
         sorted_lists: dict[str, list[tuple[float, int, int, int]]] = {}
         for term, entry in entries.items():
+            doc_ids, tfs, doc_lens, _, _ = entry.postings.columns()
             scored = [
                 (
-                    self.scorer.term_score(p.tf, p.doc_len, dfs[term]),
-                    p.doc_id,
-                    p.tf,
-                    p.doc_len,
+                    self.scorer.term_score(tf, doc_len, dfs[term]),
+                    doc_id,
+                    tf,
+                    doc_len,
                 )
-                for p in entry.postings
+                for doc_id, tf, doc_len in zip(doc_ids, tfs, doc_lens)
             ]
             scored.sort(key=lambda item: (-item[0], item[1]))
             sorted_lists[term] = scored

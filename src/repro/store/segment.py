@@ -26,9 +26,9 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
-from ..errors import StoreError
+from ..errors import IndexError_, StoreError
 from ..index.codec import (
     decode_posting_list,
     decode_varint,
@@ -54,6 +54,7 @@ __all__ = [
     "fsync_file",
     "key_from_canonical",
     "key_to_canonical",
+    "read_payload_pread",
     "read_record_at",
     "read_record_pread",
     "scan_segment",
@@ -201,46 +202,72 @@ def _encode_body(record: SegmentRecord) -> bytes:
     return bytes(body)
 
 
+def _body_layout(body: bytes) -> tuple[slice, int, int, slice, int]:
+    """Walk the header of one record body, the one reader of the layout
+    :func:`_encode_body` writes: ``(key, global_df, status_code,
+    contributors, payload_start)``, where ``key`` and ``contributors``
+    slice the canonical key and the contributor delta varints out of
+    ``body``.  The contributors are stepped over, not decoded.
+
+    Raises:
+        StoreError: on malformed bodies.
+    """
+    try:
+        key_len, key_start = decode_varint(body, 0)
+        key_end = key_start + key_len
+        if key_end > len(body):
+            raise StoreError("record key overruns body")
+        global_df, position = decode_varint(body, key_end)
+        if position >= len(body):
+            raise StoreError("record body missing status byte")
+        status_code = body[position]
+        n_contributors, contributors_start = decode_varint(body, position + 1)
+        position = contributors_start
+        for _ in range(n_contributors):
+            while body[position] & 0x80:
+                position += 1
+            position += 1
+        contributors = slice(contributors_start, position)
+        payload_len, position = decode_varint(body, position)
+    except (IndexError, IndexError_) as exc:  # a varint runs off the end
+        raise StoreError(f"malformed record body: {exc}") from exc
+    if status_code not in (STATUS_DK, STATUS_NDK, STATUS_TOMBSTONE):
+        raise StoreError(f"unknown status code {status_code}")
+    if position + payload_len != len(body):
+        raise StoreError("record payload length mismatch")
+    return (
+        slice(key_start, key_end),
+        global_df,
+        status_code,
+        contributors,
+        position,
+    )
+
+
 def decode_record_body(body: bytes) -> SegmentRecord:
     """Decode one record body (the checksummed span of a record).
 
     Raises:
         StoreError: on malformed bodies.
     """
+    key, global_df, status_code, span, payload_start = _body_layout(body)
     try:
-        key_len, offset = decode_varint(body, 0)
-        if offset + key_len > len(body):
-            raise StoreError("record key overruns body")
-        key = key_from_canonical(body[offset : offset + key_len])
-        offset += key_len
-        global_df, offset = decode_varint(body, offset)
-        if offset >= len(body):
-            raise StoreError("record body missing status byte")
-        status_code = body[offset]
-        offset += 1
-        n_contributors, offset = decode_varint(body, offset)
+        key_terms = key_from_canonical(body[key])
         contributors = []
         previous = 0
-        for _ in range(n_contributors):
-            delta, offset = decode_varint(body, offset)
+        position = span.start
+        while position < span.stop:
+            delta, position = decode_varint(body, position)
             previous += delta
             contributors.append(previous)
-        payload_len, offset = decode_varint(body, offset)
-        if offset + payload_len != len(body):
-            raise StoreError("record payload length mismatch")
-        payload = body[offset : offset + payload_len]
-    except StoreError:
-        raise
-    except Exception as exc:  # truncated varints raise IndexError_
+    except Exception as exc:  # bad UTF-8, an over-long varint
         raise StoreError(f"malformed record body: {exc}") from exc
-    if status_code not in (STATUS_DK, STATUS_NDK, STATUS_TOMBSTONE):
-        raise StoreError(f"unknown status code {status_code}")
     return SegmentRecord(
-        key=key,
+        key=key_terms,
         global_df=global_df,
         status_code=status_code,
         contributors=tuple(contributors),
-        payload=payload,
+        payload=body[payload_start:],
     )
 
 
@@ -433,21 +460,56 @@ def read_record_pread(
     Raises:
         StoreError: when the record is truncated or fails its checksum.
     """
-    prefix = os.pread(fileno, _MAX_VARINT_BYTES, offset)
+    return decode_record_body(
+        _read_body_pread(fileno, offset, _MAX_VARINT_BYTES, lambda: label)
+    )
+
+
+def read_payload_pread(
+    fileno: int, offset: int, length: int, label: Callable[[], str]
+) -> bytes:
+    """Positional read of just the posting payload of the record framed
+    at ``offset`` in ``length`` bytes: the crc check and a slice — the
+    key and the contributors are skipped, not decoded.  ``label`` names
+    the segment in an error message and is called only to raise one.
+
+    Raises:
+        StoreError: when the record is truncated, fails its checksum or
+            its body is malformed.
+    """
+    body = _read_body_pread(fileno, offset, length, label)
     try:
-        body_len, consumed = decode_varint(prefix, 0)
-    except Exception as exc:
+        payload_start = _body_layout(body)[4]
+    except StoreError as exc:
+        raise StoreError(f"{label()}@{offset}: {exc}") from exc
+    return body[payload_start:]
+
+
+def _read_body_pread(
+    fileno: int, offset: int, length: int, label: Callable[[], str]
+) -> bytes:
+    """The crc-checked body of the record framed at ``offset``: one
+    pread of ``length`` bytes when they hold the whole frame, a second
+    of the rest when they do not."""
+    frame = os.pread(fileno, length, offset)
+    try:
+        body_len, start = decode_varint(frame, 0)
+    except IndexError_ as exc:
         raise StoreError(
-            f"{label}@{offset}: unreadable record length"
+            f"{label()}@{offset}: unreadable record length"
         ) from exc
-    blob = os.pread(fileno, body_len + _CRC_BYTES, offset + consumed)
-    if len(blob) < body_len + _CRC_BYTES:
-        raise StoreError(f"{label}@{offset}: truncated record")
-    body = blob[:body_len]
-    crc = int.from_bytes(blob[body_len:], "little")
+    end = start + body_len
+    if len(frame) < end + _CRC_BYTES:
+        frame += os.pread(
+            fileno, end + _CRC_BYTES - len(frame), offset + len(frame)
+        )
+        if len(frame) < end + _CRC_BYTES:
+            raise StoreError(f"{label()}@{offset}: truncated record")
+    body = frame[start:end]
+    crc = int.from_bytes(frame[end : end + _CRC_BYTES], "little")
     if zlib.crc32(body) != crc:
-        raise StoreError(f"{label}@{offset}: record checksum mismatch")
-    return decode_record_body(body)
+        raise StoreError(f"{label()}@{offset}: record checksum mismatch")
+    return body
 
 
 def read_record_at(path: Path, offset: int) -> SegmentRecord:

@@ -32,7 +32,6 @@ from ..errors import StoreError
 from ..index.bm25 import TermStats
 from ..index.codec import decode_varint, encode_varint
 from ..index.global_index import GlobalEntry, GlobalKeyIndex
-from ..index.postings import PostingList
 from ..net.network import P2PNetwork
 from .segment import SegmentRecord, fsync_dir, fsync_file
 from .spill import (
@@ -359,7 +358,7 @@ def populate_eager(
         ) -> GlobalEntry:
             return GlobalEntry(
                 key=key,
-                postings=PostingList(list(postings)),
+                postings=postings,
                 global_df=meta.global_df,
                 status=code_to_status(meta.status_code),
                 contributors=set(meta.contributors),

@@ -33,10 +33,10 @@ from ..config import HDKParameters
 from ..errors import StoreError
 from ..index.codec import posting_list_wire_size
 from ..index.global_index import GlobalEntry, GlobalKeyIndex, KeyStatus
-from ..index.postings import Posting, PostingList
+from ..index.postings import PostingList
 from ..net.accounting import Phase
 from ..net.network import P2PNetwork
-from ..obs.trace import get_tracer
+from ..obs.trace import NOOP_SPAN, get_tracer
 from .segment import STATUS_DK, STATUS_NDK
 from .store import DEFAULT_MEMTABLE_BYTES, SegmentStore
 
@@ -67,13 +67,19 @@ def code_to_status(code: int) -> KeyStatus:
     raise StoreError(f"status code {code} is not a key status")
 
 
-class SpilledPostings(PostingList):
-    """A posting list whose payload lives in a :class:`SegmentStore`.
+#: The :class:`PostingList` slots a stub leaves unset until it loads.
+_COLUMNS = frozenset(PostingList.__slots__)
 
-    Reports its length from directory metadata without touching disk;
-    any operation that needs the actual postings loads them through the
-    store's block cache and (via ``on_load``) notifies the owning index
-    that the key became hot again.
+
+class SpilledPostings(PostingList):
+    """A posting list whose columns live in a :class:`SegmentStore`.
+
+    Reports its length from directory metadata without touching disk.
+    Its column slots start unset, so the first read of any column — by
+    any :class:`PostingList` method — falls through to ``__getattr__``,
+    which loads the columns through the store's block cache and (via
+    ``on_load``) notifies the owning index that the key became hot
+    again.
     """
 
     __slots__ = (
@@ -82,6 +88,7 @@ class SpilledPostings(PostingList):
         "_count",
         "_on_load",
         "_load_lock",
+        "_loaded",
         "charge_hint",
     )
 
@@ -95,13 +102,13 @@ class SpilledPostings(PostingList):
         *,
         charge_hint: int | None = None,
     ) -> None:
-        # Deliberately no super().__init__: _postings None marks "cold".
-        self._postings: list[Posting] | None = None  # type: ignore[assignment]
+        # Deliberately no super().__init__: the columns stay unset.
         self._store = store
         self._key = key
         self._count = count
         self._on_load = on_load
         self._load_lock = threading.Lock()
+        self._loaded = False
         #: Budget charge of the spilled payload, remembered from when
         #: the owning index last held it hot — read at reload time so
         #: re-heating a stub never re-encodes the list just to price it.
@@ -109,95 +116,60 @@ class SpilledPostings(PostingList):
 
     @property
     def is_loaded(self) -> bool:
-        return self._postings is not None
+        return self._loaded
 
-    def _materialize(self) -> None:
-        if self._postings is not None:
-            return
+    def __getattr__(self, name: str) -> object:
+        # Reached only when normal lookup fails, which for a column
+        # means the stub is still cold.
+        if name not in _COLUMNS:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        self._load()
+        return object.__getattribute__(self, name)
+
+    def _load(self) -> None:
         # Check-then-act guarded per stub: two threads touching the same
         # cold stub must load once and fire on_load once, or the hot-set
         # posting budget would be double-charged.
         with self._load_lock:
-            if self._postings is not None:
+            if self._loaded:
                 return
             tracer = get_tracer()
-            if tracer.active:
-                with tracer.span(
+            with (
+                tracer.span(
                     "store.spill_materialize",
                     key=" ".join(sorted(self._key)),
                     count=self._count,
-                ):
-                    loaded = self._store.get_postings(self._key)
-            else:
+                )
+                if tracer.active
+                else NOOP_SPAN
+            ):
                 loaded = self._store.get_postings(self._key)
             if loaded is None:
                 raise StoreError(
                     f"spilled postings for {sorted(self._key)} missing from "
                     f"store {self._store.directory}"
                 )
-            self._postings = list(loaded)
+            # Lists are immutable: the stub shares the loaded columns.
+            (
+                self._doc_ids,
+                self._tfs,
+                self._doc_lens,
+                self._offsets,
+                self._term_tfs,
+            ) = loaded.columns()
+            self._count = len(loaded)
+            self._loaded = True
             if self._on_load is not None:
                 self._on_load(self._key, self)
 
-    # -- metadata-only fast paths ------------------------------------------------
-
     def __len__(self) -> int:
-        if self._postings is None:
-            return self._count
-        return len(self._postings)
-
-    def document_frequency(self) -> int:
-        return len(self)
+        return self._count
 
     def __repr__(self) -> str:
         state = "loaded" if self.is_loaded else "spilled"
         return f"SpilledPostings(len={len(self)}, {state})"
-
-    # -- materializing delegates -------------------------------------------------
-
-    def __iter__(self):
-        self._materialize()
-        return super().__iter__()
-
-    def __contains__(self, doc_id: int) -> bool:
-        self._materialize()
-        return super().__contains__(doc_id)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PostingList):
-            return NotImplemented
-        self._materialize()
-        if isinstance(other, SpilledPostings):
-            other._materialize()
-        return super().__eq__(other)
-
-    def doc_ids(self) -> list[int]:
-        self._materialize()
-        return super().doc_ids()
-
-    def get(self, doc_id: int) -> Posting | None:
-        self._materialize()
-        return super().get(doc_id)
-
-    def add(self, posting: Posting) -> None:
-        self._materialize()
-        super().add(posting)
-
-    def union(self, other: PostingList) -> PostingList:
-        self._materialize()
-        return super().union(other)
-
-    def intersect(self, other: PostingList) -> PostingList:
-        self._materialize()
-        return super().intersect(other)
-
-    def filter_docs(self, keep: Callable[[int], bool]) -> PostingList:
-        self._materialize()
-        return super().filter_docs(keep)
-
-    def truncate_top(self, limit: int, policy: str = "tf") -> PostingList:
-        self._materialize()
-        return super().truncate_top(limit, policy)
 
 
 class SpillingGlobalKeyIndex(GlobalKeyIndex):

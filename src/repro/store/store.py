@@ -58,9 +58,10 @@ from typing import (
     NamedTuple,
 )
 
-from ..errors import StoreError
+from ..errors import IndexError_, StoreError
+from ..index.codec import decode_posting_list
 from ..index.postings import PostingList
-from ..obs.trace import get_tracer
+from ..obs.trace import NOOP_SPAN, get_tracer
 from .blockcache import BlockCache, BlockCacheStats
 from .maintenance import MaintenanceWorker
 from .memtable import MEMTABLE_ID, Memtable
@@ -82,6 +83,7 @@ from .segment import (
     fsync_dir,
     key_from_canonical,
     key_to_canonical,
+    read_payload_pread,
     read_record_pread,
     scan_segment,
 )
@@ -752,7 +754,7 @@ class SegmentStore:
         cached = self.cache.get(block_id)
         if cached is not None:
             return cached
-        record: SegmentRecord | None = None
+        payload: bytes | None = None
         pinned: int | None = None
         fileno = -1
         with self._lock:
@@ -770,6 +772,7 @@ class SegmentStore:
             if entry.segment_id == MEMTABLE_ID:
                 record = self.memtable.get(key)
                 assert record is not None
+                payload = record.payload
             else:
                 if (
                     entry.segment_id == self._active_id
@@ -780,29 +783,31 @@ class SegmentStore:
                     self._writer.flush()
                 fileno = self._pin_reader(entry.segment_id)
                 pinned = entry.segment_id
+        segment_id, offset = entry.segment_id, entry.offset
+
+        def label() -> str:
+            # A path join per cold read would cost more than the read's
+            # crc check, so the name is only built for an error.
+            return str(self._segment_path(segment_id))
+
         try:
-            if record is None:
+            if payload is None:
                 # pread outside the lock: positional reads don't share
                 # seek state, and the pin keeps the descriptor alive
                 # across a concurrent compaction's retirement.
                 tracer = get_tracer()
-                if tracer.active:
-                    with tracer.span(
+                with (
+                    tracer.span(
                         "store.segment_read",
-                        segment=entry.segment_id,
-                        offset=entry.offset,
+                        segment=segment_id,
+                        offset=offset,
                         length=entry.length,
-                    ):
-                        record = read_record_pread(
-                            fileno,
-                            entry.offset,
-                            label=str(self._segment_path(entry.segment_id)),
-                        )
-                else:
-                    record = read_record_pread(
-                        fileno,
-                        entry.offset,
-                        label=str(self._segment_path(entry.segment_id)),
+                    )
+                    if tracer.active
+                    else NOOP_SPAN
+                ):
+                    payload = read_payload_pread(
+                        fileno, offset, entry.length, label
                     )
         finally:
             if pinned is not None:
@@ -810,7 +815,14 @@ class SegmentStore:
                     self._unpin_reader(pinned)
         # Varint decode outside the lock too.  A racing duplicate fill
         # of the same block id is idempotent (same bytes).
-        postings = record.postings()
+        try:
+            postings = (
+                decode_posting_list(payload) if payload else PostingList()
+            )
+        except IndexError_ as exc:
+            raise StoreError(
+                f"{label()}@{offset}: malformed posting payload: {exc}"
+            ) from exc
         with self._lock:
             # Fill only if the record has not moved since the read — a
             # flush or compaction retires the old block id forever, and

@@ -58,16 +58,6 @@ class TestPostingList:
         assert result.get(1).tf == 7
         assert result.get(9) is None
 
-    def test_add_keeps_sorted(self):
-        result = pl((1, 1), (5, 1))
-        result.add(Posting(doc_id=3, tf=1))
-        assert result.doc_ids() == [1, 3, 5]
-
-    def test_add_duplicate_rejected(self):
-        result = pl((1, 1))
-        with pytest.raises(IndexError_):
-            result.add(Posting(doc_id=1, tf=2))
-
     def test_equality(self):
         assert pl((1, 2)) == pl((1, 2))
         assert pl((1, 2)) != pl((1, 3))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.errors import RetrievalError
 from repro.index.bm25 import BM25Scorer
-from repro.index.postings import Posting
+from repro.index.postings import Posting, PostingList
 from repro.retrieval.ranking import DistributedRanker
 
 
@@ -24,6 +24,30 @@ def make_ranker(scorer, dfs=None):
     return DistributedRanker(scorer, dfs or {"a": 5, "b": 5})
 
 
+def one_posting_lists(pairs):
+    """``(key terms, posting)`` pairs as the ranker's ``(key terms,
+    posting list)`` input, one single-posting list per pair, built
+    through the trusted constructor (so unvalidated evidence such as
+    ``tf == 0`` gets through) and in the pairs' order."""
+    return [
+        (
+            key_terms,
+            PostingList._from_columns(
+                (posting.doc_id,),
+                (posting.tf,),
+                (posting.doc_len,),
+                (0, len(posting.term_tfs)),
+                tuple(posting.term_tfs),
+            ),
+        )
+        for key_terms, posting in pairs
+    ]
+
+
+def rank(ranker, pairs, k):
+    return ranker.rank(one_posting_lists(pairs), k)
+
+
 class TestRank:
     def test_empty_input(self, scorer):
         assert make_ranker(scorer).rank([], k=5) == []
@@ -33,7 +57,7 @@ class TestRank:
             (("a",), Posting(doc_id=1, tf=3, term_tfs=(3,), doc_len=10)),
             (("a",), Posting(doc_id=2, tf=1, term_tfs=(1,), doc_len=10)),
         ]
-        results = make_ranker(scorer).rank(fetched, k=5)
+        results = rank(make_ranker(scorer), fetched, k=5)
         assert [r.doc_id for r in results] == [1, 2]
 
     def test_multi_key_evidence_merged(self, scorer):
@@ -47,7 +71,7 @@ class TestRank:
             ),
             (("a",), Posting(doc_id=2, tf=2, term_tfs=(2,), doc_len=10)),
         ]
-        results = make_ranker(scorer).rank(fetched, k=5)
+        results = rank(make_ranker(scorer), fetched, k=5)
         # Doc 1 has evidence for both a and b; doc 2 only for a.
         assert results[0].doc_id == 1
         assert results[0].score > results[1].score
@@ -57,19 +81,19 @@ class TestRank:
             (("a",), Posting(doc_id=d, tf=1, term_tfs=(1,), doc_len=10))
             for d in range(10)
         ]
-        assert len(make_ranker(scorer).rank(fetched, k=3)) == 3
+        assert len(rank(make_ranker(scorer), fetched, k=3)) == 3
 
     def test_ties_broken_by_doc_id(self, scorer):
         fetched = [
             (("a",), Posting(doc_id=5, tf=1, term_tfs=(1,), doc_len=10)),
             (("a",), Posting(doc_id=2, tf=1, term_tfs=(1,), doc_len=10)),
         ]
-        results = make_ranker(scorer).rank(fetched, k=5)
+        results = rank(make_ranker(scorer), fetched, k=5)
         assert [r.doc_id for r in results] == [2, 5]
 
     def test_posting_without_term_tfs_single_term(self, scorer):
         fetched = [(("a",), Posting(doc_id=1, tf=4, doc_len=10))]
-        results = make_ranker(scorer).rank(fetched, k=1)
+        results = rank(make_ranker(scorer), fetched, k=1)
         assert results[0].score > 0
 
     def test_max_tf_wins_on_conflicting_evidence(self, scorer):
@@ -79,8 +103,8 @@ class TestRank:
             (("a",), Posting(doc_id=1, tf=1, term_tfs=(1,), doc_len=10)),
             (("a",), Posting(doc_id=1, tf=6, term_tfs=(6,), doc_len=10)),
         ]
-        single = make_ranker(scorer).rank(fetched, k=1)
-        only_high = make_ranker(scorer).rank([fetched[1]], k=1)
+        single = rank(make_ranker(scorer), fetched, k=1)
+        only_high = rank(make_ranker(scorer), [fetched[1]], k=1)
         assert single[0].score == pytest.approx(only_high[0].score)
 
     def test_invalid_k(self, scorer):
@@ -194,7 +218,7 @@ def test_rank_is_bit_identical_to_score_document(
     # A df cannot exceed the collection size (idf's log needs that).
     term_dfs = {t: df % (num_documents + 1) for t, df in term_dfs.items()}
     expected = reference_rank(scorer, term_dfs, fetched, k)
-    results = DistributedRanker(scorer, term_dfs).rank(fetched, k)
+    results = rank(DistributedRanker(scorer, term_dfs), fetched, k)
     assert [(r.doc_id, bits(r.score)) for r in results] == [
         (doc_id, bits(score)) for doc_id, score in expected
     ]
@@ -218,18 +242,49 @@ def test_rank_exactness_on_validated_postings_with_ties():
     ]
     ranker = DistributedRanker(scorer, term_dfs)
     for k in (1, 2, 4, 5, 50):
-        results = ranker.rank(fetched, k)
+        results = rank(ranker, fetched, k)
         assert [(r.doc_id, bits(r.score)) for r in results] == [
             (doc_id, bits(score))
             for doc_id, score in reference_rank(scorer, term_dfs, fetched, k)
         ]
-    tied = [r.doc_id for r in ranker.rank(fetched, 50)]
+    tied = [r.doc_id for r in rank(ranker, fetched, 50)]
     assert tied.index(3) < tied.index(5) < tied.index(9)
     assert tied.index(5) == tied.index(3) + 1 == tied.index(9) - 1
+
+
+def test_whole_lists_rank_like_their_postings_one_by_one():
+    """A fetched list is walked in document order, so ranking whole
+    lists equals ranking their postings as one-posting lists."""
+    scorer = BM25Scorer(num_documents=40, average_doc_length=9.5)
+    term_dfs = {"a": 7, "b": 3, "c": 12}
+    bare = PostingList(
+        Posting(doc_id=d, tf=d % 4 + 1, doc_len=d + 3) for d in (8, 2, 5)
+    )
+    pair = PostingList(
+        Posting(doc_id=d, tf=1, term_tfs=(d % 3 + 1, 2), doc_len=d + 3)
+        for d in (5, 11, 2)
+    )
+    single = PostingList([Posting(doc_id=11, tf=2, doc_len=20)])
+    lists = [(("a",), bare), (("a", "b"), pair), (("c",), single)]
+    pairs = [
+        (key_terms, posting)
+        for key_terms, postings in lists
+        for posting in postings
+    ]
+    ranker = DistributedRanker(scorer, term_dfs)
+    for k in (1, 3, 10):
+        whole = ranker.rank(lists, k)
+        assert [(r.doc_id, bits(r.score)) for r in whole] == [
+            (r.doc_id, bits(r.score)) for r in rank(ranker, pairs, k)
+        ]
+        assert [(r.doc_id, bits(r.score)) for r in whole] == [
+            (doc_id, bits(score))
+            for doc_id, score in reference_rank(scorer, term_dfs, pairs, k)
+        ]
 
 
 def test_negative_df_still_rejected_when_the_term_scores():
     scorer = BM25Scorer(num_documents=10, average_doc_length=5.0)
     fetched = [(("a",), Posting(doc_id=1, tf=1, doc_len=5))]
     with pytest.raises(RetrievalError):
-        DistributedRanker(scorer, {"a": -1}).rank(fetched, k=1)
+        rank(DistributedRanker(scorer, {"a": -1}), fetched, k=1)

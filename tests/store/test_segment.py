@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import zlib
+
 import pytest
 
 from repro.errors import StoreError
-from repro.index.codec import decode_varint
+from repro.index.codec import decode_varint, encode_varint
 from repro.index.postings import Posting, PostingList
 from repro.store.segment import (
     MAGIC,
@@ -18,6 +21,7 @@ from repro.store.segment import (
     encode_record,
     key_from_canonical,
     key_to_canonical,
+    read_payload_pread,
     read_record_at,
     scan_segment,
 )
@@ -95,6 +99,47 @@ class TestRecordCodec:
             frozenset({"k"}), postings, 3, STATUS_DK
         )
         assert record.postings() == postings
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda body: body + b"\x00", "record payload length mismatch"),
+            (
+                lambda body: body[:11] + b"\x09" + body[12:],
+                "unknown status code 9",
+            ),
+            (lambda body: b"\x7f" + body[1:], "record key overruns body"),
+            (lambda body: body[:11], "record body missing status byte"),
+            (lambda body: body[:14], "malformed record body: "),
+        ],
+    )
+    def test_payload_read_rejects_bodies_like_the_decoder(
+        self, tmp_path, mutate, message
+    ):
+        # Body layout of make_record(): key length 9, the key, global df
+        # (one byte), the status byte at 11, three contributors from 13.
+        good = body_of(encode_record(make_record()))
+        assert good[11] == STATUS_NDK and good[12] == 3
+        bad = mutate(good)
+        with pytest.raises(StoreError) as decoded:
+            decode_record_body(bad)
+        assert str(decoded.value).startswith(message)
+        path = tmp_path / "seg.seg"
+        frame = bytearray(MAGIC)
+        for body in (good, bad):
+            encode_varint(len(body), frame)
+            frame += body + zlib.crc32(body).to_bytes(4, "little")
+        path.write_bytes(bytes(frame))
+        bad_offset = len(MAGIC) + len(encode_record(make_record()))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            payload = read_payload_pread(fd, len(MAGIC), 16, lambda: "seg")
+            with pytest.raises(StoreError) as read:
+                read_payload_pread(fd, bad_offset, 16, lambda: "seg")
+        finally:
+            os.close(fd)
+        assert payload == make_record().payload
+        assert str(read.value) == f"seg@{bad_offset}: {decoded.value}"
 
     def test_unknown_status_rejected(self):
         with pytest.raises(StoreError):

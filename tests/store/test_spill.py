@@ -106,6 +106,79 @@ class TestSpilledPostings:
         with pytest.raises(StoreError):
             list(stub)
 
+    def test_unknown_attribute_is_an_attribute_error(self, tmp_path):
+        stub, _postings = self._spilled(tmp_path)
+        assert not hasattr(stub, "no_such_attribute")
+        assert not stub.is_loaded
+
+
+#: Arguments each :class:`PostingList` method is called with below.  A
+#: method added to the class without an entry here fails the test
+#: until it gets one — and then it must load through the stub's hook.
+METHOD_ARGS = {
+    "__contains__": (5,),
+    "__eq__": (make_postings((1, 5, 9)),),
+    "__iter__": (),
+    "__len__": (),
+    "__repr__": (),
+    "columns": (),
+    "doc_ids": (),
+    "document_frequency": (),
+    "filter_docs": (lambda doc_id: doc_id != 5,),
+    "get": (5,),
+    "intersect": (make_postings((5, 77)),),
+    "resident": (),
+    "truncate_top": (2,),
+    "union": (make_postings((5, 77)),),
+}
+
+#: Methods a cold stub answers from directory metadata, without loading.
+METADATA_ONLY = {"__len__", "__repr__", "document_frequency"}
+
+
+def posting_list_methods() -> list[str]:
+    """Every public method of PostingList, plus the container dunders
+    it defines itself."""
+    return sorted(
+        name
+        for name, member in vars(PostingList).items()
+        if callable(member)
+        and name != "__init__"
+        and (not name.startswith("_") or name.startswith("__"))
+    )
+
+
+def comparable(answer):
+    if isinstance(answer, PostingList):
+        assert type(answer) is PostingList  # plain, never the stub
+        return ("list", answer.columns())
+    if hasattr(answer, "__next__"):
+        return ("iterator", list(answer))
+    return answer
+
+
+@pytest.mark.parametrize("name", posting_list_methods())
+def test_every_method_loads_a_cold_stub_once(tmp_path, name):
+    store = SegmentStore(tmp_path)
+    key = frozenset({"k"})
+    plain = make_postings((1, 5, 9))
+    store.put(key, plain, len(plain), 0)
+    loads = []
+    stub = SpilledPostings(
+        store, key, len(plain), lambda k, s: loads.append(k)
+    )
+    args = METHOD_ARGS[name]
+    answer = getattr(stub, name)(*args)
+    again = getattr(stub, name)(*args)
+    if name in METADATA_ONLY:
+        assert loads == [] and not stub.is_loaded
+    else:
+        assert loads == [key] and stub.is_loaded
+    if name != "__repr__":
+        for got in (answer, again):
+            expected = getattr(plain, name)(*args)
+            assert comparable(got) == comparable(expected)
+
 
 class TestSpillingIndex:
     def test_budget_enforced_after_inserts(self, tmp_path):

@@ -7,7 +7,12 @@ import pytest
 from repro.errors import StoreError
 from repro.index.postings import Posting, PostingList
 from repro.store.blockcache import BlockCache
-from repro.store.segment import STATUS_DK, STATUS_NDK
+from repro.store.segment import (
+    STATUS_DK,
+    STATUS_NDK,
+    SegmentRecord,
+    encode_record,
+)
 from repro.store.store import SegmentStore
 
 
@@ -207,6 +212,37 @@ class TestSegmentStore:
         # the torn file was not appended to
         final = SegmentStore(tmp_path)
         assert key_of(2) in final and key_of(1) not in final
+
+    def test_malformed_payload_is_a_store_error_naming_the_record(
+        self, tmp_path
+    ):
+        """A record whose crc holds but whose posting payload does not
+        decode (here: a tf of 0) must surface as a StoreError naming the
+        segment and offset, not as a bare index error."""
+        store = SegmentStore(tmp_path)
+        store.put(key_of(1), make_postings((1, 2)), 2, STATUS_DK)
+        store.close()
+        segment = sorted(tmp_path.glob("segment-*.seg"))[-1]
+        offset = segment.stat().st_size
+        bad = SegmentRecord(
+            key=key_of(2),
+            global_df=1,
+            status_code=STATUS_DK,
+            contributors=(),
+            payload=b"\x01\x00\x00\x00\x00",  # one posting, tf 0
+        )
+        with open(segment, "ab") as handle:
+            handle.write(encode_record(bad))
+        for sidecar in tmp_path.glob("*.idx"):
+            sidecar.unlink()
+        reopened = SegmentStore(tmp_path)
+        assert reopened.get_postings(key_of(1)) == make_postings((1, 2))
+        with pytest.raises(StoreError) as caught:
+            reopened.get_postings(key_of(2))
+        assert str(caught.value) == (
+            f"{segment}@{offset}: malformed posting payload: "
+            "tf must be >= 1, got 0"
+        )
 
     def test_block_cache_serves_repeat_reads(self, tmp_path):
         store = SegmentStore(tmp_path, cache_bytes=400)
