@@ -33,7 +33,7 @@ Span taxonomy (names used by the instrumented layers):
 ``store.spill_materialize`` cold spill stub re-heated
 ``store.memtable_flush``    WAL-covered memtable → sealed segment
 ``store.wal_replay``        recovery replay on open
-``store.compaction``        fg/bg compaction (MAINTENANCE phase)
+``store.compaction``        compaction (MAINTENANCE phase)
 ===================== ===========================================
 """
 

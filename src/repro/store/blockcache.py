@@ -150,7 +150,7 @@ class BlockCache:
                 self._held_bytes -= block.bcost
 
     def clear(self) -> None:
-        """Drop every block (e.g. after compaction moves offsets)."""
+        """Drop every block."""
         with self._lock:
             self._blocks.clear()
             self._held_postings = 0

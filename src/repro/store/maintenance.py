@@ -1,7 +1,7 @@
 """Background maintenance thread for the segment store.
 
 One daemon thread, started lazily on the first wake, runs a single
-callback (the store's concurrent compaction) whenever it is woken.
+callback (the store's compaction) whenever it is woken.
 Wake-ups coalesce: a wake while the task is running schedules exactly
 one more run, so a burst of writes triggers at most one trailing
 compaction instead of a queue of them.
@@ -12,12 +12,6 @@ fresh one under a control lock that first waits out the old thread's
 join — a wake racing a stop can neither resurrect pending work on the
 stopping thread nor leave two loops consuming the same condition.
 
-The optional ``scope`` callable wraps every run in a context manager —
-the spilling index passes the network's
-``phase_scope(Phase.MAINTENANCE)`` so any traffic a maintenance pass
-might cause is attributed like anti-entropy repair and overlay
-upkeep, never to the paper's indexing/retrieval figures.
-
 Exceptions from the task are swallowed and counted (``errors``): a
 failed compaction leaves the store on its pre-compaction segments,
 which are always still valid, and the next wake retries.
@@ -26,8 +20,7 @@ which are always still valid, and the next wake retries.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
-from typing import Callable, ContextManager
+from typing import Callable
 
 __all__ = ["MaintenanceWorker"]
 
@@ -39,8 +32,6 @@ class MaintenanceWorker:
         task: the callback each wake runs (must be re-entrant across
             runs; runs are serialized on the worker thread).
         name: thread name (visible in dumps / profilers).
-        scope: zero-arg callable returning a context manager to wrap
-            every run (e.g. a traffic-accounting phase scope).
     """
 
     def __init__(
@@ -48,11 +39,9 @@ class MaintenanceWorker:
         task: Callable[[], None],
         *,
         name: str = "repro-store-maintenance",
-        scope: Callable[[], ContextManager] | None = None,
     ) -> None:
         self._task = task
         self._name = name
-        self._scope = scope
         self._cond = threading.Condition()
         self._pending = False
         #: Runs in flight.  A counter, not a flag: during the one
@@ -93,7 +82,7 @@ class MaintenanceWorker:
 
     def quiesce(self, timeout: float | None = 10.0) -> bool:
         """Block until no run is pending or in flight (tests use this to
-        make background compaction deterministic).  Returns False on
+        make compaction deterministic).  Returns False on
         timeout."""
         with self._cond:
             return self._cond.wait_for(
@@ -136,12 +125,7 @@ class MaintenanceWorker:
                 self._pending = False
                 self._active += 1
             try:
-                scope = (
-                    self._scope() if self._scope is not None
-                    else nullcontext()
-                )
-                with scope:
-                    self._task()
+                self._task()
                 with self._cond:
                     self.runs += 1
             except Exception as exc:

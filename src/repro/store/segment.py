@@ -56,7 +56,6 @@ __all__ = [
     "key_to_canonical",
     "read_payload_pread",
     "read_record_at",
-    "read_record_pread",
     "scan_segment",
 ]
 
@@ -420,51 +419,6 @@ def scan_segment(path: Path) -> SegmentScan:
     )
 
 
-def read_record_from(
-    handle: BinaryIO, offset: int, label: str = "segment"
-) -> SegmentRecord:
-    """Random-access read of one record through an open segment handle
-    (callers holding many reads open the file once and reuse it).
-
-    Raises:
-        StoreError: when the record is truncated or fails its checksum.
-    """
-    handle.seek(offset)
-    prefix = handle.read(_MAX_VARINT_BYTES)
-    try:
-        body_len, consumed = decode_varint(prefix, 0)
-    except Exception as exc:
-        raise StoreError(
-            f"{label}@{offset}: unreadable record length"
-        ) from exc
-    handle.seek(offset + consumed)
-    blob = handle.read(body_len + _CRC_BYTES)
-    if len(blob) < body_len + _CRC_BYTES:
-        raise StoreError(f"{label}@{offset}: truncated record")
-    body = blob[:body_len]
-    crc = int.from_bytes(blob[body_len:], "little")
-    if zlib.crc32(body) != crc:
-        raise StoreError(f"{label}@{offset}: record checksum mismatch")
-    return decode_record_body(body)
-
-
-def read_record_pread(
-    fileno: int, offset: int, label: str = "segment"
-) -> SegmentRecord:
-    """Positional random-access read of one record via :func:`os.pread`.
-
-    Unlike :func:`read_record_from` this never touches the handle's seek
-    position, so concurrent readers can share one file descriptor
-    without serializing their reads behind a lock.
-
-    Raises:
-        StoreError: when the record is truncated or fails its checksum.
-    """
-    return decode_record_body(
-        _read_body_pread(fileno, offset, _MAX_VARINT_BYTES, lambda: label)
-    )
-
-
 def read_payload_pread(
     fileno: int, offset: int, length: int, label: Callable[[], str]
 ) -> bytes:
@@ -513,6 +467,16 @@ def _read_body_pread(
 
 
 def read_record_at(path: Path, offset: int) -> SegmentRecord:
-    """One-shot form of :func:`read_record_from` (opens ``path``)."""
+    """Random-access read of the whole record at ``offset`` (opens
+    ``path``).
+
+    Raises:
+        StoreError: when the record is truncated, fails its checksum or
+            its body is malformed.
+    """
     with open(path, "rb") as handle:
-        return read_record_from(handle, offset, label=str(path))
+        return decode_record_body(
+            _read_body_pread(
+                handle.fileno(), offset, _MAX_VARINT_BYTES, lambda: str(path)
+            )
+        )

@@ -151,8 +151,8 @@ def save_index_snapshot(
             and not postings.is_loaded
         ):
             # Cold entry: copy the encoded payload segment-to-segment.
-            record = source_store.get_record(entry.key)
-            if record is None:
+            payload = source_store.get_payload(entry.key)
+            if payload is None:
                 raise StoreError(
                     f"spilled entry {sorted(entry.key)} missing from "
                     f"backing store during snapshot"
@@ -163,7 +163,7 @@ def save_index_snapshot(
                     global_df=entry.global_df,
                     status_code=status_code,
                     contributors=contributors,
-                    payload=record.payload,
+                    payload=payload,
                 )
             )
         else:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, ContextManager
+from typing import Callable
 
 from ..config import HDKParameters
 from ..errors import StoreError
@@ -38,7 +38,7 @@ from ..net.accounting import Phase
 from ..net.network import P2PNetwork
 from ..obs.trace import NOOP_SPAN, get_tracer
 from .segment import STATUS_DK, STATUS_NDK
-from .store import DEFAULT_MEMTABLE_BYTES, SegmentStore
+from .store import SegmentStore
 
 __all__ = [
     "SpilledPostings",
@@ -178,43 +178,29 @@ class SpillingGlobalKeyIndex(GlobalKeyIndex):
     Args:
         network: the simulated P2P network storing the entries.
         params: HDK model parameters.
-        store: the backing segment store; built from ``store_dir`` when
-            omitted (a private temporary directory when both are None).
-            When given, the store-shaping knobs below (``sync``, ``wal``,
-            ``memtable_bytes``, ``background_compaction``,
-            ``maintenance_scope``) are ignored.
-        store_dir: directory for an implicitly created store.
-        sync: fsync segment files on rollover/close and WAL appends
-            (forwarded to an implicitly created store).
+        store_dir: directory of the backing :class:`SegmentStore` (a
+            private temporary directory when None).  The store compacts
+            under the network's ``phase_scope(Phase.MAINTENANCE)``, so
+            maintenance is never attributed to the paper's
+            indexing/retrieval traffic.
+        sync: fsync segment files on rollover/close and WAL appends.
         memory_budget_bytes: RAM budget in encoded posting bytes — what
             the hot lists actually cost on disk and on the wire; ``0``
             spills everything immediately (all reads go through the
             store's block cache).
         wal: write-ahead-log incremental writes in the backing store
             (crash-durable builds); on by default.
-        memtable_bytes: the backing store's memtable flush threshold.
-        background_compaction: compact the backing store on a
-            maintenance thread instead of in the write path; on by
-            default (serving reads never stall behind a compaction).
-        maintenance_scope: context-manager factory wrapped around every
-            background maintenance run; defaults to the network's
-            ``phase_scope(Phase.MAINTENANCE)`` so maintenance can never
-            be attributed to the paper's indexing/retrieval traffic.
     """
 
     def __init__(
         self,
         network: P2PNetwork,
         params: HDKParameters,
-        store: SegmentStore | None = None,
         store_dir: str | Path | None = None,
         sync: bool = False,
         *,
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
         wal: bool = True,
-        memtable_bytes: int = DEFAULT_MEMTABLE_BYTES,
-        background_compaction: bool = True,
-        maintenance_scope: Callable[[], ContextManager] | None = None,
     ) -> None:
         super().__init__(network, params)
         if memory_budget_bytes < 0:
@@ -222,23 +208,17 @@ class SpillingGlobalKeyIndex(GlobalKeyIndex):
                 f"memory_budget_bytes must be >= 0, got {memory_budget_bytes}"
             )
         self.memory_budget_bytes = memory_budget_bytes
-        if maintenance_scope is None:
-            maintenance_scope = lambda: network.accounting.phase_scope(
+        # The block cache gets the same budget as the hot set, so one
+        # knob governs both tiers of residency.
+        self.store = SegmentStore(
+            store_dir,
+            cache_bytes=memory_budget_bytes,
+            sync=sync,
+            wal=wal,
+            maintenance_scope=lambda: network.accounting.phase_scope(
                 Phase.MAINTENANCE
-            )
-        if store is None:
-            # The block cache gets the same budget as the hot set, so
-            # one knob governs both tiers of residency.
-            store = SegmentStore(
-                store_dir,
-                cache_bytes=memory_budget_bytes,
-                sync=sync,
-                wal=wal,
-                memtable_bytes=memtable_bytes,
-                background_compaction=background_compaction,
-                maintenance_scope=maintenance_scope,
-            )
-        self.store = store
+            ),
+        )
         # Hot-set bookkeeping is shared by every thread whose reads
         # re-heat stubs.  Acyclic lock order: a stub's load lock is
         # only ever taken first, and the store lock is never held while

@@ -17,14 +17,14 @@ mini-LSM.
   bodies are still crc-verified lazily on first read, and segments
   without a valid sidecar (gen-1 snapshots, torn tails) fall back to
   the scan transparently;
-- a **compactor** that rewrites the live record set and drops
-  superseded/tombstoned records — synchronously in the write path by
-  default, or concurrently on a :class:`MaintenanceWorker` thread
-  (``background_compaction=True``) that never blocks readers: outputs
-  are staged as ``.seg.tmp``, committed by atomic rename plus a brief
+- one **compactor** that rewrites the live record set and drops
+  superseded/tombstoned records without blocking readers: outputs are
+  staged as ``.seg.tmp``, committed by atomic rename plus a brief
   directory swap under the lock, and superseded segments are unlinked
   immediately but their file descriptors retired only once no pinned
-  reader still holds them.
+  reader still holds them.  Crossing the dead-byte threshold wakes it
+  on a :class:`MaintenanceWorker` thread; :meth:`SegmentStore.compact`
+  runs the same rewrite in the caller's thread.
 
 Only an *offset directory* — per-key metadata plus the latest record's
 location (a segment, or the memtable) — is held in memory, fronted by a
@@ -49,6 +49,7 @@ import os
 import re
 import tempfile
 import threading
+from contextlib import nullcontext
 from pathlib import Path
 from typing import (
     BinaryIO,
@@ -84,7 +85,6 @@ from .segment import (
     key_from_canonical,
     key_to_canonical,
     read_payload_pread,
-    read_record_pread,
     scan_segment,
 )
 from .wal import WalWriter, scan_wal, wal_ids, wal_path
@@ -155,11 +155,9 @@ class SegmentStore:
             (crash-durable incremental writes); off by default — bulk
             writers (snapshot saves) append straight to segments.
         memtable_bytes: encoded-byte flush threshold of the memtable.
-        background_compaction: run compaction on a maintenance thread
-            instead of synchronously in the write path.
         maintenance_scope: zero-arg callable returning a context manager
-            wrapped around every background run (e.g. a traffic
-            accounting ``phase_scope(MAINTENANCE)``).
+            wrapped around every compaction, on either thread (e.g. a
+            traffic-accounting ``phase_scope(MAINTENANCE)``).
     """
 
     def __init__(
@@ -172,7 +170,6 @@ class SegmentStore:
         sync: bool = False,
         wal: bool = False,
         memtable_bytes: int = DEFAULT_MEMTABLE_BYTES,
-        background_compaction: bool = False,
         maintenance_scope: Callable[[], ContextManager] | None = None,
     ) -> None:
         if segment_max_bytes < 1:
@@ -192,8 +189,8 @@ class SegmentStore:
         self.cache = BlockCache(cache_bytes)
         # One reentrant lock serializes the directory, memtable, writer,
         # reader table, and accounting.  Disk I/O leaves the lock: reads
-        # pread through pinned descriptors, background compaction scans
-        # and stages outside it and only re-enters for the commit swap.
+        # pread through pinned descriptors, compaction scans and stages
+        # outside it and only re-enters for the commit swap.
         self._lock = threading.RLock()
         self._tmp: tempfile.TemporaryDirectory | None = None
         if directory is None:
@@ -239,15 +236,13 @@ class SegmentStore:
         self._readers: dict[int, BinaryIO] = {}
         self._reader_pins: dict[int, int] = {}
         self._retired: set[int] = set()
-        #: Serializes compactions (foreground vs. background); never
-        #: acquired while holding ``_lock``.
+        #: Serializes compactions (:meth:`compact` vs. the maintenance
+        #: thread); never acquired while holding ``_lock``.
         self._compact_mutex = threading.Lock()
-        self._maintenance: MaintenanceWorker | None = None
-        if background_compaction:
-            self._maintenance = MaintenanceWorker(
-                self._background_compact,
-                scope=maintenance_scope,
-            )
+        self._maintenance_scope = maintenance_scope or nullcontext
+        #: Its thread starts on the first wake, so a store that never
+        #: crosses its dead-byte threshold runs none.
+        self._maintenance = MaintenanceWorker(self._compact)
         self._recover()
 
     # -- startup / recovery ------------------------------------------------------
@@ -311,13 +306,17 @@ class SegmentStore:
             scan = scan_segment(self._segment_path(segment_id))
             if scan.truncated:
                 self._truncated_tails += 1
-            for offset, length, record in scan.records:
-                self._apply_record(segment_id, offset, length, record)
+            records = [
+                IndexedRecord.from_record(offset, length, record)
+                for offset, length, record in scan.records
+            ]
+            for rec in records:
+                self._apply_indexed(segment_id, rec)
             self._account_segment(
                 segment_id, max(0, scan.valid_bytes - len(MAGIC))
             )
             self._scan_reopens += 1
-            self._heal_sidecar(segment_id, scan)
+            self._heal_sidecar(segment_id, scan, records)
         # Always start fresh ids: never append after a possibly-torn
         # tail, and never collide with a crashed compaction's outputs.
         self._next_id = (ids[-1] + 1) if ids else 1
@@ -355,17 +354,6 @@ class SegmentStore:
     def _account_segment(self, segment_id: int, record_bytes: int) -> None:
         self._seg_bytes[segment_id] = record_bytes
         self._total_record_bytes += record_bytes
-
-    def _apply_record(
-        self,
-        segment_id: int,
-        offset: int,
-        length: int,
-        record: SegmentRecord,
-    ) -> None:
-        self._apply_indexed(
-            segment_id, IndexedRecord.from_record(offset, length, record)
-        )
 
     def _bulk_apply_columns(
         self, segment_id: int, cols: SegmentColumns
@@ -430,7 +418,9 @@ class SegmentStore:
         )
         self._live_bytes += rec.length
 
-    def _heal_sidecar(self, segment_id: int, scan) -> None:
+    def _heal_sidecar(
+        self, segment_id: int, scan, records: list[IndexedRecord]
+    ) -> None:
         """After a scan fallback, persist the sidecar the segment was
         missing (gen-1 segments index themselves on first reopen).
         Best-effort: torn segments stay sidecar-less (their file size
@@ -439,10 +429,6 @@ class SegmentStore:
         path = self._segment_path(segment_id)
         if scan.truncated or path.stat().st_size != scan.valid_bytes:
             return
-        records = [
-            IndexedRecord.from_record(offset, length, record)
-            for offset, length, record in scan.records
-        ]
         try:
             write_segment_index(
                 sidecar_path(path),
@@ -616,39 +602,38 @@ class SegmentStore:
         so every crash window either keeps the WAL (replay recovers) or
         has the segment durable already."""
         tracer = get_tracer()
-        if not tracer.active:
-            self._flush_memtable_locked_impl()
-            return
-        with tracer.span(
-            "store.memtable_flush",
-            records=len(self.memtable),
-            bytes=self.memtable.data_bytes,
+        with (
+            tracer.span(
+                "store.memtable_flush",
+                records=len(self.memtable),
+                bytes=self.memtable.data_bytes,
+            )
+            if tracer.active
+            else NOOP_SPAN
         ):
-            self._flush_memtable_locked_impl()
-
-    def _flush_memtable_locked_impl(self) -> None:
-        stale_blocks = [
-            (MEMTABLE_ID, seq) for seq in self.memtable.seqs()
-        ]
-        if len(self.memtable) > 0:
-            for record in self.memtable.records_sorted():
-                self._append(record)
-            self._seal_active_locked()
-            self._active_id = None
-            self._flushes += 1
-            if self.sync:
-                # The sealed segment's directory entry must be durable
-                # before the WAL that covers it disappears — fsyncing
-                # the file alone does not persist its dirent.
-                fsync_dir(self.directory)
-        if self._wal is not None:
-            self._wal.close()
-            self._wal = None
-        for wal_id in wal_ids(self.directory):
-            wal_path(self.directory, wal_id).unlink()
-        self.memtable.clear()
-        for block_id in stale_blocks:
-            self.cache.invalidate(block_id)
+            stale_blocks = [
+                (MEMTABLE_ID, seq) for seq in self.memtable.seqs()
+            ]
+            if len(self.memtable) > 0:
+                for record in self.memtable.records_sorted():
+                    self._append(record)
+                self._seal_active_locked()
+                self._active_id = None
+                self._flushes += 1
+                if self.sync:
+                    # The sealed segment's directory entry must be
+                    # durable before the WAL that covers it disappears
+                    # — fsyncing the file alone does not persist its
+                    # dirent.
+                    fsync_dir(self.directory)
+            if self._wal is not None:
+                self._wal.close()
+                self._wal = None
+            for wal_id in wal_ids(self.directory):
+                wal_path(self.directory, wal_id).unlink()
+            self.memtable.clear()
+            for block_id in stale_blocks:
+                self.cache.invalidate(block_id)
 
     def checkpoint(self) -> None:
         """Make the on-disk segments self-contained *now*: flush the
@@ -750,69 +735,14 @@ class SegmentStore:
         # cached reads must not queue behind a concurrent cold read's
         # disk I/O.  Block ids (segment ids and memtable sequence
         # numbers) are never reused, so a stale id can only miss.
-        block_id = (entry.segment_id, entry.offset)
-        cached = self.cache.get(block_id)
+        cached = self.cache.get((entry.segment_id, entry.offset))
         if cached is not None:
             return cached
-        payload: bytes | None = None
-        pinned: int | None = None
-        fileno = -1
-        with self._lock:
-            # Re-validate: a flush or compaction may have moved the
-            # record while the cache was probed.
-            entry = self._dir.get(canonical)
-            if entry is None:
-                return None
-            moved_to = (entry.segment_id, entry.offset)
-            if moved_to != block_id:
-                block_id = moved_to
-                cached = self.cache.get(block_id)
-                if cached is not None:
-                    return cached
-            if entry.segment_id == MEMTABLE_ID:
-                record = self.memtable.get(key)
-                assert record is not None
-                payload = record.payload
-            else:
-                if (
-                    entry.segment_id == self._active_id
-                    and self._writer is not None
-                ):
-                    # The active segment's bytes may still sit in the
-                    # writer's buffer.
-                    self._writer.flush()
-                fileno = self._pin_reader(entry.segment_id)
-                pinned = entry.segment_id
-        segment_id, offset = entry.segment_id, entry.offset
-
-        def label() -> str:
-            # A path join per cold read would cost more than the read's
-            # crc check, so the name is only built for an error.
-            return str(self._segment_path(segment_id))
-
-        try:
-            if payload is None:
-                # pread outside the lock: positional reads don't share
-                # seek state, and the pin keeps the descriptor alive
-                # across a concurrent compaction's retirement.
-                tracer = get_tracer()
-                with (
-                    tracer.span(
-                        "store.segment_read",
-                        segment=segment_id,
-                        offset=offset,
-                        length=entry.length,
-                    )
-                    if tracer.active
-                    else NOOP_SPAN
-                ):
-                    payload = read_payload_pread(
-                        fileno, offset, entry.length, label
-                    )
-        finally:
-            if pinned is not None:
-                with self._lock:
-                    self._unpin_reader(pinned)
+        read = self._read_payload(key, canonical)
+        if read is None:
+            return None
+        entry, payload = read
+        block_id = (entry.segment_id, entry.offset)
         # Varint decode outside the lock too.  A racing duplicate fill
         # of the same block id is idempotent (same bytes).
         try:
@@ -821,7 +751,8 @@ class SegmentStore:
             )
         except IndexError_ as exc:
             raise StoreError(
-                f"{label()}@{offset}: malformed posting payload: {exc}"
+                f"{self._segment_path(entry.segment_id)}@{entry.offset}: "
+                f"malformed posting payload: {exc}"
             ) from exc
         with self._lock:
             # Fill only if the record has not moved since the read — a
@@ -835,25 +766,65 @@ class SegmentStore:
                 self.cache.put(block_id, postings, nbytes=entry.length)
         return postings
 
-    def get_record(self, key: frozenset[str]) -> SegmentRecord | None:
-        """Read the raw latest record of ``key`` (undecoded payload)."""
+    def get_payload(self, key: frozenset[str]) -> bytes | None:
+        """The encoded posting payload of ``key`` (no decode, no block
+        cache), or None when the key is absent — what a snapshot save
+        copies segment-to-segment."""
+        read = self._read_payload(key, key_to_canonical(key))
+        return read[1] if read is not None else None
+
+    def _read_payload(
+        self, key: frozenset[str], canonical: bytes
+    ) -> tuple[_DirEntry, bytes] | None:
+        """Locate → pin → pread: the one read of a stored record.
+
+        Returns the directory entry it read and that record's posting
+        payload, or None when the key is absent.  Re-locating under the
+        lock sees any flush or compaction that moved the record since
+        the caller last looked.  A memtable resident returns its
+        record's payload."""
         with self._lock:
-            entry = self._dir.get(key_to_canonical(key))
+            entry = self._dir.get(canonical)
             if entry is None:
                 return None
-            if entry.segment_id == MEMTABLE_ID:
-                return self.memtable.get(key)
-            if (
-                entry.segment_id == self._active_id
-                and self._writer is not None
-            ):
+            segment_id = entry.segment_id
+            if segment_id == MEMTABLE_ID:
+                record = self.memtable.get(key)
+                assert record is not None
+                return entry, record.payload
+            if segment_id == self._active_id and self._writer is not None:
+                # The active segment's bytes may still sit in the
+                # writer's buffer.
                 self._writer.flush()
-            handle = self._reader(entry.segment_id)
-            return read_record_pread(
-                handle.fileno(),
-                entry.offset,
-                label=str(self._segment_path(entry.segment_id)),
-            )
+            fileno = self._pin_reader(segment_id)
+
+        def label() -> str:
+            # A path join per cold read would cost more than the read's
+            # crc check, so the name is only built for an error.
+            return str(self._segment_path(segment_id))
+
+        # pread outside the lock: positional reads don't share seek
+        # state, and the pin keeps the descriptor alive across a
+        # concurrent compaction's retirement.
+        try:
+            tracer = get_tracer()
+            with (
+                tracer.span(
+                    "store.segment_read",
+                    segment=segment_id,
+                    offset=entry.offset,
+                    length=entry.length,
+                )
+                if tracer.active
+                else NOOP_SPAN
+            ):
+                payload = read_payload_pread(
+                    fileno, entry.offset, entry.length, label
+                )
+        finally:
+            with self._lock:
+                self._unpin_reader(segment_id)
+        return entry, payload
 
     # -- compaction --------------------------------------------------------------
 
@@ -876,112 +847,37 @@ class SegmentStore:
         )
 
     def maybe_compact(self) -> bool:
-        """Compact (or schedule a background compaction) when the
-        dead-byte ratio passes the threshold."""
+        """Wake the maintenance thread to compact when the dead-byte
+        ratio passes the threshold."""
         with self._lock:
             if not self._over_dead_threshold():
                 return False
-            if self._maintenance is not None:
-                self._maintenance.wake()
-                return True
-            self._compact_locked()
+            self._maintenance.wake()
             return True
 
     def compact(self) -> None:
-        """Synchronously rewrite the live record set into fresh
-        segments, dropping superseded records and tombstones, and delete
-        the old files.  Blocks writers for the duration; prefer
-        ``background_compaction=True`` on serving stores."""
-        with self._compact_mutex:
-            with self._lock:
-                self._compact_locked()
+        """Checkpoint, then rewrite the live record set in the caller's
+        thread — the maintenance thread's rewrite, run now and whatever
+        the dead-byte ratio."""
+        self.checkpoint()
+        self._compact(force=True)
 
-    def _compact_locked(self) -> None:
+    def _compact(self, force: bool = False) -> None:
+        """The one compaction: rewrite the live records of every sealed
+        segment into fresh segments, dropping superseded records and
+        tombstones.  Sources are snapshotted under the lock, scanned and
+        staged outside it, and swapped in under it again.  Readers are
+        never blocked — they keep serving from the sources until the
+        swap, and pinned descriptors outlive the unlink.  Unforced (the
+        maintenance thread's run) it first re-checks the threshold."""
         tracer = get_tracer()
-        if not tracer.active:
-            self._compact_locked_impl()
-            return
-        with tracer.span(
-            "store.compaction", mode="foreground", phase="maintenance"
+        with self._compact_mutex, self._maintenance_scope(), (
+            tracer.span("store.compaction", phase="maintenance")
+            if tracer.active
+            else NOOP_SPAN
         ) as span:
-            self._compact_locked_impl()
-            span.set_attr("compactions", self._compactions)
-
-    def _compact_locked_impl(self) -> None:
-        # The memtable compacts trivially (it is already one record per
-        # key); flushing it first lets the rewrite cover everything and
-        # leaves the store with empty WAL + a single live segment set.
-        self._flush_memtable_locked()
-        self._seal_active_locked()
-        self._active_id = None
-        self._close_readers()
-        old_ids = self._segment_ids()
-        live_at = {
-            (entry.segment_id, entry.offset): key
-            for key, entry in self._dir.items()
-            if entry.segment_id != MEMTABLE_ID
-        }
-        survivors: dict[bytes, SegmentRecord] = {}
-        for segment_id in old_ids:
-            scan = scan_segment(self._segment_path(segment_id))
-            for offset, _, record in scan.records:
-                key = live_at.get((segment_id, offset))
-                if key is not None:
-                    survivors[key] = record
-        self._dir = {
-            key: entry
-            for key, entry in self._dir.items()
-            if entry.segment_id == MEMTABLE_ID
-        }
-        self._live_bytes = 0
-        for segment_id in old_ids:
-            self._total_record_bytes -= self._seg_bytes.pop(segment_id, 0)
-        # Deterministic rewrite order (sorted term lists) — the same
-        # order a frozenset-keyed directory produced, so compacted
-        # segment bytes stay reproducible across generations.
-        for record in sorted(
-            survivors.values(), key=lambda record: sorted(record.key)
-        ):
-            self._append(record)
-        if self.sync:
-            # The sync contract ("acknowledged writes survive power
-            # loss") must hold across the unlink below: seal the
-            # rewritten segment — close() fsyncs it — and flush its
-            # directory entry before the only other copy of the live
-            # set is deleted.  Later writes reopen the sealed segment
-            # and append (same as after close()).
-            self._seal_active_locked()
-            fsync_dir(self.directory)
-        elif self._writer is not None:
-            self._writer.flush()
-        for segment_id in old_ids:
-            self._segment_path(segment_id).unlink()
-            sidecar_path(self._segment_path(segment_id)).unlink(
-                missing_ok=True
-            )
-        self.cache.clear()
-        self._compactions += 1
-
-    def _background_compact(self) -> None:
-        """Concurrent compaction: snapshot sources under the lock, scan
-        and stage outputs outside it, commit with an atomic directory
-        swap.  Readers are never blocked — they keep serving from the
-        sources until the swap, and pinned descriptors outlive the
-        unlink."""
-        tracer = get_tracer()
-        if not tracer.active:
-            self._background_compact_impl()
-            return
-        with tracer.span(
-            "store.compaction", mode="background", phase="maintenance"
-        ) as span:
-            self._background_compact_impl()
-            span.set_attr("compactions", self._compactions)
-
-    def _background_compact_impl(self) -> None:
-        with self._compact_mutex:
             with self._lock:
-                if not self._over_dead_threshold():
+                if not (force or self._over_dead_threshold()):
                     return
                 self._seal_active_locked()
                 self._active_id = None
@@ -993,104 +889,43 @@ class SegmentStore:
                 }
             if not source_ids:
                 return
-            replaces_up_to = max(source_ids)
             # Scan sources outside the lock: they are sealed and
             # immutable; concurrent writes land in the new active
-            # segment or the memtable.
-            survivors: dict[
-                bytes, tuple[SegmentRecord, int, int, int]
-            ] = {}
+            # segment or the memtable.  Each survivor keeps the block id
+            # it was read from: the swap moves only unmoved records.
+            survivors: dict[bytes, tuple[SegmentRecord, tuple]] = {}
             for segment_id in source_ids:
                 scan = scan_segment(self._segment_path(segment_id))
-                for offset, length, record in scan.records:
+                for offset, _, record in scan.records:
                     key = live_at.get((segment_id, offset))
                     if key is not None:
-                        survivors[key] = (record, segment_id, offset, length)
-            # Stage outputs as .seg.tmp; rename is the commit point.
-            outputs: list[tuple[int, list[IndexedRecord], int]] = []
-            writer: SegmentWriter | None = None
-            out_id = -1
-            out_records: list[IndexedRecord] = []
-
-            def finish_output() -> None:
-                nonlocal writer
-                if writer is None:
-                    return
-                data_len = writer.offset
-                writer.close()
-                writer = None
-                outputs.append((out_id, list(out_records), data_len))
-
-            for record, _src, _off, _len in sorted(
-                survivors.values(),
-                key=lambda entry: sorted(entry[0].key),
-            ):
-                if (
-                    writer is not None
-                    and writer.offset >= self.segment_max_bytes
-                ):
-                    finish_output()
-                if writer is None:
-                    with self._lock:
-                        out_id = self._allocate_id()
-                    out_records = []
-                    writer = SegmentWriter(
-                        self._segment_path(out_id).with_suffix(
-                            ".seg.tmp"
-                        ),
-                        sync=self.sync,
+                        survivors[key] = (record, (segment_id, offset))
+            # Deterministic rewrite order (sorted term lists), so
+            # compacted segment bytes are reproducible.
+            outputs = self._stage_outputs(
+                [
+                    record
+                    for record, _ in sorted(
+                        survivors.values(),
+                        key=lambda item: sorted(item[0].key),
                     )
-                offset, length = writer.append(record)
-                out_records.append(
-                    IndexedRecord.from_record(offset, length, record)
-                )
-            finish_output()
-            # Commit each output: the lineage sidecar first, under its
-            # final name, *then* the segment rename.  A scan-recovered
-            # output would be ordered by its own (highest) id — after
-            # any concurrent memtable flush — letting stale compacted
-            # records shadow newer writes, so an output must never be
-            # visible without its ``replaces_up_to``.  This ordering
-            # guarantees that for process kills; under ``sync`` the
-            # sidecar and the directory are also fsynced between the
-            # two renames, extending the guarantee to power loss.  A
-            # crash between the renames leaves an orphan sidecar that
-            # recovery deletes (its segment never committed).
-            for segment_id, records, data_len in outputs:
-                final = self._segment_path(segment_id)
-                write_segment_index(
-                    sidecar_path(final),
-                    SegmentIndex(
-                        data_len=data_len,
-                        replaces_up_to=replaces_up_to,
-                        records=records,
-                    ),
-                    sync=self.sync,
-                )
-                if self.sync:
-                    fsync_dir(self.directory)
-                _replace_file(final.with_suffix(".seg.tmp"), final)
-            if outputs and self.sync:
-                # Output renames durable before any source is unlinked:
-                # power loss past this point must never cost the only
-                # remaining copy of the rewritten live set.
-                fsync_dir(self.directory)
+                ],
+                replaces_up_to=max(source_ids),
+            )
             # Swap the directory and retire the sources.
             with self._lock:
-                for segment_id, records, data_len in outputs:
+                for segment_id, writer, records in outputs:
                     self._account_segment(
-                        segment_id, data_len - len(MAGIC)
+                        segment_id, writer.offset - len(MAGIC)
                     )
                     for rec in records:
                         entry = self._dir.get(rec.key)
-                        _, src_id, src_offset, _src_len = survivors[
-                            rec.key
-                        ]
+                        source = survivors[rec.key][1]
                         if entry is not None and (
                             entry.segment_id,
                             entry.offset,
-                        ) == (src_id, src_offset):
-                            self.cache.invalidate((src_id, src_offset))
+                        ) == source:
+                            self.cache.invalidate(source)
                             self._dir[rec.key] = _DirEntry(
                                 segment_id=segment_id,
                                 offset=rec.offset,
@@ -1110,12 +945,94 @@ class SegmentStore:
                         missing_ok=True
                     )
                 self._compactions += 1
+            span.set_attr("compactions", self._compactions)
+
+    def _stage_outputs(
+        self, records: list[SegmentRecord], replaces_up_to: int
+    ) -> list[tuple[int, SegmentWriter, list[IndexedRecord]]]:
+        """Write ``records`` into fresh segments and commit each one;
+        returns ``(segment id, closed writer, indexed records)`` per
+        output.  If anything raises, every output of this run — staged
+        ``.seg.tmp``, renamed ``.seg`` and sidecars — is unlinked before
+        the error propagates: the sources were never touched and stay
+        authoritative, whereas a committed output left outside the
+        directory would be neither read nor unlinked by the next
+        compaction and would replay after its sources on reopen."""
+        outputs: list[tuple[int, SegmentWriter, list[IndexedRecord]]] = []
+        try:
+            # Stage outputs as .seg.tmp; rename is the commit point.
+            for record in records:
+                if (
+                    not outputs
+                    or outputs[-1][1].offset >= self.segment_max_bytes
+                ):
+                    if outputs:
+                        outputs[-1][1].close()
+                    with self._lock:
+                        segment_id = self._allocate_id()
+                    path = self._segment_path(segment_id)
+                    outputs.append((
+                        segment_id,
+                        SegmentWriter(
+                            path.with_suffix(".seg.tmp"), sync=self.sync
+                        ),
+                        [],
+                    ))
+                _, writer, indexed = outputs[-1]
+                offset, length = writer.append(record)
+                indexed.append(
+                    IndexedRecord.from_record(offset, length, record)
+                )
+            if outputs:
+                outputs[-1][1].close()
+            # Commit each output: the lineage sidecar first, under its
+            # final name, *then* the segment rename.  A scan-recovered
+            # output would be ordered by its own (highest) id — after
+            # any concurrent memtable flush — letting stale compacted
+            # records shadow newer writes, so an output must never be
+            # visible without its ``replaces_up_to``.  This ordering
+            # guarantees that for process kills; under ``sync`` the
+            # sidecar and the directory are also fsynced between the
+            # two renames, extending the guarantee to power loss.  A
+            # crash between the renames leaves an orphan sidecar that
+            # recovery deletes (its segment never committed).
+            for segment_id, writer, indexed in outputs:
+                final = self._segment_path(segment_id)
+                write_segment_index(
+                    sidecar_path(final),
+                    SegmentIndex(
+                        data_len=writer.offset,
+                        replaces_up_to=replaces_up_to,
+                        records=indexed,
+                    ),
+                    sync=self.sync,
+                )
+                if self.sync:
+                    fsync_dir(self.directory)
+                _replace_file(final.with_suffix(".seg.tmp"), final)
+            if outputs and self.sync:
+                # Output renames durable before any source is unlinked:
+                # power loss past this point must never cost the only
+                # remaining copy of the rewritten live set.
+                fsync_dir(self.directory)
+        except BaseException:
+            for segment_id, writer, _ in outputs:
+                writer.close()
+                final = self._segment_path(segment_id)
+                for path in (
+                    final.with_suffix(".seg.tmp"),
+                    final,
+                    sidecar_path(final),
+                ):
+                    path.unlink(missing_ok=True)
+            if self.sync:
+                fsync_dir(self.directory)
+            raise
+        return outputs
 
     def quiesce_maintenance(self, timeout: float | None = 10.0) -> bool:
-        """Wait for any scheduled background compaction to finish (tests
-        and benchmarks use this for deterministic disk state)."""
-        if self._maintenance is None:
-            return True
+        """Wait for any scheduled compaction to finish (tests and
+        benchmarks use this for deterministic disk state)."""
         return self._maintenance.quiesce(timeout=timeout)
 
     # -- lifecycle / inspection --------------------------------------------------
@@ -1141,8 +1058,7 @@ class SegmentStore:
                 self._wal.close()
                 self._wal = None
             self._close_readers()
-        if self._maintenance is not None:
-            self._maintenance.stop()
+        self._maintenance.stop()
 
     def stored_postings_total(self) -> int:
         """Total postings across live records (directory metadata only)."""
@@ -1155,12 +1071,6 @@ class SegmentStore:
 
     def stats(self) -> dict[str, object]:
         with self._lock:
-            maintenance_runs = (
-                self._maintenance.runs if self._maintenance else 0
-            )
-            maintenance_errors = (
-                self._maintenance.errors if self._maintenance else 0
-            )
             return {
                 "directory": str(self.directory),
                 "sync": self.sync,
@@ -1185,9 +1095,9 @@ class SegmentStore:
                 "flushes": self._flushes,
                 "sidecar_reopens": self._sidecar_reopens,
                 "scan_reopens": self._scan_reopens,
-                "background_compaction": self._maintenance is not None,
-                "maintenance_runs": maintenance_runs,
-                "maintenance_errors": maintenance_errors,
+                "background_compaction": True,
+                "maintenance_runs": self._maintenance.runs,
+                "maintenance_errors": self._maintenance.errors,
             }
 
     def __repr__(self) -> str:

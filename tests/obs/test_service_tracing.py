@@ -159,7 +159,6 @@ class TestStoreSpans:
             for s in reads
         )
         (compaction,) = spans["store.compaction"]
-        assert compaction["attrs"]["mode"] == "foreground"
         assert compaction["attrs"]["phase"] == "maintenance"
         assert compaction["attrs"]["compactions"] == 1
 

@@ -170,6 +170,7 @@ class TestSegmentStore:
         store = SegmentStore(tmp_path, compact_dead_ratio=0.4)
         for _ in range(8):  # rewrite one key repeatedly
             store.put(key_of(1), make_postings((1, 2, 3)), 3, STATUS_DK)
+        assert store.quiesce_maintenance()
         assert store.stats()["compactions"] >= 1
         assert store.dead_ratio < 0.4
 

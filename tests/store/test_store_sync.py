@@ -98,43 +98,14 @@ class TestSyncCompaction:
         for i in range(n):  # supersede everything: 50% dead
             store.put_record(record_for(i))
 
-    def test_foreground_compaction_fsyncs_rewrite_before_unlink(
-        self, tmp_path, fsync_calls
-    ):
-        """``sync=True`` + foreground compaction: the rewritten segment
-        is sealed (fsynced) before the source files are unlinked, so a
-        power loss right after the compaction cannot lose the only copy
-        of the live set."""
-        store = SegmentStore(
-            tmp_path, cache_bytes=0, sync=True, compact_dead_ratio=1.0
-        )
-        self._make_dead_bytes(store)
-        fsync_calls.clear()
-        store.compact()
-        assert store._writer is None  # sealed, not just flushed
-        assert len(fsync_calls) >= 1
-        reopened = SegmentStore(tmp_path, cache_bytes=0)
-        assert len(reopened) == 12
-        reopened.close()
-
-    def test_foreground_compaction_without_sync_keeps_writer_open(
-        self, tmp_path, fsync_calls
-    ):
-        store = SegmentStore(
-            tmp_path, cache_bytes=0, compact_dead_ratio=1.0
-        )
-        self._make_dead_bytes(store)
-        store.compact()
-        assert store._writer is not None
-        assert fsync_calls == []
-        store.close()
-
+    @pytest.mark.parametrize("run", ["compact", "maybe_compact"])
     def test_background_compaction_fsyncs_lineage_sidecar(
-        self, tmp_path, fsync_calls
+        self, tmp_path, fsync_calls, run
     ):
-        """``sync=True`` + background compaction: the staged output, its
-        ``replaces_up_to`` sidecar, and the directory are all fsynced
-        before the sources are unlinked."""
+        """``sync=True``: the staged output, its ``replaces_up_to``
+        sidecar, and the directory are all fsynced before the sources
+        are unlinked — whether :meth:`compact` runs the rewrite in the
+        caller's thread or the threshold wakes the maintenance thread."""
         from repro.store.segindex import load_segment_index, sidecar_path
 
         store = SegmentStore(
@@ -142,14 +113,18 @@ class TestSyncCompaction:
             cache_bytes=0,
             sync=True,
             compact_dead_ratio=1.0,
-            background_compaction=True,
         )
         self._make_dead_bytes(store)
         fsync_calls.clear()
-        store.compact_dead_ratio = 0.3
-        assert store.maybe_compact()
-        assert store.quiesce_maintenance()
-        assert store.stats()["maintenance_errors"] == 0
+        if run == "compact":
+            store.compact()
+        else:
+            store.compact_dead_ratio = 0.3
+            assert store.maybe_compact()
+            assert store.quiesce_maintenance()
+        stats = store.stats()
+        assert stats["maintenance_errors"] == 0
+        assert stats["compactions"] == 1
         # At least: output segment close, sidecar content, directory
         # before the segment rename, directory before source unlink.
         assert len(fsync_calls) >= 4
@@ -162,6 +137,9 @@ class TestSyncCompaction:
             for index in lineages
         )
         store.close()
+        reopened = SegmentStore(tmp_path, cache_bytes=0)
+        assert len(reopened) == 12
+        reopened.close()
 
 
 class TestServiceSave:

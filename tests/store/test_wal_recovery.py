@@ -264,7 +264,6 @@ class TestCompactionCrash:
             tmp_path,
             wal=True,
             compact_dead_ratio=1.0,  # no auto-trigger while staging state
-            background_compaction=True,
         )
         put_n(store, 12)
         store.checkpoint()
@@ -305,7 +304,6 @@ class TestCompactionCrash:
         store = SegmentStore(
             tmp_path,
             compact_dead_ratio=1.0,
-            background_compaction=True,
         )
         put_n(store, 10)
         store.checkpoint()
@@ -377,16 +375,12 @@ class TestCompactionCrash:
         it must apply right after its sources, *before* any segment that
         was flushed concurrently with the compaction — otherwise the
         compacted (older) copy of a key would shadow the newer write."""
-        store = SegmentStore(
-            tmp_path, compact_dead_ratio=1.0, background_compaction=True
-        )
+        store = SegmentStore(tmp_path, compact_dead_ratio=1.0)
         key = frozenset({"hot"})
         store.put(key, make_postings(range(3)), 3, 0)
         store.put(key, make_postings(range(4)), 4, 0)
-        # Background compaction: the staged output carries the lineage
-        # of the sources it replaces (the foreground path holds the
-        # store lock throughout, so it cannot race a flush and writes
-        # plain sidecars).
+        # The staged output carries the lineage of the sources it
+        # replaces.
         store.compact_dead_ratio = 0.1
         assert store.maybe_compact()
         assert store.quiesce_maintenance()
@@ -407,6 +401,60 @@ class TestCompactionCrash:
                 lineages.append(index.replaces_up_to)
         assert any(lineage > 0 for lineage in lineages)
 
+    def test_failed_compaction_leaves_no_output_to_resurrect_a_delete(
+        self, tmp_path, monkeypatch
+    ):
+        """A compaction that fails after committing one of its outputs
+        must unlink that output.  Left behind, it would sit outside the
+        directory — the next compaction neither reads nor unlinks it —
+        and replay after its sources on reopen, bringing back a key
+        that was deleted and whose tombstone that next compaction
+        dropped."""
+        store = SegmentStore(
+            tmp_path, segment_max_bytes=128, compact_dead_ratio=1.0
+        )
+        put_n(store, 12)
+        put_n(store, 12)
+        store.checkpoint()
+
+        class _Killed(RuntimeError):
+            pass
+
+        real_replace = store_mod._replace_file
+        calls = {"n": 0}
+
+        def second_rename_fails(source, target):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise _Killed("second output rename")
+            real_replace(source, target)
+
+        monkeypatch.setattr(store_mod, "_replace_file", second_rename_fails)
+        store.compact_dead_ratio = 0.3
+        assert store.maybe_compact()
+        assert store.quiesce_maintenance()
+        stats = store.stats()
+        assert stats["maintenance_errors"] == 1
+        assert stats["compactions"] == 0
+        assert calls["n"] == 2  # one output committed before the failure
+        monkeypatch.undo()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+        # The dead ratio is still past 0.3, so the delete itself wakes
+        # the maintenance thread.
+        store.delete(frozenset({"k000"}))
+        assert store.quiesce_maintenance()
+        assert store.stats()["compactions"] == 1
+        expected = contents(store)
+        assert len(expected) == 11
+        store.close()
+
+        reopened = SegmentStore(tmp_path)
+        assert frozenset({"k000"}) not in reopened
+        assert len(reopened) == 11
+        assert contents(reopened) == expected
+        reopened.close()
+
 
 class TestBackgroundCompaction:
     def test_background_compaction_compacts_without_blocking(
@@ -416,7 +464,6 @@ class TestBackgroundCompaction:
             tmp_path,
             wal=True,
             compact_dead_ratio=1.0,
-            background_compaction=True,
             memtable_bytes=256,
         )
         put_n(store, 20)
@@ -449,7 +496,6 @@ class TestBackgroundCompaction:
             wal=True,
             memtable_bytes=512,
             compact_dead_ratio=0.2,
-            background_compaction=True,
         )
         keys = [frozenset({f"k{i:02d}"}) for i in range(10)]
         for rounds in range(3):
