@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from ..config import HDKParameters
 from ..corpus.collection import DocumentCollection
+from ..corpus.document import Document
 from ..errors import KeyGenerationError
 from ..index.postings import PostingList, Row
 
@@ -73,6 +74,11 @@ class LocalHDKGenerator:
     ) -> None:
         self.collection = collection
         self.params = params
+        # The documents indexed so far, and term -> the flat (document
+        # position, token position) pairs of its occurrences in them;
+        # built on the first expansion (see _term_positions).
+        self._documents: list[Document] = []
+        self._positions: dict[str, tuple[int, ...]] = {}
 
     # -- round 1 -----------------------------------------------------------------
 
@@ -144,10 +150,9 @@ class LocalHDKGenerator:
             if not doc_candidates:
                 continue
             doc_len = len(doc)
-            frequencies = doc.term_frequencies()
             for key in doc_candidates:
                 sorted_terms = sorted(key)
-                term_tfs = tuple(frequencies[t] for t in sorted_terms)
+                term_tfs = tuple(doc.term_frequency(t) for t in sorted_terms)
                 rows.setdefault(key, []).append(
                     (doc.doc_id, min(term_tfs), term_tfs, doc_len)
                 )
@@ -231,6 +236,13 @@ class LocalHDKGenerator:
         its local documents, keeping — under redundancy filtering — only
         candidates whose every same-size sub-key is non-discriminative.
 
+        Only the windows holding every base-key term can yield a
+        candidate, so the term-position index picks those out: the work
+        is proportional to where the key occurs, not to the peer's
+        whole collection.  They are visited document by document and
+        start by start in ascending order, exactly the windows (and the
+        order) a full slide that skips the others would see.
+
         Args:
             base_key: the key that became globally non-discriminative.
             ndk_terms: current globally non-discriminative single terms.
@@ -246,23 +258,41 @@ class LocalHDKGenerator:
         new_size = len(base_key) + 1
         if new_size > self.params.s_max:
             return {}
+        index = self._term_positions()
+        if not all(term in index for term in base_key):
+            return {}
+        occurrences = [_by_document(index[term]) for term in base_key]
+        documents = self._documents
         window_size = self.params.window_size
         check = self.params.redundancy_filtering
         rows: dict[frozenset[str], list[Row]] = {}
         rejected: set[frozenset[str]] = set()
-        for doc in self.collection:
-            tokens = doc.tokens
-            n = len(tokens)
-            effective_window = min(window_size, n) if n else 0
-            if effective_window == 0:
+        # Each per-term map lists its documents in collection order.
+        rarest = min(occurrences, key=len)
+        for position in rarest:
+            if not all(position in found for found in occurrences):
                 continue
+            doc = documents[position]
+            tokens = doc.tokens
+            effective_window = min(window_size, len(tokens))
+            last_start = len(tokens) - effective_window
+            # The window starting at s holds token p iff s <= p < s + w.
+            starts: set[int] | None = None
+            for found in occurrences:
+                covering: set[int] = set()
+                for token_position in found[position]:
+                    covering.update(
+                        range(
+                            max(0, token_position - effective_window + 1),
+                            min(token_position, last_start) + 1,
+                        )
+                    )
+                starts = covering if starts is None else starts & covering
             doc_candidates: set[frozenset[str]] = set()
-            for start in range(n - effective_window + 1):
+            for start in sorted(starts):
                 window_terms = frozenset(
                     tokens[start : start + effective_window]
                 )
-                if not base_key <= window_terms:
-                    continue
                 partners = (
                     window_terms & ndk_terms
                 ) - base_key
@@ -279,14 +309,41 @@ class LocalHDKGenerator:
             if not doc_candidates:
                 continue
             doc_len = len(doc)
-            frequencies = doc.term_frequencies()
             for candidate in doc_candidates:
                 sorted_terms = sorted(candidate)
-                term_tfs = tuple(frequencies[t] for t in sorted_terms)
+                term_tfs = tuple(doc.term_frequency(t) for t in sorted_terms)
                 rows.setdefault(candidate, []).append(
                     (doc.doc_id, min(term_tfs), term_tfs, doc_len)
                 )
         return _posting_lists(rows)
+
+    def _term_positions(self) -> dict[str, tuple[int, ...]]:
+        """Term -> its occurrences as flat ``(document position, token
+        position, ...)`` pairs, in collection and token order.
+
+        Built on the first expansion and kept for the peer's lifetime.
+        A collection only grows by appending, so documents appended
+        since the last call are indexed on the next one.  One flat tuple
+        per term, not window term sets or per-document maps, keeps the
+        index about as small as the token stream.
+        """
+        documents = self._documents
+        index = self._positions
+        if len(documents) == len(self.collection):
+            return index
+        added: dict[str, list[int]] = {}
+        for doc in itertools.islice(self.collection, len(documents), None):
+            position = len(documents)
+            documents.append(doc)
+            for token_position, term in enumerate(doc.tokens):
+                found = added.get(term)
+                if found is None:
+                    added[term] = [position, token_position]
+                else:
+                    found += (position, token_position)
+        for term, pairs in added.items():
+            index[term] = index.get(term, ()) + tuple(pairs)
+        return index
 
     @staticmethod
     def _expansion_subkeys_ndk(
@@ -295,15 +352,11 @@ class LocalHDKGenerator:
         subkey_is_ndk,
     ) -> bool:
         """All size-``len(base_key)`` sub-keys of the candidate must be
-        non-discriminative; the base key itself already is."""
-        sorted_terms = tuple(sorted(candidate))
-        for drop_index in range(len(sorted_terms)):
-            subkey = frozenset(
-                sorted_terms[:drop_index] + sorted_terms[drop_index + 1 :]
-            )
-            if subkey == base_key:
-                continue
-            if not subkey_is_ndk(subkey):
+        non-discriminative; the base key itself already is.  Dropping the
+        added term gives the base key back, so the others are the
+        candidate without one base-key term each."""
+        for term in base_key:
+            if not subkey_is_ndk(candidate - {term}):
                 return False
         return True
 
@@ -338,6 +391,19 @@ class LocalHDKGenerator:
             if key <= window_terms:
                 return True
         return False
+
+
+def _by_document(pairs: tuple[int, ...]) -> dict[int, list[int]]:
+    """Flat (document, token position) pairs -> {document -> token
+    positions}, both in ascending order."""
+    grouped: dict[int, list[int]] = {}
+    for document, token_position in zip(pairs[::2], pairs[1::2]):
+        found = grouped.get(document)
+        if found is None:
+            grouped[document] = [token_position]
+        else:
+            found.append(token_position)
+    return grouped
 
 
 def _posting_lists(

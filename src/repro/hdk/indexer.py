@@ -130,7 +130,16 @@ class PeerIndexer:
         self.params = params
         self.generator = LocalHDKGenerator(collection, params)
         # Global statuses this peer has learned (acks + notifications).
+        # Written only through _learn(), which keeps the NDK views below
+        # in step with it.
         self._known_status: dict[frozenset[str], KeyStatus] = {}
+        # Key size -> how many learned keys of that size are NDK.
+        self._ndk_counts: dict[int, int] = {}
+        # Term -> whether its single-term key is NDK, for every learned
+        # single-term key, in _known_status order; and the NDK terms
+        # among them, rebuilt after one changes (see _ndk_terms).
+        self._single_is_ndk: dict[str, bool] = {}
+        self._ndk_term_set: frozenset[str] | None = frozenset()
         # Keys this peer has already inserted (idempotence for the
         # incremental expansion cascade).
         self._submitted: set[frozenset[str]] = set()
@@ -213,11 +222,6 @@ class PeerIndexer:
             very_frequent = frozenset(self.global_index.very_frequent_terms())
             round_ = self.generator.round_one(very_frequent)
         else:
-            ndk_terms = frozenset(
-                next(iter(key))
-                for key, status in self._known_status.items()
-                if len(key) == 1 and status is KeyStatus.NON_DISCRIMINATIVE
-            )
             previous_ndk = frozenset(
                 key
                 for key, status in self._known_status.items()
@@ -225,7 +229,7 @@ class PeerIndexer:
                 and status is KeyStatus.NON_DISCRIMINATIVE
             )
             round_ = self.generator.next_round(
-                key_size, ndk_terms, previous_ndk
+                key_size, self._ndk_terms(), previous_ndk
             )
         return self._apply_semantic_filter(round_.candidates)
 
@@ -255,7 +259,7 @@ class PeerIndexer:
         for staged_insert in staged:
             status = self.global_index.apply_staged(staged_insert)
             statuses[staged_insert.key] = status
-            self._known_status[staged_insert.key] = status
+            self._learn(staged_insert.key, status)
             self._submitted.add(staged_insert.key)
             inserted_postings += len(staged_insert.payload)
         self.report.candidate_keys_by_size[key_size] = len(staged)
@@ -293,18 +297,13 @@ class PeerIndexer:
         peer had already submitted are skipped); callers cascade on the
         expansions that come back non-discriminative.
         """
-        self._known_status[key] = KeyStatus.NON_DISCRIMINATIVE
-        ndk_terms = frozenset(
-            next(iter(k))
-            for k, status in self._known_status.items()
-            if len(k) == 1 and status is KeyStatus.NON_DISCRIMINATIVE
-        )
+        self._learn(key, KeyStatus.NON_DISCRIMINATIVE)
+        ndk_terms = self._ndk_terms()
+
+        status_of = self._known_status.get
 
         def subkey_is_ndk(subkey: frozenset[str]) -> bool:
-            return (
-                self._known_status.get(subkey)
-                is KeyStatus.NON_DISCRIMINATIVE
-            )
+            return status_of(subkey) is KeyStatus.NON_DISCRIMINATIVE
 
         candidates = self._apply_semantic_filter(
             self.generator.expansion_candidates(
@@ -324,7 +323,7 @@ class PeerIndexer:
                 local_df=len(posting_list),
             )
             statuses[candidate] = status
-            self._known_status[candidate] = status
+            self._learn(candidate, status)
             self._submitted.add(candidate)
             inserted_postings += len(payload)
         size = len(key) + 1
@@ -338,6 +337,23 @@ class PeerIndexer:
         )
         return statuses
 
+    def _ndk_terms(self) -> frozenset[str]:
+        """The terms whose single-term key this peer knows to be NDK (the
+        expansion vocabulary).
+
+        ``expansion_candidates`` intersects proximity windows with this
+        set, and a set's iteration order depends on the order its
+        members were inserted.  Building it in ``_known_status`` order,
+        as a scan of ``_known_status`` would, keeps the candidate order,
+        and with it the insert order, what that scan produced.  Rebuilt
+        only after a single-term key's status changed.
+        """
+        if self._ndk_term_set is None:
+            self._ndk_term_set = frozenset(
+                term for term, ndk in self._single_is_ndk.items() if ndk
+            )
+        return self._ndk_term_set
+
     @property
     def overlay_id(self) -> int:
         """This peer's overlay id (contributor matching in cascades)."""
@@ -349,16 +365,32 @@ class PeerIndexer:
         """Record a status learned outside this peer's own inserts (e.g.
         an NDK notification for a key that transitioned after another
         peer's insert)."""
-        self._known_status[key] = status
+        self._learn(key, status)
+
+    def _learn(self, key: frozenset[str], status: KeyStatus) -> None:
+        """The one write to ``_known_status``: records ``status`` and
+        keeps the NDK counts and the single-term view in step."""
+        known = self._known_status
+        previous = known.get(key)
+        known[key] = status
+        if status is previous:
+            return
+        ndk = status is KeyStatus.NON_DISCRIMINATIVE
+        size = len(key)
+        if size == 1:
+            # Re-assigning a term keeps its place, as in _known_status.
+            (term,) = key
+            self._single_is_ndk[term] = ndk
+        if ndk != (previous is KeyStatus.NON_DISCRIMINATIVE):
+            self._ndk_counts[size] = self._ndk_counts.get(size, 0) + (
+                1 if ndk else -1
+            )
+            if size == 1:
+                self._ndk_term_set = None
 
     def known_ndk_count(self, key_size: int) -> int:
         """How many size-``key_size`` keys this peer knows to be NDK."""
-        return sum(
-            1
-            for key, status in self._known_status.items()
-            if len(key) == key_size
-            and status is KeyStatus.NON_DISCRIMINATIVE
-        )
+        return self._ndk_counts.get(key_size, 0)
 
 
 def run_incremental_join(

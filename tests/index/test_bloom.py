@@ -141,7 +141,7 @@ id_streams = st.lists(
 
 
 def assert_same(filter_, reference, probes) -> None:
-    assert filter_._bits == reference.bits
+    assert int.from_bytes(filter_._bits, "little") == reference.bits
     assert len(filter_) == reference.count
     for doc_id in probes:
         assert (doc_id in filter_) == (doc_id in reference)
@@ -159,6 +159,27 @@ class TestBitIdentity:
         bulk.add_all(ids)
         assert_same(one_by_one, reference, ids + probes)
         assert_same(bulk, reference, ids + probes)
+
+    @pytest.mark.parametrize(
+        "capacity, num_bits", [(10_000, 95_850), (40_000, 383_402)]
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(ids=id_streams, probes=id_streams)
+    def test_summary_sized_filters_match_reference(
+        self, capacity, num_bits, ids, probes
+    ):
+        # The shapes of 10 000- and 40 000-key cluster summaries: bits
+        # far past the first bytes must land where the reference puts
+        # them.
+        filter_ = BloomFilter.for_capacity(capacity)
+        assert filter_.num_bits == num_bits
+        reference = ReferenceBloom(num_bits, filter_.num_hashes)
+        for doc_id in ids:
+            expected = doc_id not in reference
+            if expected:
+                reference.add(doc_id)
+            assert filter_.add_if_absent(doc_id) == expected
+        assert_same(filter_, reference, ids + probes)
 
     @settings(max_examples=150, deadline=None)
     @given(filter_shapes, id_streams, id_streams)
@@ -203,7 +224,7 @@ class TestBitIdentity:
         for _, key_ids in scan:
             for key_id in key_ids:
                 expected.add(key_id)
-        assert summary._filter._bits == expected._filter._bits
+        assert bytes(summary._filter._bits) == bytes(expected._filter._bits)
         assert len(summary) == len(expected)
         for key_id in probes:
             assert (key_id in summary) == (key_id in expected)
