@@ -27,6 +27,7 @@ from ..config import HDKParameters
 from ..errors import IndexError_
 from ..net.accounting import Phase
 from ..net.network import P2PNetwork
+from ..net.node_id import key_repr
 from .bm25 import TermStats
 from .postings import PostingList
 
@@ -36,9 +37,9 @@ __all__ = ["KeyStatus", "GlobalEntry", "GlobalKeyIndex", "StagedInsert"]
 Key = frozenset
 
 
-def key_repr(key: frozenset[str]) -> str:
-    """Human-readable canonical form of a key, e.g. ``{apple+pie}``."""
-    return "{" + "+".join(sorted(key)) + "}"
+def _response_size(value: "GlobalEntry | None") -> int:
+    """Postings a lookup's response carries: the stored list."""
+    return len(value.postings) if value is not None else 0
 
 
 class KeyStatus(Enum):
@@ -189,10 +190,7 @@ class GlobalKeyIndex:
                 f"({len(local_postings)}) for {key_repr(key)}"
             )
         key_id = self.network.send_insert(
-            source_peer_name,
-            key,
-            payload_postings=len(local_postings),
-            key_repr=key_repr(key),
+            source_peer_name, key, payload_postings=len(local_postings)
         )
         return StagedInsert(
             source_peer_name=source_peer_name,
@@ -284,9 +282,7 @@ class GlobalKeyIndex:
         """Send an NDK notification to every contributor of ``entry``."""
         responsible = self.network.responsible_peer_for(entry.key)
         for contributor in sorted(entry.contributors):
-            self.network.notify(
-                responsible, contributor, key_repr=key_repr(entry.key)
-            )
+            self.network.notify(responsible, contributor, key=entry.key)
 
     # -- retrieval-side API -----------------------------------------------------------
 
@@ -298,12 +294,7 @@ class GlobalKeyIndex:
         The response payload counts the stored postings, which is exactly
         the per-key transfer of Figure 6.
         """
-        def response_size(value: GlobalEntry | None) -> int:
-            return len(value.postings) if value is not None else 0
-
-        return self.network.lookup(
-            source_peer_name, key, response_size, key_repr=key_repr(key)
-        )
+        return self.network.lookup(source_peer_name, key, _response_size)
 
     def status_of(
         self, source_peer_name: str, key: frozenset[str]
@@ -317,7 +308,6 @@ class GlobalKeyIndex:
             source_peer_name,
             key,
             lambda value: 0,  # status responses carry no postings
-            key_repr=key_repr(key),
         )
         return entry.status if entry is not None else None
 

@@ -6,7 +6,7 @@ payloads.  This package provides an in-process simulation with exactly that
 accounting:
 
 - :mod:`repro.net.node_id` — the hashed key/peer identifier space,
-- :mod:`repro.net.messages` — message kinds and per-message accounting,
+- :mod:`repro.net.messages` — the message kinds,
 - :mod:`repro.net.accounting` — traffic counters by phase and kind,
 - :mod:`repro.net.chord` — a Chord-style ring with finger-table routing,
 - :mod:`repro.net.pgrid` — a P-Grid-style binary-trie overlay,
@@ -26,7 +26,7 @@ from .accounting import (
     diff_snapshots,
 )
 from .chord import ChordOverlay
-from .messages import Message, MessageKind
+from .messages import MessageKind
 from .network import P2PNetwork
 from .node_id import KEY_SPACE_BITS, hash_to_id, peer_id_for
 from .pgrid import PGridOverlay
@@ -39,7 +39,6 @@ __all__ = [
     "TrafficWindow",
     "diff_snapshots",
     "ChordOverlay",
-    "Message",
     "MessageKind",
     "P2PNetwork",
     "KEY_SPACE_BITS",

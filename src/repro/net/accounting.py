@@ -27,9 +27,12 @@ freezes its delta.
 Representation: totals and windows accumulate into flat lists of integer
 cells — ``[messages, postings, hops]`` per ``(Phase, MessageKind)`` pair,
 indexed by the members' ordinals — so recording is three list increments
-and no enum hashing.  :class:`TrafficSnapshot` dicts are built from the
-cells when read; a phase or kind is a key there exactly when a message
-of it was recorded.
+and no enum hashing.  :meth:`TrafficAccounting.record` takes a message's
+fields, not a message object, and is the only writer of cells; a lookup's
+request and its one-hop response are counted in one call (one lock, one
+phase read).  :class:`TrafficSnapshot` dicts are built from the cells
+when read; a phase or kind is a key there exactly when a message of it
+was recorded.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Iterator
 
-from .messages import Message, MessageKind
+from .messages import MessageKind
 
 __all__ = [
     "Phase",
@@ -72,10 +76,31 @@ class Phase(Enum):
 _CELL_KEYS = tuple((phase, kind) for phase in Phase for kind in MessageKind)
 _KINDS = len(MessageKind)
 _STRIDE = 3 * _KINDS  # cells of one phase
+#: Offset of the RESPONSE triple inside one phase's cells.
+_RESPONSE_CELL = 3 * MessageKind.RESPONSE.ordinal
 
 
 def _new_cells() -> list[int]:
     return [0] * (3 * len(_CELL_KEYS))
+
+
+def _add(
+    cells: list[int],
+    cell: int,
+    postings: int,
+    hops: int,
+    reply_cell: int,
+    reply: int | None,
+) -> None:
+    """Count one message at ``cell`` and, when ``reply`` is given, a
+    one-hop response carrying ``reply`` postings at ``reply_cell``."""
+    cells[cell] += 1
+    cells[cell + 1] += postings
+    cells[cell + 2] += hops
+    if reply is not None:
+        cells[reply_cell] += 1
+        cells[reply_cell + 1] += reply
+        cells[reply_cell + 2] += 1
 
 
 @dataclass(frozen=True)
@@ -95,13 +120,14 @@ class TrafficSnapshot:
         messages: dict[Phase, int] = {}
         hops: dict[Phase, int] = {}
         by_kind: dict[MessageKind, int] = {}
-        for index, count in enumerate(cells[0::3]):
-            if count:
-                phase, kind = _CELL_KEYS[index]
-                messages[phase] = messages.get(phase, 0) + count
-                postings[phase] = postings.get(phase, 0) + cells[3 * index + 1]
-                hops[phase] = hops.get(phase, 0) + cells[3 * index + 2]
-                by_kind[kind] = by_kind.get(kind, 0) + count
+        counts = cells[0::3]
+        for index in compress(range(len(counts)), counts):
+            count = counts[index]
+            phase, kind = _CELL_KEYS[index]
+            messages[phase] = messages.get(phase, 0) + count
+            postings[phase] = postings.get(phase, 0) + cells[3 * index + 1]
+            hops[phase] = hops.get(phase, 0) + cells[3 * index + 2]
+            by_kind[kind] = by_kind.get(kind, 0) + count
         return cls(postings, messages, hops, by_kind)
 
     @property
@@ -171,12 +197,12 @@ class TrafficSnapshot:
 class TrafficAccounting:
     """Mutable counters fed by the network simulator.
 
-    The accounting object is shared: the network logs every message into
-    it, and experiments snapshot/diff it around the operations they
-    measure.  All mutation goes through :meth:`record`, which is
-    thread-safe; per-thread measurement windows (see :meth:`measure`)
-    keep per-operation deltas exact even when several threads record
-    concurrently.
+    The accounting object is shared: the network counts every message's
+    fields into it, and experiments snapshot/diff it around the
+    operations they measure.  All mutation goes through :meth:`record`,
+    which is thread-safe; per-thread measurement windows (see
+    :meth:`measure`) keep per-operation deltas exact even when several
+    threads record concurrently.
     """
 
     def __init__(self) -> None:
@@ -205,8 +231,10 @@ class TrafficAccounting:
         cell: int,
         postings: int,
         hops: int,
+        reply_cell: int,
+        reply: int | None,
     ) -> None:
-        """Add one message at ``cell`` to every live window in ``refs``,
+        """Add one recorded exchange to every live window in ``refs``,
         pruning refs whose window was abandoned without close()."""
         dead = False
         for ref in refs:
@@ -214,10 +242,7 @@ class TrafficAccounting:
             if window is None:
                 dead = True
             else:
-                cells = window._cells
-                cells[cell] += 1
-                cells[cell + 1] += postings
-                cells[cell + 2] += hops
+                _add(window._cells, cell, postings, hops, reply_cell, reply)
         if dead:
             refs[:] = [ref for ref in refs if ref() is not None]
 
@@ -253,23 +278,39 @@ class TrafficAccounting:
 
     # -- recording ------------------------------------------------------------
 
-    def record(self, message: Message) -> None:
-        """Attribute ``message`` to the current phase (thread-safe)."""
-        cell = 3 * (self.phase.ordinal * _KINDS + message.kind.ordinal)
-        postings = message.postings
-        hops = message.hops
+    def record(
+        self,
+        kind: MessageKind,
+        postings: int,
+        hops: int,
+        reply: int | None = None,
+    ) -> None:
+        """Count one message of ``kind`` carrying ``postings`` over
+        ``hops`` under the current phase (thread-safe).
+
+        ``reply``, when given, also counts the receiver's one-hop
+        RESPONSE carrying that many postings back — a flat lookup's
+        request and answer accounted as one exchange.  Callers validate
+        the fields (:meth:`repro.net.network.P2PNetwork._send`)."""
+        override = getattr(self._local, "phase_override", None)
+        phase = self._current_phase if override is None else override
+        base = phase.ordinal * _STRIDE
+        cell = base + 3 * kind.ordinal
+        reply_cell = base + _RESPONSE_CELL
         with self._lock:
-            cells = self._cells
-            cells[cell] += 1
-            cells[cell + 1] += postings
-            cells[cell + 2] += hops
+            _add(self._cells, cell, postings, hops, reply_cell, reply)
             if self._global_windows:
-                self._absorb_into(self._global_windows, cell, postings, hops)
+                self._absorb_into(
+                    self._global_windows, cell, postings, hops,
+                    reply_cell, reply,
+                )
         # Thread-scoped windows belong to this thread alone: no other
         # thread reads them while open, so no lock is needed.
         windows = getattr(self._local, "windows", None)
         if windows:
-            self._absorb_into(windows, cell, postings, hops)
+            self._absorb_into(
+                windows, cell, postings, hops, reply_cell, reply
+            )
 
     # -- reading ----------------------------------------------------------------
 

@@ -1,19 +1,19 @@
-"""Message kinds and the message record used for traffic accounting.
+"""The message vocabulary of the simulated protocols.
 
 The scalability analysis counts *postings* carried by messages; the
-simulator additionally records message and hop counts so experiments can
-report routing behaviour.  A :class:`Message` is a passive record — the
-simulator executes operations synchronously and logs the messages the real
-system would have sent.
+simulator additionally counts messages and hops so experiments can report
+routing behaviour.  No message object is built: the simulator executes
+operations synchronously and hands each message's fields — kind, ends,
+postings, hops — straight to :meth:`repro.net.network.P2PNetwork._send`,
+which counts them (and, when a trace is in flight, records them as a
+``net.msg`` span).
 """
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
-from typing import NamedTuple
 
-__all__ = ["Message", "MessageKind"]
+__all__ = ["MessageKind"]
 
 
 class MessageKind(Enum):
@@ -67,55 +67,3 @@ class MessageKind(Enum):
     #: A divergent key shipped replica-to-replica during anti-entropy
     #: repair (maintenance; carries the stored postings).
     REPLICA_REPAIR = "replica_repair"
-
-
-_message_counter = itertools.count()
-
-
-class _MessageFields(NamedTuple):
-    kind: MessageKind
-    source: int
-    destination: int
-    postings: int
-    hops: int
-    key_repr: str
-    message_id: int
-
-
-class Message(_MessageFields):
-    """A logged protocol message (immutable; built at least twice per
-    lookup, so it is a plain tuple rather than a dataclass).
-
-    Attributes:
-        kind: protocol message kind.
-        source: overlay id of the sender.
-        destination: overlay id of the (final) receiver.
-        postings: number of postings carried in the payload.
-        hops: overlay hops the message traversed.
-        key_repr: human-readable key the message concerns (diagnostics).
-        message_id: monotonically increasing id (log ordering); issued
-            from a process-wide counter when omitted.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        kind: MessageKind,
-        source: int,
-        destination: int,
-        postings: int = 0,
-        hops: int = 1,
-        key_repr: str = "",
-        message_id: int | None = None,
-    ) -> "Message":
-        if postings < 0:
-            raise ValueError(f"postings must be >= 0, got {postings}")
-        if hops < 0:
-            raise ValueError(f"hops must be >= 0, got {hops}")
-        if message_id is None:
-            message_id = next(_message_counter)
-        return tuple.__new__(
-            cls,
-            (kind, source, destination, postings, hops, key_repr, message_id),
-        )

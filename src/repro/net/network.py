@@ -1,9 +1,15 @@
 """The network facade: overlay + per-peer storage + traffic accounting.
 
 :class:`P2PNetwork` is the substrate the global index runs on.  It exposes
-DHT-style primitives — merge-insert, lookup, notify — and logs every
-simulated message with its posting payload into the shared
-:class:`TrafficAccounting`, so higher layers never touch counters directly.
+DHT-style primitives — merge-insert, lookup, notify — and passes every
+simulated message through one funnel, :meth:`P2PNetwork._send`: it
+validates the message's fields (kind, ends, postings, hops), counts them
+into the shared :class:`TrafficAccounting`, and pays the simulated link
+latency.  No message object is built; the key a message concerns is
+formatted only when a trace records the message as a ``net.msg`` span.
+A flat lookup's request and response go through the funnel as one
+exchange (one accounting call).  Higher layers never touch counters
+directly.
 
 Peer churn (join/leave) triggers key handoff between the affected peers;
 handoff traffic is attributed to the MAINTENANCE phase, which the paper's
@@ -21,8 +27,8 @@ from ..errors import NetworkError, PeerNotFoundError
 from ..obs.trace import get_tracer
 from .accounting import Phase, TrafficAccounting
 from .chord import ChordOverlay, Overlay
-from .messages import Message, MessageKind
-from .node_id import canonical_term_set, hash_to_id, peer_id_for
+from .messages import MessageKind
+from .node_id import canonical_term_set, hash_to_id, key_repr, peer_id_for
 from .storage import PeerStorage
 
 __all__ = ["MembershipEvent", "P2PNetwork", "RoutingPolicy"]
@@ -70,7 +76,6 @@ class RoutingPolicy(Protocol):
         key: Any,
         key_id: int,
         response_size: Callable[[Any | None], int],
-        key_repr: str = "",
     ) -> Any | None:
         """Execute one lookup end to end: log the routed request and
         response messages and return the value (which the policy may
@@ -142,40 +147,89 @@ class P2PNetwork:
         self._membership_batch_depth = 0
         self._membership_changed_in_batch = False
 
-    def _send(self, message: Message, route: str | None = None) -> None:
-        """Log ``message`` and pay its simulated transmission latency.
+    def _send(
+        self,
+        kind: MessageKind,
+        source: int,
+        destination: int,
+        postings: int,
+        hops: int,
+        key: Any = None,
+        route: str | None = None,
+        reply: int | None = None,
+    ) -> None:
+        """The one funnel every simulated message goes through: check
+        its fields, count them, and pay its simulated latency.
+
+        ``key`` is the logical key the message concerns (or a label for
+        keyless transfers) and ``route`` the path a routing policy took;
+        both are trace-only.  ``reply``, when given, is the receiver's
+        one-hop RESPONSE carrying that many postings back to ``source``
+        — a lookup's request and answer counted in one accounting call.
 
         When a trace is in flight (tracing enabled, or an enabled
-        caller's span is active in this context) the message becomes a
+        caller's span is active in this context) each message becomes a
         ``net.msg`` span containing one ``net.hop`` child per accounted
         hop, so a trace's ``net.hop`` count equals the
         :class:`TrafficAccounting` hop total of the traced operation.
         The per-hop link latency is paid inside the hop spans (same
-        total sleep as the untraced path)."""
-        self.accounting.record(message)
+        total sleep as the untraced path).
+
+        Raises:
+            ValueError: a negative posting count or hop count.
+        """
+        if postings < 0:
+            raise ValueError(f"postings must be >= 0, got {postings}")
+        if reply is not None and reply < 0:
+            raise ValueError(f"reply postings must be >= 0, got {reply}")
+        if hops < 0:
+            raise ValueError(f"hops must be >= 0, got {hops}")
+        self.accounting.record(kind, postings, hops, reply)
         tracer = get_tracer()
         if tracer.active:
-            self._send_traced(message, route, tracer)
+            phase = self.accounting.phase.value
+            label = None if key is None else key_repr(key)
+            self._send_traced(
+                tracer, phase, kind, source, destination, postings, hops,
+                label, route,
+            )
+            if reply is not None:
+                self._send_traced(
+                    tracer, phase, MessageKind.RESPONSE, destination,
+                    source, reply, 1, label, route,
+                )
             return
-        if self.link_latency_s > 0.0 and message.hops > 0:
-            time.sleep(self.link_latency_s * message.hops)
+        if self.link_latency_s > 0.0:
+            total = hops if reply is None else hops + 1
+            if total > 0:
+                time.sleep(self.link_latency_s * total)
 
     def _send_traced(
-        self, message: Message, route: str | None, tracer: Any
+        self,
+        tracer: Any,
+        phase: str,
+        kind: MessageKind,
+        source: int,
+        destination: int,
+        postings: int,
+        hops: int,
+        label: str | None,
+        route: str | None,
     ) -> None:
         attrs: dict[str, object] = {
-            "kind": message.kind.name,
-            "source": message.source,
-            "destination": message.destination,
-            "postings": message.postings,
-            "hops": message.hops,
+            "kind": kind.name,
+            "phase": phase,
+            "source": source,
+            "destination": destination,
+            "postings": postings,
+            "hops": hops,
         }
         if route:
             attrs["route"] = route
-        if message.key_repr:
-            attrs["key"] = message.key_repr
+        if label:
+            attrs["key"] = label
         with tracer.span("net.msg", **attrs):
-            for hop in range(message.hops):
+            for hop in range(hops):
                 with tracer.span("net.hop", index=hop):
                     if self.link_latency_s > 0.0:
                         time.sleep(self.link_latency_s)
@@ -187,7 +241,7 @@ class P2PNetwork:
         destination: int,
         postings: int = 0,
         hops: int = 1,
-        key_repr: str = "",
+        key: Any = None,
         route: str | None = None,
     ) -> None:
         """Log one protocol message into the traffic accounting.
@@ -195,21 +249,12 @@ class P2PNetwork:
         The public form of :meth:`_send` for layers that route messages
         themselves (a :class:`RoutingPolicy`, the super-peer topology's
         maintenance protocol) instead of going through the insert/lookup
-        primitives.  ``route`` is trace-only attribution (which path the
-        policy took, e.g. ``"path_cache"`` or ``"leaf->sp->owner"``) and
-        never affects accounting.
+        primitives.  ``key`` and ``route`` are trace-only attribution
+        (the key the message concerns; which path the policy took, e.g.
+        ``"path_cache"`` or ``"leaf->sp->owner"``) and never affect
+        accounting.
         """
-        self._send(
-            Message(
-                kind=kind,
-                source=source,
-                destination=destination,
-                postings=postings,
-                hops=hops,
-                key_repr=key_repr,
-            ),
-            route=route,
-        )
+        self._send(kind, source, destination, postings, hops, key, route)
 
     def log_maintenance(
         self,
@@ -218,7 +263,7 @@ class P2PNetwork:
         destination: int,
         postings: int = 0,
         hops: int = 1,
-        key_repr: str = "",
+        key: Any = None,
         route: str | None = None,
     ) -> None:
         """Log one overlay-maintenance message under the MAINTENANCE
@@ -232,10 +277,7 @@ class P2PNetwork:
         individually instead of trusting the caller to set it.
         """
         with self.accounting.phase_scope(Phase.MAINTENANCE):
-            self.log_message(
-                kind, source, destination, postings, hops, key_repr,
-                route=route,
-            )
+            self._send(kind, source, destination, postings, hops, key, route)
 
     def _route_hops(self, source_id: int, key_id: int) -> int:
         """Routed hops from ``source_id`` to the responsible peer —
@@ -413,15 +455,7 @@ class P2PNetwork:
         # A thread-local phase override: churn handoffs racing with
         # queries in other threads must not re-attribute their messages.
         with self.accounting.phase_scope(Phase.MAINTENANCE):
-            self._send(
-                Message(
-                    kind=MessageKind.HANDOFF,
-                    source=source,
-                    destination=destination,
-                    postings=postings,
-                    hops=1,
-                )
-            )
+            self._send(MessageKind.HANDOFF, source, destination, postings, 1)
 
     # -- DHT primitives ---------------------------------------------------------------
 
@@ -447,7 +481,6 @@ class P2PNetwork:
         key: Any,
         merge: Callable[[Any | None], Any],
         payload_postings: int,
-        key_repr: str = "",
     ) -> Any:
         """Route a merge-insert for ``key`` from the source peer.
 
@@ -465,9 +498,7 @@ class P2PNetwork:
 
         Returns the merged stored value.
         """
-        key_id = self.send_insert(
-            source_peer_name, key, payload_postings, key_repr=key_repr
-        )
+        key_id = self.send_insert(source_peer_name, key, payload_postings)
         return self.apply_insert(key, merge, key_id=key_id)
 
     def send_insert(
@@ -475,7 +506,6 @@ class P2PNetwork:
         source_peer_name: str,
         key: Any,
         payload_postings: int,
-        key_repr: str = "",
     ) -> int:
         """Transmission phase of an insert: log the routed INSERT message
         and pay its simulated link latency.  Touches no storage, so
@@ -487,14 +517,8 @@ class P2PNetwork:
         target_id = self.overlay.responsible_peer(key_id)
         hops = self._route_hops(source_id, key_id)
         self._send(
-            Message(
-                kind=MessageKind.INSERT,
-                source=source_id,
-                destination=target_id,
-                postings=payload_postings,
-                hops=max(1, hops),
-                key_repr=key_repr or repr(key),
-            )
+            MessageKind.INSERT, source_id, target_id, payload_postings,
+            max(1, hops), key,
         )
         if self.replication is not None:
             # The primary forwards the op to the other replicas — one
@@ -502,11 +526,7 @@ class P2PNetwork:
             # so the parallel pipeline's transmission/merge split stays
             # deterministic.
             self.replication.send_replica_writes(
-                self,
-                target_id,
-                key_id,
-                payload_postings,
-                key_repr=key_repr or repr(key),
+                self, target_id, key_id, payload_postings, key=key
             )
         return key_id
 
@@ -557,57 +577,33 @@ class P2PNetwork:
         source_peer_name: str,
         key: Any,
         response_size: Callable[[Any | None], int],
-        key_repr: str = "",
     ) -> Any | None:
         """Route a lookup for ``key``; returns the stored value or None.
 
-        Two messages are logged: the request (no postings) and the
-        response carrying ``response_size(value)`` postings back to the
-        requester — the quantity Figure 6 plots per query.  With a
-        :class:`RoutingPolicy` installed the whole lookup is delegated
-        to it (hierarchical paths, mid-path cache answers); the returned
-        value is identical either way because responsibility and storage
-        are untouched by routing.
+        Two messages are logged, as one exchange: the request (no
+        postings) and the response carrying ``response_size(value)``
+        postings back to the requester — the quantity Figure 6 plots per
+        query.  With a :class:`RoutingPolicy` installed the whole lookup
+        is delegated to it (hierarchical paths, mid-path cache answers);
+        the returned value is identical either way because
+        responsibility and storage are untouched by routing.
         """
         source_id = self.id_of(source_peer_name)
         key_id = self._key_id(key)
         if self.router is not None:
             return self.router.route_lookup(
-                self,
-                source_id,
-                key,
-                key_id,
-                response_size,
-                key_repr=key_repr or repr(key),
+                self, source_id, key, key_id, response_size
             )
         target_id = self.overlay.responsible_peer(key_id)
         hops = self.overlay.route_hops(source_id, key_id)
-        self._send(
-            Message(
-                kind=MessageKind.LOOKUP,
-                source=source_id,
-                destination=target_id,
-                postings=0,
-                hops=max(1, hops),
-                key_repr=key_repr or repr(key),
-            ),
-            route="flat",
-        )
         # A crashed owner answers nothing; an empty RESPONSE stands in
         # for the requester's timeout (unreplicated crash semantics —
         # with replication installed the failover router takes over
         # before this path runs).
         value = self.value_at(target_id, key)
         self._send(
-            Message(
-                kind=MessageKind.RESPONSE,
-                source=target_id,
-                destination=source_id,
-                postings=response_size(value),
-                hops=1,
-                key_repr=key_repr or repr(key),
-            ),
-            route="flat",
+            MessageKind.LOOKUP, source_id, target_id, 0, max(1, hops), key,
+            "flat", reply=response_size(value),
         )
         return value
 
@@ -615,18 +611,12 @@ class P2PNetwork:
         self,
         source_peer_id: int,
         target_peer_name_id: int,
-        key_repr: str = "",
+        key: Any = None,
     ) -> None:
         """Log an NDK notification message (no posting payload)."""
         self._send(
-            Message(
-                kind=MessageKind.NDK_NOTIFY,
-                source=source_peer_id,
-                destination=target_peer_name_id,
-                postings=0,
-                hops=1,
-                key_repr=key_repr,
-            )
+            MessageKind.NDK_NOTIFY, source_peer_id, target_peer_name_id, 0,
+            1, key,
         )
 
     def transfer(
@@ -635,7 +625,7 @@ class P2PNetwork:
         destination_peer_name: str,
         postings: int,
         kind: MessageKind = MessageKind.RESPONSE,
-        key_repr: str = "",
+        key: Any = None,
     ) -> None:
         """Log a direct peer-to-peer payload transfer.
 
@@ -649,14 +639,8 @@ class P2PNetwork:
         # Direct transfer: the peers already know each other's addresses
         # from the preceding lookup, so no overlay routing is involved.
         self._send(
-            Message(
-                kind=kind,
-                source=source_id,
-                destination=destination_id,
-                postings=postings,
-                hops=0 if source_id == destination_id else 1,
-                key_repr=key_repr,
-            )
+            kind, source_id, destination_id, postings,
+            0 if source_id == destination_id else 1, key,
         )
 
     def publish_stats(
@@ -668,13 +652,8 @@ class P2PNetwork:
         target_id = self.overlay.responsible_peer(key_id)
         hops = self._route_hops(source_id, key_id)
         self._send(
-            Message(
-                kind=MessageKind.STATS_PUBLISH,
-                source=source_id,
-                destination=target_id,
-                postings=postings,
-                hops=max(1, hops),
-            )
+            MessageKind.STATS_PUBLISH, source_id, target_id, postings,
+            max(1, hops),
         )
         if self.replication is not None:
             # Statistics publications replicate like inserts: the stats

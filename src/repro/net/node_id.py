@@ -14,6 +14,7 @@ __all__ = [
     "KEY_SPACE_SIZE",
     "canonical_term_set",
     "hash_to_id",
+    "key_repr",
     "peer_id_for",
 ]
 
@@ -33,6 +34,18 @@ def canonical_term_set(key: frozenset[str]) -> str:
     keeping it in one place guarantees a persisted key rehashes to the
     same responsible peer on reload."""
     return "\x1f".join(sorted(key))
+
+
+def key_repr(key: object) -> str:
+    """Human-readable form of a logical key (traces, error messages): a
+    term set as ``{apple+pie}`` — terms sorted, so the text does not
+    depend on the hash seed — a string as itself, anything else as its
+    ``repr``."""
+    if isinstance(key, frozenset):
+        return "{" + "+".join(sorted(key)) + "}"
+    if isinstance(key, str):
+        return key
+    return repr(key)
 
 
 def hash_to_id(value: str) -> int:

@@ -27,7 +27,7 @@ Span taxonomy (names used by the instrumented layers):
 ``worker.search``     pool worker process, re-parented into gateway
 ``service.search``    cache probe + single-flight + backend call
 ``service.backend``   the backend section of one query
-``net.msg``           one overlay message (kind/route/postings)
+``net.msg``           one overlay message (kind/phase/route/postings)
 ``net.hop``           one accounted hop inside a message
 ``store.segment_read``    block-cache miss served from disk
 ``store.spill_materialize`` cold spill stub re-heated

@@ -302,7 +302,6 @@ class HierarchicalRouter:
         key: Any,
         key_id: int,
         response_size: Callable[[Any | None], int],
-        key_repr: str = "",
         *,
         owner: int | None = _UNRESOLVED,
     ) -> Any | None:
@@ -337,7 +336,7 @@ class HierarchicalRouter:
                     key, key_id, local if fill_local else None, home
                 )
         value, answered = self._exchange(
-            network, key, key_id, response_size, key_repr,
+            network, key, key_id, response_size,
             path, level, fill_local, payload, route,
         )
         with self._lock:
@@ -430,7 +429,6 @@ class HierarchicalRouter:
         key: Any,
         key_id: int,
         response_size: Callable[[Any | None], int],
-        key_repr: str,
         path: tuple[int | None, ...],
         level: int,
         via_local: bool,
@@ -451,7 +449,7 @@ class HierarchicalRouter:
             answerer = network.overlay.responsible_peer(key_id)
         hops = _hops(*request)
         network.log_message(
-            MessageKind.LOOKUP, source_id, answerer, 0, hops, key_repr,
+            MessageKind.LOOKUP, source_id, answerer, 0, hops, key,
             route=route,
         )
         if dark:
@@ -472,7 +470,7 @@ class HierarchicalRouter:
             route = "owner>home>local>leaf" if via_local else "owner>home>leaf"
         network.log_message(
             MessageKind.RESPONSE, answerer, source_id, response_size(value),
-            hops, key_repr, route=route,
+            hops, key, route=route,
         )
         return value, answered
 
@@ -539,7 +537,7 @@ class HierarchicalRouter:
             # paper's posting counts are unchanged.
             self._fan_out(
                 self.topology.network.log_message, home_sp, fanout_targets,
-                str(key_id),
+                key_id,
             )
         if rebuild_epoch is not None:
             self._rebuild_cluster_summary(home, epoch=rebuild_epoch)
@@ -549,7 +547,7 @@ class HierarchicalRouter:
         log: Callable[..., None],
         announcer: int,
         holder_starts: Iterable[int],
-        key_repr: str = "",
+        key: Any = None,
     ) -> None:
         """``log`` one ``CACHE_INVALIDATE`` from super-peer ``announcer``
         to the super-peer of every cluster in ``holder_starts`` (lowest
@@ -561,7 +559,7 @@ class HierarchicalRouter:
                 continue
             log(
                 MessageKind.CACHE_INVALIDATE, announcer, holder.super_peer,
-                key_repr=key_repr,
+                key=key,
             )
             sent += 1
         if sent:

@@ -55,7 +55,6 @@ class ReplicaFailoverRouter:
         key: Any,
         key_id: int,
         response_size: Callable[[Any | None], int],
-        key_repr: str = "",
     ) -> Any | None:
         # One walk decides both the probe cost and the answering peer,
         # and the inner policy is handed that peer instead of walking
@@ -70,18 +69,17 @@ class ReplicaFailoverRouter:
                 target_id,
                 postings=0,
                 hops=skipped,
-                key_repr=key_repr,
+                key=key,
                 route="failover_probe",
             )
             self.failover_probes += skipped
         if self.inner is not None:
             return self.inner.route_lookup(
                 network, source_id, key, key_id, response_size,
-                key_repr=key_repr, owner=target_id,
+                owner=target_id,
             )
         return self._flat_lookup(
-            network, source_id, key, key_id, target_id, response_size,
-            key_repr,
+            network, source_id, key, key_id, target_id, response_size
         )
 
     def _flat_lookup(
@@ -92,7 +90,6 @@ class ReplicaFailoverRouter:
         key_id: int,
         target_id: int | None,
         response_size: Callable[[Any | None], int],
-        key_repr: str,
     ) -> Any | None:
         """The flat network's two-message lookup, aimed at the effective
         owner instead of the (possibly crashed) responsible peer."""
@@ -107,7 +104,7 @@ class ReplicaFailoverRouter:
                 primary,
                 postings=0,
                 hops=max(1, network.overlay.route_hops(source_id, key_id)),
-                key_repr=key_repr,
+                key=key,
                 route="dark_range",
             )
             return None
@@ -118,7 +115,7 @@ class ReplicaFailoverRouter:
             target_id,
             postings=0,
             hops=hops,
-            key_repr=key_repr,
+            key=key,
             route="replica_flat",
         )
         value = network.value_at(target_id, key)
@@ -128,7 +125,7 @@ class ReplicaFailoverRouter:
             source_id,
             postings=response_size(value),
             hops=1,
-            key_repr=key_repr,
+            key=key,
             route="replica_flat",
         )
         return value

@@ -130,7 +130,7 @@ class ReplicationManager:
         primary_id: int,
         key_id: int,
         payload_postings: int,
-        key_repr: str = "",
+        key: Any = None,
         origin: int | None = None,
     ) -> None:
         """Transmission phase of the fan-out: the primary forwards the
@@ -146,7 +146,7 @@ class ReplicationManager:
                 backup,
                 postings=payload_postings,
                 hops=1,
-                key_repr=key_repr,
+                key=key,
             )
             self.replica_writes += 1
         if origin is not None:

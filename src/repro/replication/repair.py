@@ -238,7 +238,7 @@ class AntiEntropyRepairer:
             target,
             postings=postings,
             hops=1,
-            key_repr=repr(key),
+            key=key,
         )
         self.manager.record_version(target, key, version)
         router = self.network.router

@@ -64,6 +64,12 @@ class HDKSearchResult:
 class HDKRetrievalEngine:
     """Query side of the HDK model.
 
+    The engine keeps one piece of state between queries: the BM25
+    scorer and its document-length normalization table for the current
+    *statistics generation* — ``(num_documents, average_document_length)``
+    of the global index.  Both are rebuilt when the generation changes
+    (``index()`` or a join); a query only builds its ``term -> df`` map.
+
     Args:
         global_index: the populated global key index.
         params: the HDK parameters used at indexing time.
@@ -74,6 +80,11 @@ class HDKRetrievalEngine:
     ) -> None:
         self.global_index = global_index
         self.params = params
+        #: ``(generation, scorer, doc length -> length norm)``; swapped
+        #: whole, so concurrent queries never see a torn state.
+        self._scoring: (
+            tuple[tuple[int, float], BM25Scorer, dict[int, float]] | None
+        ) = None
 
     def search(
         self, source_peer_name: str, query: Query, k: int = 20
@@ -82,32 +93,44 @@ class HDKRetrievalEngine:
         top-``k`` with full traffic accounting."""
         if k < 1:
             raise RetrievalError(f"k must be >= 1, got {k}")
-        self.global_index.set_phase(Phase.RETRIEVAL)
         result = HDKSearchResult(query=query)
+        # Lattice nodes are tuples of sorted terms: combinations of the
+        # sorted query terms come out canonical, so a node's sub-nodes
+        # are slices and a frozenset is built only for the lookup.
         fetched: list[tuple[tuple[str, ...], PostingList]] = []
         # Subsets whose status allows supersets to be indexed.
-        expandable: set[frozenset[str]] = set()
+        expandable: set[tuple[str, ...]] = set()
         query_terms = sorted(query.term_set)
         max_size = min(len(query_terms), self.params.s_max)
-        for size in range(1, max_size + 1):
-            for subset in self._candidate_subsets(
-                query_terms, size, expandable
-            ):
-                entry = self.global_index.lookup(source_peer_name, subset)
-                result.keys_looked_up += 1
-                if entry is None:
-                    continue
-                result.keys_found += 1
-                result.postings_transferred += len(entry.postings)
-                # The answer arrives here: a spilled list loads now.
-                fetched.append(
-                    (tuple(sorted(subset)), entry.postings.resident())
-                )
-                if entry.status is KeyStatus.NON_DISCRIMINATIVE:
-                    result.ndk_keys += 1
-                    expandable.add(subset)
-                else:
-                    result.dk_keys += 1
+        # This thread's messages only: a join running in another thread
+        # keeps its own phase.
+        with self.global_index.network.accounting.phase_scope(
+            Phase.RETRIEVAL
+        ):
+            for size in range(1, max_size + 1):
+                ndk_keys_before = result.ndk_keys
+                for subset in self._candidate_subsets(
+                    query_terms, size, expandable
+                ):
+                    entry = self.global_index.lookup(
+                        source_peer_name, frozenset(subset)
+                    )
+                    result.keys_looked_up += 1
+                    if entry is None:
+                        continue
+                    result.keys_found += 1
+                    result.postings_transferred += len(entry.postings)
+                    # The answer arrives here: a spilled list loads now.
+                    fetched.append((subset, entry.postings.resident()))
+                    if entry.status is KeyStatus.NON_DISCRIMINATIVE:
+                        result.ndk_keys += 1
+                        expandable.add(subset)
+                    else:
+                        result.dk_keys += 1
+                if result.ndk_keys == ndk_keys_before:
+                    # Nothing of this size expands, so no larger subset
+                    # can be a candidate.
+                    break
         result.results = self._rank(fetched, query, k)
         return result
 
@@ -115,9 +138,10 @@ class HDKRetrievalEngine:
         self,
         query_terms: list[str],
         size: int,
-        expandable: set[frozenset[str]],
-    ) -> list[frozenset[str]]:
-        """Subsets of ``size`` worth looking up.
+        expandable: set[tuple[str, ...]],
+    ) -> list[tuple[str, ...]]:
+        """Subsets of ``size`` worth looking up, as sorted term tuples in
+        lattice order.
 
         Size-1 subsets are always candidates.  A larger subset is a
         candidate only when **all** its immediate sub-subsets are
@@ -127,21 +151,15 @@ class HDKRetrievalEngine:
         off, any subset with at least one expandable sub-subset qualifies.
         """
         if size == 1:
-            return [frozenset((t,)) for t in query_terms]
-        require_all = self.params.redundancy_filtering
-        candidates: list[frozenset[str]] = []
-        for combo in itertools.combinations(query_terms, size):
-            subs = [
-                frozenset(combo[:i] + combo[i + 1 :])
-                for i in range(len(combo))
-            ]
-            if require_all:
-                qualified = all(sub in expandable for sub in subs)
-            else:
-                qualified = any(sub in expandable for sub in subs)
-            if qualified:
-                candidates.append(frozenset(combo))
-        return candidates
+            return [(term,) for term in query_terms]
+        test = all if self.params.redundancy_filtering else any
+        return [
+            combo
+            for combo in itertools.combinations(query_terms, size)
+            if test(
+                combo[:i] + combo[i + 1 :] in expandable for i in range(size)
+            )
+        ]
 
     def _rank(
         self,
@@ -153,15 +171,17 @@ class HDKRetrievalEngine:
         if not fetched:
             return []
         index = self.global_index
-        num_documents = max(1, index.num_documents)
-        average_doc_length = index.average_document_length or 1.0
-        scorer = BM25Scorer(
-            num_documents=num_documents,
-            average_doc_length=average_doc_length,
-        )
+        generation = (index.num_documents, index.average_document_length)
+        scoring = self._scoring
+        if scoring is None or scoring[0] != generation:
+            scorer = BM25Scorer(
+                num_documents=max(1, generation[0]),
+                average_doc_length=generation[1] or 1.0,
+            )
+            scoring = self._scoring = (generation, scorer, {})
         term_dfs = {
             term: index.term_document_frequency(term)
             for term in query.terms
         }
-        ranker = DistributedRanker(scorer, term_dfs)
+        ranker = DistributedRanker(scoring[1], term_dfs, norms=scoring[2])
         return ranker.rank(fetched, k)

@@ -5,11 +5,19 @@ ranking": posting payloads carry per-term frequencies and document
 lengths, and the query peer combines them with globally published term
 statistics to compute BM25-style scores without fetching documents.  The
 :class:`DistributedRanker` reproduces that final aggregation step.
+
+Scoring state lives as long as the statistics it derives from: a ranker
+reads the caller's ``term -> df`` map without copying it, takes each
+term's idf once per query, and reads length normalizations from a
+``doc length -> norm`` table the caller may share across every query of
+one statistics generation (:class:`repro.retrieval.hdk_engine.
+HDKRetrievalEngine` keeps one per ``(num_documents, avgdl)``).  Results
+are plain named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import RetrievalError
 from ..index.bm25 import BM25Scorer
@@ -18,9 +26,8 @@ from ..index.postings import PostingList
 __all__ = ["RankedResult", "DistributedRanker"]
 
 
-@dataclass(frozen=True)
-class RankedResult:
-    """One ranked document."""
+class RankedResult(NamedTuple):
+    """One ranked document (immutable)."""
 
     doc_id: int
     score: float
@@ -33,12 +40,22 @@ class DistributedRanker:
         scorer: a BM25 scorer configured with the *global* collection
             statistics (document count, average length) published during
             indexing.
-        term_dfs: global document frequency of each query term.
+        term_dfs: global document frequency of each query term (read,
+            never copied or mutated).
+        norms: ``doc length -> scorer.length_norm(doc length)`` table to
+            read and fill; share one across rankers built on the same
+            scorer.  A fresh table when omitted.
     """
 
-    def __init__(self, scorer: BM25Scorer, term_dfs: dict[str, int]) -> None:
+    def __init__(
+        self,
+        scorer: BM25Scorer,
+        term_dfs: dict[str, int],
+        norms: dict[int, float] | None = None,
+    ) -> None:
         self.scorer = scorer
-        self.term_dfs = dict(term_dfs)
+        self.term_dfs = term_dfs
+        self.norms: dict[int, float] = {} if norms is None else norms
 
     def rank(
         self,
@@ -60,8 +77,10 @@ class DistributedRanker:
         """
         if k < 1:
             raise RetrievalError(f"k must be >= 1, got {k}")
-        # doc -> term -> tf, merged across keys.  Terms keep the order
-        # they were first seen in: the score below sums in that order.
+        # doc -> term -> tf, merged across keys (the largest tf wins;
+        # frequencies are non-negative).  Terms keep the order they were
+        # first seen in: the score below sums in that order.  doc_lens
+        # gains its keys in evidence's order.
         evidence: dict[int, dict[str, int]] = {}
         doc_lens: dict[int, int] = {}
         for key_terms, postings in fetched:
@@ -79,38 +98,39 @@ class DistributedRanker:
                     for term in key_terms:
                         tf = term_tfs[index]
                         index += 1
-                        if tf > term_map.setdefault(term, 0):
+                        if tf > term_map.get(term, -1):
                             term_map[term] = tf
                 elif bare_term is not None:
-                    if tfs[row] > term_map.setdefault(bare_term, 0):
-                        term_map[bare_term] = tfs[row]
+                    tf = tfs[row]
+                    if tf > term_map.get(bare_term, -1):
+                        term_map[bare_term] = tf
         # BM25Scorer.score_document inlined, operation for operation (so
         # every score keeps its exact bits), with the things that do not
-        # vary hoisted: a term's idf is computed once per call, a length
-        # normalization once per distinct document length.
+        # vary hoisted: a term's idf is taken once per call, a length
+        # normalization once per scoring generation.
         scorer = self.scorer
         k1_plus_1 = scorer.k1 + 1
-        idfs: dict[str, float] = {}
-        norms: dict[int, float] = {}
+        norms = self.norms
+        idfs = {term: scorer.idf(df) for term, df in self.term_dfs.items()}
         ranked: list[tuple[float, int]] = []
-        for doc_id, term_map in evidence.items():
-            doc_len = doc_lens[doc_id]
-            norm = norms.get(doc_len)
-            if norm is None:
+        for (doc_id, term_map), doc_len in zip(
+            evidence.items(), doc_lens.values()
+        ):
+            try:
+                norm = norms[doc_len]
+            except KeyError:
                 norm = norms[doc_len] = scorer.length_norm(doc_len)
             score = 0.0
             for term, tf in term_map.items():
                 if tf > 0:
-                    idf = idfs.get(term)
-                    if idf is None:
-                        idf = idfs[term] = scorer.idf(
-                            self.term_dfs.get(term, 0)
-                        )
+                    try:
+                        idf = idfs[term]
+                    except KeyError:  # a term without a published df
+                        idf = idfs[term] = scorer.idf(0)
                     score += idf * tf * k1_plus_1 / (tf + norm)
             ranked.append((-score, doc_id))
-        # Tuples sort in C; only the k survivors become result objects.
+        # Tuples sort in C; only the k survivors become results.
         ranked.sort()
         return [
-            RankedResult(doc_id=doc_id, score=-negated)
-            for negated, doc_id in ranked[:k]
+            RankedResult(doc_id, -negated) for negated, doc_id in ranked[:k]
         ]

@@ -84,7 +84,6 @@ class SingleTermIndexer:
                 term,
                 merge,
                 payload_postings=len(posting_list),
-                key_repr=term,
             )
             self.inserted_postings += len(posting_list)
 
@@ -148,25 +147,26 @@ class SingleTermRetrievalEngine:
         :class:`STSearchOutcome` including which terms were found."""
         if k < 1:
             raise RetrievalError(f"k must be >= 1, got {k}")
-        self.network.accounting.set_phase(Phase.RETRIEVAL)
         fetched: list[tuple[tuple[str, ...], PostingList]] = []
         term_dfs: dict[str, int] = {}
         transferred = 0
-        for term in query.terms:
-            entry: STEntry | None = self.network.lookup(
-                source_peer_name,
-                term,
-                lambda value: len(value.postings)
-                if value is not None
-                else 0,
-                key_repr=term,
-            )
-            if entry is None:
-                term_dfs[term] = 0
-                continue
-            term_dfs[term] = len(entry.postings)
-            transferred += len(entry.postings)
-            fetched.append(((term,), entry.postings))
+        # This thread's messages only: a join running in another thread
+        # keeps its own phase.
+        with self.network.accounting.phase_scope(Phase.RETRIEVAL):
+            for term in query.terms:
+                entry: STEntry | None = self.network.lookup(
+                    source_peer_name,
+                    term,
+                    lambda value: len(value.postings)
+                    if value is not None
+                    else 0,
+                )
+                if entry is None:
+                    term_dfs[term] = 0
+                    continue
+                term_dfs[term] = len(entry.postings)
+                transferred += len(entry.postings)
+                fetched.append(((term,), entry.postings))
         ranker = DistributedRanker(self.scorer, term_dfs)
         return STSearchOutcome(
             results=ranker.rank(fetched, k),

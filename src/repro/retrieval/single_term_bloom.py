@@ -123,7 +123,14 @@ class BloomSingleTermEngine:
         """
         if k < 1:
             raise RetrievalError(f"k must be >= 1, got {k}")
-        self.network.accounting.set_phase(Phase.RETRIEVAL)
+        # This thread's messages only: a join running in another thread
+        # keeps its own phase.
+        with self.network.accounting.phase_scope(Phase.RETRIEVAL):
+            return self._conjunctive_search(source_peer_name, query, k)
+
+    def _conjunctive_search(
+        self, source_peer_name: str, query: Query, k: int
+    ) -> BloomSearchOutcome:
         entries: dict[str, STEntry] = {}
         for term in query.terms:
             entry = self._entry_of(term)
@@ -162,7 +169,7 @@ class BloomSingleTermEngine:
                 peer,
                 postings=filter_cost,
                 kind=MessageKind.RESPONSE,
-                key_repr=f"bloom({first_term})",
+                key=f"bloom({first_term})",
             )
             transferred += filter_cost
             entry = entries[term]
@@ -188,7 +195,7 @@ class BloomSingleTermEngine:
             first_peer,
             postings=len(candidates),
             kind=MessageKind.RESPONSE,
-            key_repr="bloom-candidates",
+            key="bloom-candidates",
         )
         transferred += len(candidates)
         exact_ids = set(first_entry.postings.doc_ids())
@@ -200,7 +207,7 @@ class BloomSingleTermEngine:
             source_peer_name,
             postings=len(verified),
             kind=MessageKind.RESPONSE,
-            key_repr="bloom-result",
+            key="bloom-result",
         )
         transferred += len(verified)
         results = self._rank(verified, entries, query, k)

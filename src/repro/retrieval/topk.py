@@ -101,7 +101,7 @@ class DistributedTopKEngine:
             source,
             postings=postings,
             kind=MessageKind.RESPONSE,
-            key_repr=f"topk({term})",
+            key=f"topk({term})",
         )
 
     # -- public API ----------------------------------------------------------------
@@ -112,7 +112,14 @@ class DistributedTopKEngine:
         """Exact BM25 top-``k`` via the Threshold Algorithm."""
         if k < 1:
             raise RetrievalError(f"k must be >= 1, got {k}")
-        self.network.accounting.set_phase(Phase.RETRIEVAL)
+        # This thread's messages only: a join running in another thread
+        # keeps its own phase.
+        with self.network.accounting.phase_scope(Phase.RETRIEVAL):
+            return self._threshold_algorithm(source_peer_name, query, k)
+
+    def _threshold_algorithm(
+        self, source_peer_name: str, query: Query, k: int
+    ) -> TopKOutcome:
         entries: dict[str, STEntry] = {}
         for term in query.terms:
             entry = self._entry_of(term)

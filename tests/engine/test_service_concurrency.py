@@ -12,6 +12,7 @@ the per-query deltas sum to the batch-level window.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -238,3 +239,51 @@ class TestSingleFlight:
         assert service.search("t00042 t00137", k=5).cache_hit
         assert service.search("t00042 t00137", k=20).cache_hit
         assert probe.calls == 2
+
+
+class TestJoinBesideSearches:
+    @pytest.mark.parametrize("backend", ["hdk", "hdk_disk", "hdk_super"])
+    def test_join_traffic_unchanged_by_a_concurrent_search_loop(
+        self, small_collection, querylog, backend
+    ):
+        """A search attributes its own thread's messages to RETRIEVAL;
+        it must not flip the shared phase a join in another thread is
+        indexing under, so the join's reports carry the same traffic
+        with and without searches running beside it."""
+        ids = small_collection.doc_ids()
+        initial = small_collection.subset(ids[:-4])
+        held_out = small_collection.subset(ids[-4:])
+
+        def join_traffic(searching: bool) -> list:
+            service = build(initial, backend, **build_kwargs(backend))
+            stop = threading.Event()
+            searched = []
+
+            def search_loop():
+                while not stop.is_set():
+                    for query in querylog:
+                        service.search(query, k=10)
+                        searched.append(query)
+
+            loop = threading.Thread(target=search_loop)
+            if searching:
+                loop.start()
+                while not searched:
+                    time.sleep(0.001)
+            before = len(searched)
+            # Switch threads often, so searches land inside short joins.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                reports = service.add_peers(held_out, 1)
+            finally:
+                sys.setswitchinterval(interval)
+            during = len(searched) - before
+            stop.set()
+            if searching:
+                loop.join(timeout=60)
+                assert not loop.is_alive()
+                assert during > 0, "no search ran during the join"
+            return [report.traffic for report in reports]
+
+        assert join_traffic(True) == join_traffic(False)

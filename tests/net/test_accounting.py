@@ -19,11 +19,12 @@ from repro.net.accounting import (
     diff_snapshots,
     merge_snapshots,
 )
-from repro.net.messages import Message, MessageKind
+from repro.net.messages import MessageKind
 
 
 def make_message(postings=5, hops=2, kind=MessageKind.INSERT):
-    return Message(kind=kind, source=1, destination=2, postings=postings, hops=hops)
+    """The fields :meth:`TrafficAccounting.record` takes."""
+    return kind, postings, hops
 
 
 class TestPhases:
@@ -41,9 +42,9 @@ class TestPhases:
 
     def test_messages_attributed_to_current_phase(self):
         acc = TrafficAccounting()
-        acc.record(make_message(postings=3))
+        acc.record(*make_message(postings=3))
         acc.set_phase(Phase.RETRIEVAL)
-        acc.record(make_message(postings=7))
+        acc.record(*make_message(postings=7))
         assert acc.postings(Phase.INDEXING) == 3
         assert acc.postings(Phase.RETRIEVAL) == 7
 
@@ -51,17 +52,17 @@ class TestPhases:
 class TestCounters:
     def test_postings_messages_hops(self):
         acc = TrafficAccounting()
-        acc.record(make_message(postings=5, hops=2))
-        acc.record(make_message(postings=1, hops=4))
+        acc.record(*make_message(postings=5, hops=2))
+        acc.record(*make_message(postings=1, hops=4))
         assert acc.postings(Phase.INDEXING) == 6
         assert acc.messages(Phase.INDEXING) == 2
         assert acc.hops(Phase.INDEXING) == 6
 
     def test_by_kind(self):
         acc = TrafficAccounting()
-        acc.record(make_message(kind=MessageKind.INSERT))
-        acc.record(make_message(kind=MessageKind.LOOKUP))
-        acc.record(make_message(kind=MessageKind.LOOKUP))
+        acc.record(*make_message(kind=MessageKind.INSERT))
+        acc.record(*make_message(kind=MessageKind.LOOKUP))
+        acc.record(*make_message(kind=MessageKind.LOOKUP))
         snap = acc.snapshot()
         assert snap.messages_by_kind[MessageKind.LOOKUP] == 2
         assert snap.messages_by_kind[MessageKind.INSERT] == 1
@@ -69,7 +70,7 @@ class TestCounters:
     def test_reset(self):
         acc = TrafficAccounting()
         acc.set_phase(Phase.RETRIEVAL)
-        acc.record(make_message())
+        acc.record(*make_message())
         acc.reset()
         assert acc.postings(Phase.RETRIEVAL) == 0
         assert acc.phase is Phase.RETRIEVAL  # phase preserved
@@ -78,26 +79,26 @@ class TestCounters:
 class TestSnapshots:
     def test_snapshot_is_immutable_copy(self):
         acc = TrafficAccounting()
-        acc.record(make_message(postings=5))
+        acc.record(*make_message(postings=5))
         snap = acc.snapshot()
-        acc.record(make_message(postings=5))
+        acc.record(*make_message(postings=5))
         assert snap.indexing_postings == 5
         assert acc.snapshot().indexing_postings == 10
 
     def test_total_postings_includes_maintenance(self):
         acc = TrafficAccounting()
-        acc.record(make_message(postings=2))
+        acc.record(*make_message(postings=2))
         acc.set_phase(Phase.MAINTENANCE)
-        acc.record(make_message(postings=9, kind=MessageKind.HANDOFF))
+        acc.record(*make_message(postings=9, kind=MessageKind.HANDOFF))
         snap = acc.snapshot()
         assert snap.maintenance_postings == 9
         assert snap.total_postings == 11
 
     def test_diff_snapshots(self):
         acc = TrafficAccounting()
-        acc.record(make_message(postings=4))
+        acc.record(*make_message(postings=4))
         before = acc.snapshot()
-        acc.record(make_message(postings=6))
+        acc.record(*make_message(postings=6))
         delta = diff_snapshots(before, acc.snapshot())
         assert delta.indexing_postings == 6
         assert delta.messages_by_phase[Phase.INDEXING] == 1
@@ -106,9 +107,9 @@ class TestSnapshots:
 class TestWindows:
     def test_window_delta_counts_only_inside(self):
         acc = TrafficAccounting()
-        acc.record(make_message(postings=4))
+        acc.record(*make_message(postings=4))
         with acc.measure() as window:
-            acc.record(make_message(postings=6, hops=3))
+            acc.record(*make_message(postings=6, hops=3))
         delta = window.delta
         assert delta.indexing_postings == 6
         assert delta.messages_by_phase[Phase.INDEXING] == 1
@@ -117,16 +118,16 @@ class TestWindows:
     def test_delta_frozen_after_close(self):
         acc = TrafficAccounting()
         with acc.measure() as window:
-            acc.record(make_message(postings=2))
-        acc.record(make_message(postings=100))
+            acc.record(*make_message(postings=2))
+        acc.record(*make_message(postings=100))
         assert window.delta.indexing_postings == 2
 
     def test_live_delta_before_close(self):
         acc = TrafficAccounting()
         window = acc.measure()
-        acc.record(make_message(postings=2))
+        acc.record(*make_message(postings=2))
         assert window.delta.indexing_postings == 2
-        acc.record(make_message(postings=3))
+        acc.record(*make_message(postings=3))
         assert window.delta.indexing_postings == 5
         window.close()
 
@@ -137,9 +138,9 @@ class TestWindows:
     def test_nested_windows_both_count(self):
         acc = TrafficAccounting()
         with acc.measure() as outer:
-            acc.record(make_message(postings=1))
+            acc.record(*make_message(postings=1))
             with acc.measure() as inner:
-                acc.record(make_message(postings=2))
+                acc.record(*make_message(postings=2))
         assert outer.delta.indexing_postings == 3
         assert inner.delta.indexing_postings == 2
 
@@ -160,7 +161,7 @@ class TestConcurrency:
             start.wait()
             with acc.measure(scope="thread") as window:
                 for _ in range(count):
-                    acc.record(make_message(postings=postings, hops=1))
+                    acc.record(*make_message(postings=postings, hops=1))
             deltas[name] = window.delta
 
         threads = [
@@ -186,7 +187,7 @@ class TestConcurrency:
             threads = [
                 threading.Thread(
                     target=lambda: [
-                        acc.record(make_message(postings=1))
+                        acc.record(*make_message(postings=1))
                         for _ in range(250)
                     ]
                 )
@@ -206,7 +207,7 @@ class TestConcurrency:
         threads = [
             threading.Thread(
                 target=lambda: [
-                    acc.record(make_message(postings=2, hops=3))
+                    acc.record(*make_message(postings=2, hops=3))
                     for _ in range(500)
                 ]
             )
@@ -230,7 +231,7 @@ class TestConcurrency:
 
         def maintenance_worker() -> None:
             with acc.phase_scope(Phase.MAINTENANCE):
-                acc.record(make_message(postings=5, kind=MessageKind.HANDOFF))
+                acc.record(*make_message(postings=5, kind=MessageKind.HANDOFF))
                 inside.set()
                 proceed.wait()
 
@@ -239,7 +240,7 @@ class TestConcurrency:
         inside.wait()
         # While the other thread is inside its maintenance scope, this
         # thread still records into the shared retrieval phase.
-        acc.record(make_message(postings=11))
+        acc.record(*make_message(postings=11))
         proceed.set()
         thread.join()
         assert acc.postings(Phase.MAINTENANCE) == 5
@@ -266,19 +267,19 @@ class TestConcurrency:
         instead of taxing every later record() forever."""
         acc = TrafficAccounting()
         window = acc.measure(scope="global")
-        acc.record(make_message(postings=1))
+        acc.record(*make_message(postings=1))
         assert len(acc._global_windows) == 1
         del window  # abandoned without close()
-        acc.record(make_message(postings=1))
+        acc.record(*make_message(postings=1))
         assert acc._global_windows == []
 
     def test_abandoned_thread_window_is_pruned_too(self):
         acc = TrafficAccounting()
         window = acc.measure(scope="thread")
-        acc.record(make_message(postings=1))
+        acc.record(*make_message(postings=1))
         assert len(acc._thread_windows()) == 1
         del window
-        acc.record(make_message(postings=1))
+        acc.record(*make_message(postings=1))
         assert acc._thread_windows() == []
 
 
@@ -324,6 +325,8 @@ accounting_ops = st.lists(
             st.sampled_from(list(MessageKind)),
             st.integers(min_value=0, max_value=50),
             st.integers(min_value=0, max_value=6),
+            # A lookup's one-hop response, counted in the same call.
+            st.one_of(st.none(), st.integers(min_value=0, max_value=50)),
         ),
         st.tuples(st.just("set_phase"), st.sampled_from(list(Phase))),
         st.tuples(st.just("enter_scope"), st.sampled_from(list(Phase))),
@@ -362,26 +365,28 @@ def test_cells_match_counter_model(ops):
         for op in ops:
             name = op[0]
             if name in ("record", "record_elsewhere"):
-                _, kind, postings, hops = op
-                message = Message(
-                    kind=kind, source=1, destination=2,
-                    postings=postings, hops=hops,
-                )
+                _, kind, postings, hops, reply = op
+                fields = (kind, postings, hops, reply)
                 if name == "record":
                     phase = overrides[-1] if overrides else shared_phase
-                    acc.record(message)
+                    acc.record(*fields)
                 else:
                     # Another thread: no override of its own, invisible
                     # to this thread's thread-scoped windows.
                     phase = shared_phase
-                    other = threading.Thread(target=acc.record, args=(message,))
+                    other = threading.Thread(target=acc.record, args=fields)
                     other.start()
                     other.join(timeout=10)
                     assert not other.is_alive()
-                totals.add(phase, kind, postings, hops)
-                for window, model in open_windows:
-                    if name == "record" or window.scope == "global":
-                        model.add(phase, kind, postings, hops)
+                models = [totals] + [
+                    model
+                    for window, model in open_windows
+                    if name == "record" or window.scope == "global"
+                ]
+                for model in models:
+                    model.add(phase, kind, postings, hops)
+                    if reply is not None:
+                        model.add(phase, MessageKind.RESPONSE, reply, 1)
             elif name == "set_phase":
                 shared_phase = op[1]
                 acc.set_phase(shared_phase)
@@ -415,7 +420,7 @@ def test_bare_lookup_creates_zero_valued_postings_key():
     acc = TrafficAccounting()
     acc.set_phase(Phase.RETRIEVAL)
     with acc.measure(scope="thread") as window:
-        acc.record(make_message(postings=0, hops=0, kind=MessageKind.LOOKUP))
+        acc.record(*make_message(postings=0, hops=0, kind=MessageKind.LOOKUP))
     for snapshot in (acc.snapshot(), window.delta):
         assert snapshot.postings_by_phase == {Phase.RETRIEVAL: 0}
         assert snapshot.hops_by_phase == {Phase.RETRIEVAL: 0}
@@ -437,7 +442,7 @@ def test_hammer_with_windows_and_phase_scopes_stays_exact():
         with acc.phase_scope(phase), acc.measure(scope="thread") as window:
             for i in range(per_thread):
                 acc.record(
-                    make_message(
+                    *make_message(
                         postings=number, hops=i % 3,
                         kind=kinds[(number + i) % len(kinds)],
                     )

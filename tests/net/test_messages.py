@@ -1,46 +1,50 @@
-"""Tests for protocol messages."""
+"""Tests for the message vocabulary and the network's message funnel."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.net.messages import Message, MessageKind
-
-
-def test_message_ids_monotonic():
-    a = Message(kind=MessageKind.INSERT, source=1, destination=2)
-    b = Message(kind=MessageKind.LOOKUP, source=1, destination=2)
-    assert b.message_id > a.message_id
+from repro.net.accounting import Phase
+from repro.net.messages import MessageKind
+from repro.net.network import P2PNetwork
 
 
 def test_defaults():
-    msg = Message(kind=MessageKind.LOOKUP, source=1, destination=2)
-    assert msg.postings == 0
-    assert msg.hops == 1
-    assert msg.key_repr == ""
-
-
-def test_message_is_immutable():
-    msg = Message(kind=MessageKind.LOOKUP, source=1, destination=2)
-    with pytest.raises(AttributeError):
-        msg.hops = 3
-
-
-def test_explicit_message_id_kept_and_positional_order():
-    msg = Message(MessageKind.INSERT, 1, 2, 5, 3, "k", 99)
-    assert (msg.postings, msg.hops, msg.key_repr, msg.message_id) == (
-        5, 3, "k", 99,
-    )
+    net = P2PNetwork()
+    net.log_message(MessageKind.LOOKUP, source=1, destination=2)
+    snapshot = net.accounting.snapshot()
+    assert snapshot.postings_by_phase == {Phase.INDEXING: 0}
+    assert snapshot.hops_by_phase == {Phase.INDEXING: 1}
+    assert snapshot.messages_by_kind == {MessageKind.LOOKUP: 1}
 
 
 def test_negative_postings_rejected():
+    net = P2PNetwork()
     with pytest.raises(ValueError):
-        Message(kind=MessageKind.INSERT, source=1, destination=2, postings=-1)
+        net.log_message(MessageKind.INSERT, 1, 2, postings=-1)
+    with pytest.raises(ValueError):
+        net.log_maintenance(MessageKind.HANDOFF, 1, 2, postings=-1)
+    assert net.accounting.snapshot().total_messages == 0
 
 
 def test_negative_hops_rejected():
+    net = P2PNetwork()
     with pytest.raises(ValueError):
-        Message(kind=MessageKind.INSERT, source=1, destination=2, hops=-1)
+        net.log_message(MessageKind.INSERT, 1, 2, hops=-1)
+    with pytest.raises(ValueError):
+        net.log_maintenance(MessageKind.HANDOFF, 1, 2, hops=-1)
+    assert net.accounting.snapshot().total_messages == 0
+
+
+def test_negative_response_size_rejected():
+    # A flat lookup's response is counted in the request's call; its
+    # posting count is checked like any other message's.
+    net = P2PNetwork()
+    net.add_peer("peer-0")
+    accounted = net.accounting.snapshot()
+    with pytest.raises(ValueError):
+        net.lookup("peer-0", frozenset({"a"}), lambda value: -1)
+    assert net.accounting.snapshot() == accounted
 
 
 def test_kind_values_cover_protocol():

@@ -11,15 +11,16 @@ remote path-cache copies (invalidation fan-out), a saturating insert
 (single-flight summary rebuild), and a load skew that splits a cluster
 and lets it merge back.
 
-Every message the network logs is recorded as ``(phase, kind, source,
-destination, postings, hops, route)`` and compared, byte for byte,
+Every message the network logs is recorded — from its ``net.msg`` trace
+span — as ``(phase, kind, source, destination, postings, hops, route)``
+and compared, byte for byte,
 with ``golden/message_log.json``.  A refactor of the router that
 claims to be behaviour-neutral must reproduce the file unchanged; a
 change that moves a message on purpose regenerates it with
 ``PYTHONPATH=src python tests/overlay/test_message_log_golden.py`` and
-commits the diff.  ``key_repr`` is left out: ``repr(frozenset)``
-depends on the hash seed, and CI runs this test under two seeds so a
-set-iteration order can never be committed as golden.
+commits the diff.  The key is left out of the row, and CI runs this test
+under two hash seeds, so a set-iteration order can never be committed
+as golden.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ import json
 from pathlib import Path
 
 import pytest
+from harness.messages import recorded_messages
 
 from repro.net.accounting import Phase
+from repro.net.messages import MessageKind
 from repro.net.network import P2PNetwork
 from repro.net.node_id import peer_id_for
 from repro.overlay import HierarchicalRouter, SuperPeerTopology
@@ -77,29 +80,12 @@ REQUIRED_KINDS = {
 
 
 class World:
-    """One scripted network with every logged message recorded."""
+    """One scripted network; :func:`run_world` fills :attr:`log`."""
 
     def __init__(self, replication: int, adaptive: bool) -> None:
         self.network = network = P2PNetwork()
         self.log: list[tuple] = []
         self._names: dict[int, str] = {}
-        send = network._send
-
-        def recording_send(message, route=None):
-            self.log.append(
-                (
-                    network.accounting.phase.value,
-                    message.kind.value,
-                    self._names.get(message.source, message.source),
-                    self._names.get(message.destination, message.destination),
-                    message.postings,
-                    message.hops,
-                    route,
-                )
-            )
-            send(message, route=route)
-
-        network._send = recording_send
         for i in range(12):
             self.join(f"peer-{i:03d}")
         manager = (
@@ -130,6 +116,19 @@ class World:
 
     def name_of(self, peer_id: int) -> str:
         return self._names[peer_id]
+
+    def row(self, message) -> tuple:
+        """A ``net.msg`` span's attributes as a golden row (peers by
+        name: every peer is named before it joins)."""
+        return (
+            message["phase"],
+            MessageKind[message["kind"]].value,
+            self._names.get(message["source"], message["source"]),
+            self._names.get(message["destination"], message["destination"]),
+            message["postings"],
+            message["hops"],
+            message.get("route"),
+        )
 
     def insert(self, source: str, key: frozenset, value: list) -> None:
         self.network.accounting.set_phase(Phase.INDEXING)
@@ -167,6 +166,13 @@ class World:
 
 
 def run_world(replication: int, adaptive: bool) -> World:
+    with recorded_messages() as messages:
+        world = script_world(replication, adaptive)
+    world.log = [world.row(message) for message in messages]
+    return world
+
+
+def script_world(replication: int, adaptive: bool) -> World:
     world = World(replication, adaptive)
     network, topology = world.network, world.topology
     first, second, third, fourth = topology.clusters

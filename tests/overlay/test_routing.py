@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from harness.messages import recorded_messages
 
 from repro.errors import ConfigurationError
 from repro.net.accounting import Phase
@@ -325,16 +326,15 @@ class TestPathHopsIsTheLookupPath:
         for index in sorted(crashed):
             if index < num_peers and len(network.live_peer_ids()) > 1:
                 network.kill_peer(f"peer-{index:03d}")
-        seen = []
-        record = network.accounting.record
-        network.accounting.record = lambda m: (seen.append(m), record(m))
         for source_index, term in lookups:
             source = f"peer-{source_index % num_peers:03d}"
             key = frozenset({f"term-{term}"})
             expected = router.path_hops(
                 network.id_of(source), network.key_id(key)
             )
-            del seen[:]
-            network.lookup(source, key, lambda v: 0)
-            requests = [m for m in seen if m.kind is MessageKind.LOOKUP]
-            assert [m.hops for m in requests] == [expected]
+            with recorded_messages() as seen:
+                network.lookup(source, key, lambda v: 0)
+            requests = [
+                m for m in seen if m["kind"] == MessageKind.LOOKUP.name
+            ]
+            assert [m["hops"] for m in requests] == [expected]

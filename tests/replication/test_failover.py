@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from harness.messages import recorded_messages
 from replication_helpers import build_replicated, name_of
 from repro.net.messages import MessageKind
 from repro.net.network import P2PNetwork
@@ -124,13 +125,6 @@ def test_liveness_change_during_failover_is_read_once(build, event):
     if event == "respawn":
         # It comes back empty: only the backup can answer.
         net.kill_peer(victim)
-    sent = []
-    send = net._send
-
-    def recording_send(message, route=None):
-        sent.append(message)
-        send(message, route=route)
-
     is_live = net.is_live
     flipped = []
 
@@ -144,22 +138,24 @@ def test_liveness_change_during_failover_is_read_once(build, event):
                 net.respawn_peer(victim)
         return live
 
-    net._send = recording_send
     net.is_live = racing_is_live
-    value = net.lookup(source, key, lambda v: 0 if v is None else 1)
+    with recorded_messages() as sent:
+        value = net.lookup(source, key, lambda v: 0 if v is None else 1)
     assert flipped == [event == "crash"]
-    probes = [m for m in sent if m.kind is MessageKind.REPLICA_PROBE]
-    (lookup,) = [m for m in sent if m.kind is MessageKind.LOOKUP]
+    probes = [m for m in sent if m["kind"] == MessageKind.REPLICA_PROBE.name]
+    (lookup,) = [m for m in sent if m["kind"] == MessageKind.LOOKUP.name]
     if event == "crash":
         # Seen live: the request is aimed at the primary, which died
         # on the way and answers nothing.
         assert probes == []
-        assert lookup.destination == primary
+        assert lookup["destination"] == primary
         assert value is None
     else:
         # Seen dead: one probe past it, and the backup answers.
-        assert [(m.destination, m.hops) for m in probes] == [(backup, 1)]
-        assert lookup.destination == backup
+        assert [(m["destination"], m["hops"]) for m in probes] == [
+            (backup, 1)
+        ]
+        assert lookup["destination"] == backup
         assert value == "v"
     assert net.router.failover_probes == len(probes)
     if event == "crash":

@@ -9,10 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.corpus.querylog import QueryLogGenerator
+from repro.engine.service import SearchService
 from repro.errors import RetrievalError
 from repro.index.bm25 import BM25Scorer
 from repro.index.postings import Posting, PostingList
-from repro.retrieval.ranking import DistributedRanker
+from repro.retrieval.hdk_engine import HDKRetrievalEngine
+from repro.retrieval.ranking import DistributedRanker, RankedResult
+from tests.conftest import SMALL_PARAMS
 
 
 @pytest.fixture()
@@ -288,3 +292,194 @@ def test_negative_df_still_rejected_when_the_term_scores():
     fetched = [(("a",), Posting(doc_id=1, tf=1, doc_len=5))]
     with pytest.raises(RetrievalError):
         rank(DistributedRanker(scorer, {"a": -1}), fetched, k=1)
+
+
+# -- exactness against the dict-of-dicts ranker ----------------------------------------
+#
+# The ranker reads a caller's df map without copying it, shares a length-
+# norm table across queries of one statistics generation and returns
+# named tuples.  The reference below is the ranker as it was before that:
+# a per-call idf and norm memo over a doc -> term -> tf evidence map.
+# Scores still sum in the order terms were first seen, so every bit must
+# agree.
+
+
+def dict_of_dicts_rank(scorer, term_dfs, fetched, k):
+    evidence: dict[int, dict[str, int]] = {}
+    doc_lens: dict[int, int] = {}
+    for key_terms, postings in fetched:
+        doc_ids, tfs, lengths, offsets, term_tfs = postings.columns()
+        bare_term = key_terms[0] if len(key_terms) == 1 else None
+        for row, (doc_id, doc_len) in enumerate(zip(doc_ids, lengths)):
+            term_map = evidence.get(doc_id)
+            if term_map is None:
+                term_map = evidence[doc_id] = {}
+                doc_lens[doc_id] = doc_len
+            elif doc_len > doc_lens[doc_id]:
+                doc_lens[doc_id] = doc_len
+            index = offsets[row]
+            if offsets[row + 1] > index:
+                for term in key_terms:
+                    tf = term_tfs[index]
+                    index += 1
+                    if tf > term_map.setdefault(term, 0):
+                        term_map[term] = tf
+            elif bare_term is not None:
+                if tfs[row] > term_map.setdefault(bare_term, 0):
+                    term_map[bare_term] = tfs[row]
+    k1_plus_1 = scorer.k1 + 1
+    idfs: dict[str, float] = {}
+    norms: dict[int, float] = {}
+    ranked: list[tuple[float, int]] = []
+    for doc_id, term_map in evidence.items():
+        doc_len = doc_lens[doc_id]
+        norm = norms.get(doc_len)
+        if norm is None:
+            norm = norms[doc_len] = scorer.length_norm(doc_len)
+        score = 0.0
+        for term, tf in term_map.items():
+            if tf > 0:
+                idf = idfs.get(term)
+                if idf is None:
+                    idf = idfs[term] = scorer.idf(term_dfs.get(term, 0))
+                score += idf * tf * k1_plus_1 / (tf + norm)
+        ranked.append((-score, doc_id))
+    ranked.sort()
+    return [(doc_id, -negated) for negated, doc_id in ranked[:k]]
+
+
+@st.composite
+def fetched_lists(draw):
+    """Whole fetched posting lists, one per key: few documents, so they
+    recur under several keys with disagreeing lengths and tie on score;
+    single-term keys may ship bare ``tf`` rows; the keys come in drawn
+    order or with every multi-term key ahead of the single-term ones."""
+    lists = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        key_terms = tuple(
+            sorted(
+                draw(
+                    st.sets(
+                        st.sampled_from(VOCABULARY), min_size=1, max_size=3
+                    )
+                )
+            )
+        )
+        doc_ids = sorted(
+            draw(st.sets(st.integers(min_value=0, max_value=9), min_size=1))
+        )
+        tfs, doc_lens, offsets, term_tfs = [], [], [0], []
+        for _doc_id in doc_ids:
+            row = [
+                draw(st.integers(min_value=0, max_value=3))
+                for _ in key_terms
+            ]
+            bare = len(key_terms) == 1 and draw(st.booleans())
+            tfs.append(row[0] if bare else max(1, min(row)))
+            doc_lens.append(draw(st.sampled_from([0, 7, 10, 10, 31])))
+            if not bare:
+                term_tfs.extend(row)
+            offsets.append(len(term_tfs))
+        lists.append(
+            (
+                key_terms,
+                PostingList._from_columns(
+                    tuple(doc_ids),
+                    tuple(tfs),
+                    tuple(doc_lens),
+                    tuple(offsets),
+                    tuple(term_tfs),
+                ),
+            )
+        )
+    if draw(st.booleans()):
+        lists.sort(key=lambda pair: len(pair[0]) == 1)
+    return lists
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fetched_lists(),
+    st.integers(min_value=1, max_value=14),
+    st.fixed_dictionaries(
+        {term: st.integers(min_value=0, max_value=120) for term in "abcd"}
+    ),
+    st.sampled_from([(100, 10.0), (1, 0.1), (7, 33.3)]),
+)
+def test_rank_is_bit_identical_to_the_dict_of_dicts_ranker(
+    fetched, k, term_dfs, collection
+):
+    num_documents, average_doc_length = collection
+    scorer = BM25Scorer(
+        num_documents=num_documents, average_doc_length=average_doc_length
+    )
+    term_dfs = {t: df % (num_documents + 1) for t, df in term_dfs.items()}
+    published = dict(term_dfs)
+    expected = [
+        (doc_id, bits(score))
+        for doc_id, score in dict_of_dicts_rank(scorer, term_dfs, fetched, k)
+    ]
+    # Twice over one norm table: the second ranking reads what the
+    # first one filled, as the queries of one statistics generation do.
+    norms: dict[int, float] = {}
+    for _ in range(2):
+        results = DistributedRanker(scorer, term_dfs, norms=norms).rank(
+            fetched, k
+        )
+        assert [(r.doc_id, bits(r.score)) for r in results] == expected
+    assert norms == {
+        length: scorer.length_norm(length) for length in norms
+    }
+    candidates = {
+        doc_id for _, postings in fetched for doc_id in postings.doc_ids()
+    }
+    assert len(results) == min(k, len(candidates))
+    assert term_dfs == published  # read, never written
+
+
+def test_ranked_result_is_an_immutable_named_pair():
+    result = RankedResult(doc_id=3, score=1.5)
+    assert (result.doc_id, result.score) == (3, 1.5) == tuple(result)
+    with pytest.raises(AttributeError):
+        result.score = 2.0
+
+
+def test_engine_rebuilds_its_scoring_state_after_a_join(small_collection):
+    """The engine keeps one scorer and norm table per statistics
+    generation; a join publishes new statistics, after which its
+    rankings must equal a freshly constructed engine's."""
+    ids = small_collection.doc_ids()
+    service = SearchService.build(
+        small_collection.subset(ids[:80]),
+        num_peers=3,
+        backend="hdk",
+        params=SMALL_PARAMS,
+        cache_capacity=None,
+    )
+    service.index()
+    queries = QueryLogGenerator(
+        small_collection.subset(ids[:80]),
+        window_size=SMALL_PARAMS.window_size,
+        min_hits=2,
+        seed=5,
+    ).generate(12)
+    engine = service.backend._engine
+    index = service.backend.global_index
+    source = service.peers[0].name
+
+    def rankings(searcher):
+        return [
+            [
+                (r.doc_id, bits(r.score))
+                for r in searcher.search(source, query, k=10).results
+            ]
+            for query in queries
+        ]
+
+    before = rankings(engine)
+    assert before == rankings(HDKRetrievalEngine(index, SMALL_PARAMS))
+    service.add_peers(small_collection.subset(ids[80:84]), 1)
+    assert service.backend._engine is engine
+    after = rankings(engine)
+    assert after == rankings(HDKRetrievalEngine(index, SMALL_PARAMS))
+    assert after != before
