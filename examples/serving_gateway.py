@@ -38,6 +38,10 @@ from repro.utils import format_table
 K = 10
 QUERIES = ["t00042 t00137", "t00003 t00104", "t00012 t00055"]
 
+#: The drain demo's batch: long enough (a few seconds of worker time)
+#: to be genuinely in flight while the gateway drains.
+DRAIN_BATCH = QUERIES * 1000
+
 
 def main() -> None:
     # 1. Build once: index a synthetic collection and save a snapshot.
@@ -69,19 +73,21 @@ def main() -> None:
             for q in QUERIES
         }
 
-        # 2. Serve many: 2 worker processes + the HTTP gateway.  A small
-        #    simulated per-hop link latency (and no worker query cache)
-        #    puts queries in the WAN-shaped regime, which also gives the
-        #    drain demo below a genuinely in-flight batch to finish.
+        # 2. Serve many: 2 worker processes + the HTTP gateway.  No
+        #    worker query cache: every query pays its index lookups.
         pool = WorkerPool(
             WorkerSpec(
                 snapshot=str(snapshot),
                 config=ServiceConfig(cache_capacity=None),
-                link_latency_s=0.002,
             ),
             size=2,
         )
-        gateway = Gateway(pool, GatewayConfig(port=0, max_inflight=16))
+        gateway = Gateway(
+            pool,
+            GatewayConfig(
+                port=0, max_inflight=16, max_batch=len(DRAIN_BATCH)
+            ),
+        )
         with pool:
             gateway.start_in_thread()
             url = f"http://127.0.0.1:{gateway.port}"
@@ -146,19 +152,23 @@ def main() -> None:
                         url,
                         "POST",
                         "/search_batch",
-                        {"queries": QUERIES * 8, "k": K},
+                        {"queries": DRAIN_BATCH, "k": K},
+                        timeout_s=60,
                     )
                 )
             )
             slow.start()
-            time.sleep(0.1)  # let the batch reach a worker
+            while gateway.inflight < 1:  # let the batch reach a worker
+                time.sleep(0.001)
             gateway.initiate_drain()
             status, health = http_request(url, "GET", "/healthz")
             assert status == 503 and health["ready"] is False, health
             print("drain: healthz unready while the batch finishes...")
             slow.join()
             status, batch = inflight[0]
-            assert status == 200 and len(batch["responses"]) == 24, (
+            assert status == 200 and len(batch["responses"]) == len(
+                DRAIN_BATCH
+            ), (
                 "in-flight batch was dropped by the drain"
             )
             assert gateway.wait_finished(10.0), "drain did not finish"

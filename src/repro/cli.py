@@ -11,7 +11,7 @@ Subcommands::
                       again with --load (skipping indexing entirely);
                       every repro.config.ServiceConfig knob is a flag
                       (--cache-capacity, --store-dir, --overlay-fanout,
-                      --index-workers, --replication, ...)
+                      --replication, ...)
     repro serve       boot the asyncio HTTP gateway over a pool of
                       snapshot-loaded SearchService worker processes
                       (--snapshot --port --pool-size --max-inflight
@@ -192,13 +192,6 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
         )
 
 
-def _check_link_latency(args: argparse.Namespace) -> None:
-    if args.link_latency < 0.0:
-        raise SystemExit(
-            f"--link-latency must be >= 0, got {args.link_latency}"
-        )
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     collection = _build_collection(args)
     stats = compute_statistics(collection)
@@ -211,9 +204,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.batch < 0:
         raise SystemExit(f"--batch must be >= 0, got {args.batch}")
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    _check_link_latency(args)
     if args.query is None and not args.batch:
         raise SystemExit("a query string is required unless --batch is given")
     if args.query is not None and args.batch:
@@ -256,9 +246,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.save is not None:
         service.save(args.save)
         print(f"saved snapshot to {args.save}")
-    # Latency applies to the serving phase only: indexing above ran at
-    # zero latency, queries below pay it per overlay hop.
-    service.network.link_latency_s = args.link_latency
     if args.trace:
         from .obs.trace import get_tracer
 
@@ -311,7 +298,7 @@ def _run_batch(args: argparse.Namespace, service, collection) -> int:
         min_hits=min(20, max(1, len(collection) // 20)),
         seed=args.seed,
     ).generate(args.batch)
-    report = service.run_querylog(queries, k=args.top, workers=args.workers)
+    report = service.run_querylog(queries, k=args.top)
     rows = [
         ("queries", f"{report.num_queries:,}"),
         ("postings transferred", f"{report.total_postings_transferred:,}"),
@@ -350,7 +337,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--rate-limit must be >= 0, got {args.rate_limit}"
         )
-    _check_link_latency(args)
     service_config = _service_config(args)
     if not args.snapshot.is_dir():
         raise SystemExit(f"snapshot directory not found: {args.snapshot}")
@@ -378,7 +364,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     spec = WorkerSpec(
         snapshot=str(args.snapshot),
         backend=args.backend,
-        link_latency_s=args.link_latency,
         config=service_config,
     )
     pool = WorkerPool(spec, size=args.pool_size)
@@ -563,23 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay an N-query generated log through search_batch "
         "and print aggregate traffic and cache statistics",
     )
-    search.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="thread-pool width for --batch execution (the backend "
-        "section of each query runs genuinely concurrent)",
-    )
-    search.add_argument(
-        "--link-latency",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="simulated per-hop link latency applied to the serving "
-        "phase (indexing stays instantaneous); non-zero values make "
-        "--workers overlap real wait time",
-    )
     _add_knob_options(search)
     search.add_argument(
         "--save",
@@ -659,14 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the snapshot manifest's backend for the workers",
     )
     _add_knob_options(serve, ("memory_budget_bytes", "cache_capacity"))
-    serve.add_argument(
-        "--link-latency",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="simulated per-hop link latency inside each worker's "
-        "network (the WAN-shaped serving regime of the benches)",
-    )
     serve.add_argument(
         "--trace-dir",
         type=Path,

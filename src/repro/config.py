@@ -195,10 +195,6 @@ class ServiceConfig:
         sync: fsync segment files on rollover/close and the snapshot
             manifest on ``save()`` — the durability knob of disk-backed
             deployments.
-        index_workers: thread-pool width of the sharded indexing pipeline
-            (:mod:`repro.indexing`) that ``index()`` and ``add_peers()``
-            run on; ``1`` is the sequential reference build and any value
-            is byte-identical to it.
         replication: replica count per key range.  ``None`` means 1 for a
             built service and the degree recorded in the manifest for a
             loaded one.  ``1`` disables the replication subsystem entirely
@@ -248,11 +244,6 @@ class ServiceConfig:
     )
     sync: bool = _knob(
         False, "fsync segment files on rollover/close and the saved manifest"
-    )
-    index_workers: int = _knob(
-        1,
-        "thread-pool width of the sharded index build (same index at any)",
-        minimum=1,
     )
     replication: int | None = _knob(
         None,

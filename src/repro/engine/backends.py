@@ -293,11 +293,8 @@ class HDKBackend:
         self.context = context
         self.global_index = self._make_index(context)
         #: The shared build path: initial builds and incremental joins
-        #: both run through this sharded pipeline (sequential when
-        #: ``index_workers == 1``, byte-identical either way).
-        self.pipeline = IndexingPipeline(
-            workers=context.config.index_workers
-        )
+        #: both run through this pipeline.
+        self.pipeline = IndexingPipeline()
         self._indexers: list[PeerIndexer] = []
         self._engine: HDKRetrievalEngine | None = None
         self._index_started = False

@@ -28,10 +28,8 @@ Typical use::
 
 from __future__ import annotations
 
-import contextvars
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -553,55 +551,30 @@ class SearchService:
         queries: Sequence[str | Query],
         k: int = 20,
         source_peer: str | None = None,
-        workers: int = 1,
     ) -> BatchSearchReport:
         """Execute a batch of queries, amortizing repeats via the cache.
 
         This is the heavy-traffic surface: identical term sets inside
         the batch resolve against the index only once (when the cache is
-        enabled), and the report aggregates traffic, index lookups,
-        timing, and cache outcomes across the batch.
+        enabled — the first occurrence pays the backend, every repeat is
+        a cache hit), and the report aggregates traffic, index lookups,
+        timing, and cache outcomes across the batch.  Responses keep the
+        input order, and each carries its own per-query traffic window.
 
         Args:
             queries: raw strings or processed :class:`Query` objects.
             k: result depth.
             source_peer: the querying peer (defaults to the first).
-            workers: thread-pool width.  With ``workers > 1`` the whole
-                query path — cache, accounting, backend — runs
-                concurrently: the backend section is never serialized,
-                and each response still carries its own exact per-query
-                traffic window (thread-scoped accumulation).  Responses
-                keep the input order, and when the cache is enabled the
-                batch is de-duplicated in input order: the *first*
-                occurrence of each term set resolves against the index
-                (concurrently with the other first occurrences) and
-                every repeat is a cache hit — identical reports
-                (results, scores, cost fields, traffic snapshots;
-                timing aside) for ``workers=1`` and ``workers=8``.  (Exactness caveat: if
-                a single batch carries more *distinct* term sets than
-                the cache capacity, eviction order — and therefore which
-                late repeats still hit — depends on backend completion
-                order; results and scores stay identical, only cache-hit
-                flags and their zero-traffic windows can differ.)
         """
         if not self._indexed:
             raise RetrievalError("call index() before search_batch()")
-        if workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {workers}"
-            )
         started = time.perf_counter()
         hits_before, misses_before = self._cache_counters()
         report = BatchSearchReport()
         with self.network.accounting.measure(scope="global") as window:
-            if workers == 1 or len(queries) <= 1:
-                for raw in queries:
-                    report.responses.append(
-                        self.search(raw, k=k, source_peer=source_peer)
-                    )
-            else:
-                report.responses.extend(
-                    self._search_parallel(queries, k, source_peer, workers)
+            for raw in queries:
+                report.responses.append(
+                    self.search(raw, k=k, source_peer=source_peer)
                 )
         report.traffic = window.delta
         report.elapsed_ms = _ms_since(started)
@@ -610,89 +583,16 @@ class SearchService:
         report.cache_misses = misses_after - misses_before
         return report
 
-    def _search_parallel(
-        self,
-        queries: Sequence[str | Query],
-        k: int,
-        source_peer: str | None,
-        workers: int,
-    ) -> list[SearchResponse]:
-        """Run a batch on a thread pool, preserving input order.
-
-        With the cache enabled, repeated term sets are resolved in input
-        order: the first occurrence of each distinct set goes to the
-        pool (all first occurrences run concurrently), repeats are then
-        served as cache hits.  This keeps the per-position hit/miss
-        pattern — and therefore every per-query traffic window —
-        identical to a sequential run, instead of letting thread timing
-        decide which duplicate pays the backend cost.  Single-flight in
-        :meth:`search` still guards identical term sets racing *across*
-        batches or from direct concurrent callers.
-
-        Context propagation: pool threads start with *empty* contexts
-        (contextvars do not flow into ``ThreadPoolExecutor`` tasks), so
-        each backend task runs inside a fresh copy of the submitting
-        thread's context — a traced batch parents every per-query span
-        on the batch caller's span, and one task's span state can never
-        leak into another's (a :class:`contextvars.Context` is also not
-        concurrently enterable, hence one copy per task, not a shared
-        one).
-        """
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # Phase 1: pipeline work (tokenize/stem) across the pool.
-            processed = list(pool.map(self._process, queries))
-            responses: list[SearchResponse | None] = [None] * len(processed)
-            if self.cache is None:
-                # Without a cache every occurrence pays the backend,
-                # exactly as in a sequential run — fan the batch out.
-                resolve = list(range(len(processed)))
-            else:
-                first_of: dict[frozenset[str], int] = {}
-                for position, query in enumerate(processed):
-                    first_of.setdefault(query.term_set, position)
-                # enumerate + setdefault inserts positions ascending,
-                # so the values are already in input order.
-                resolve = list(first_of.values())
-            # Phase 2: backend resolution across the pool, each task in
-            # its own copy of this thread's context.
-            contexts = [
-                contextvars.copy_context() for _ in resolve
-            ]
-
-            def run_one(
-                position: int, ctx: contextvars.Context
-            ) -> SearchResponse:
-                return ctx.run(
-                    self.search,
-                    processed[position],
-                    k=k,
-                    source_peer=source_peer,
-                )
-
-            for position, response in zip(
-                resolve, pool.map(run_one, resolve, contexts)
-            ):
-                responses[position] = response
-        for position, query in enumerate(processed):
-            if responses[position] is None:  # a repeat: served by cache
-                responses[position] = self.search(
-                    query, k=k, source_peer=source_peer
-                )
-        return responses  # type: ignore[return-value]
-
     def run_querylog(
         self,
         querylog: Iterable[Query],
         k: int = 20,
         source_peer: str | None = None,
-        workers: int = 1,
     ) -> BatchSearchReport:
         """Replay a generated query log (see
         :class:`repro.corpus.querylog.QueryLogGenerator`); returns the
         same per-query + aggregate report as :meth:`search_batch`."""
-        return self.search_batch(
-            list(querylog), k=k, source_peer=source_peer, workers=workers
-        )
+        return self.search_batch(list(querylog), k=k, source_peer=source_peer)
 
     # -- fault tolerance ---------------------------------------------------------
 
@@ -824,9 +724,9 @@ class SearchService:
             config / **knobs: deployment knobs of the loaded service, as
                 for the constructor (see
                 :class:`~repro.config.ServiceConfig`): ``sync`` and
-                ``wal`` govern its own later writes, ``index_workers``
-                its later :meth:`add_peers`, and ``replication=None``
-                keeps the degree recorded in the manifest.
+                ``wal`` govern its own later writes, and
+                ``replication=None`` keeps the degree recorded in the
+                manifest.
 
         Raises:
             ConfigurationError: ``store_dir`` is set — the snapshot's

@@ -10,18 +10,15 @@ The driver operates on *sets of peers* (the paper's peers index
 collaboratively): statuses discovered globally in round ``s`` feed every
 peer's round ``s+1``, exactly like the prototype's NDK notification flow.
 
-Each protocol step a peer takes is split into three phases so the
-sharded pipeline (:mod:`repro.indexing`) can parallelize the build
-without changing a single byte of its outcome:
+Each protocol step a peer takes is split into three phases, which the
+indexing pipeline (:mod:`repro.indexing`) runs as barriered stages:
 
 - **extract** (:meth:`PeerIndexer.extract_statistics`,
   :meth:`PeerIndexer.extract_round`) — pure CPU over the peer's local
-  documents; touches neither the network nor shared state, so shard
-  workers run it concurrently;
+  documents; touches neither the network nor shared state;
 - **stage** (:meth:`PeerIndexer.send_statistics`,
-  :meth:`PeerIndexer.stage_round`) — transmission: logs the routed
-  messages and pays their simulated link latency, without mutating the
-  index; safe to overlap across peers;
+  :meth:`PeerIndexer.stage_round`) — transmission: logs and counts the
+  routed messages, without mutating the index;
 - **apply** (:meth:`PeerIndexer.aggregate_statistics`,
   :meth:`PeerIndexer.apply_round`) — the order-sensitive part (merges,
   NDK transitions, notification fan-out), always executed in the
@@ -214,8 +211,7 @@ class PeerIndexer:
         """Run one round's candidate generation (pure CPU).
 
         Reads only this peer's own learned statuses and the global
-        statistics directory (stable between rounds), so shard workers
-        extract different peers' rounds concurrently; returns the
+        statistics directory (stable between rounds); returns the
         semantically filtered candidate -> local posting list map.
         """
         if key_size == 1:
@@ -421,8 +417,8 @@ def run_incremental_join(
     exactly on status, df, and postings.  Retiring such keys is the
     "adaptive parameters" future work the paper's conclusion sketches.
 
-    Delegates to a single-worker :class:`repro.indexing.IndexingPipeline`
-    (the sequential reference execution of the shared build path).
+    Delegates to :class:`repro.indexing.IndexingPipeline` (the shared
+    build path).
 
     Returns the reports of the joining peers.
     """
@@ -507,10 +503,8 @@ def run_distributed_indexing(
     whose proposed key became NDK through a later peer's insert are brought
     up to date, standing in for asynchronous NDK notifications.
 
-    Delegates to a single-worker :class:`repro.indexing.IndexingPipeline`
-    (the sequential reference execution of the shared build path; pass a
-    pipeline with ``workers > 1`` for the sharded multi-core build,
-    which is byte-identical by construction).
+    Delegates to :class:`repro.indexing.IndexingPipeline` (the shared
+    build path).
 
     Returns each peer's :class:`IndexingReport`.
     """

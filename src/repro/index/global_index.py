@@ -82,16 +82,16 @@ class GlobalEntry:
 
 @dataclass(frozen=True)
 class StagedInsert:
-    """An insert whose transmission has been paid but whose merge has
+    """An insert whose transmission has been logged but whose merge has
     not yet been applied.
 
     Produced by :meth:`GlobalKeyIndex.stage_insert` (which validates the
     payload and logs the routed INSERT message) and consumed by
     :meth:`GlobalKeyIndex.apply_staged` (which runs the merge at the
-    responsible peer).  The split is what lets the parallel indexing
-    pipeline pay transmission latency concurrently across shard workers
-    while merges — the order-sensitive part of the protocol — are
-    applied in one deterministic sequence.
+    responsible peer).  The split is what lets the indexing pipeline
+    stage a whole round's transmissions before its merges — the
+    order-sensitive part of the protocol — are applied in one
+    deterministic sequence.
 
     Attributes:
         source_peer_name: the inserting peer.
@@ -325,9 +325,9 @@ class GlobalKeyIndex:
         Aggregated into the global directory; one STATS_PUBLISH message per
         term batch is logged (metadata, zero postings).  Composition of
         :meth:`aggregate_term_stats` (directory mutation) and
-        :meth:`send_term_stats` (the message) — the parallel pipeline
-        drives the phases separately, paying transmission on shard
-        workers and aggregating in deterministic peer order.
+        :meth:`send_term_stats` (the message) — the indexing pipeline
+        drives the phases separately, sending every peer's statistics
+        before aggregating them in deterministic peer order.
         """
         self.aggregate_term_stats(
             term_frequencies, num_documents, total_doc_length

@@ -1,17 +1,14 @@
-"""Sharded, multi-worker index construction (`repro.indexing`).
+"""Index construction (`repro.indexing`).
 
-The subsystem behind ``SearchService.build(..., index_workers=N)`` and
-the CLI's ``--index-workers``: a deterministic three-stage pipeline
-(extract per shard → stage transmission per shard → apply merges in
-sequential order) that parallelizes the build path while keeping every
-byte of the outcome — index contents, statistics directory, per-peer
-reports, traffic totals — identical to the sequential protocol.  See
-:mod:`repro.indexing.pipeline` for the stage contract and
-:mod:`repro.indexing.verify` for the fingerprints that enforce it.
+The distributed HDK build protocol as one deterministic three-stage
+pipeline per round (extract → stage transmission → apply merges in peer
+order).  See :mod:`repro.indexing.pipeline` for the stage contract and
+:mod:`repro.indexing.verify` for the fingerprints that pin its outcome
+— index contents, statistics directory, per-peer reports, traffic
+totals.
 """
 
 from .pipeline import IndexingPipeline
-from .shards import Shard, plan_shards
 from .verify import (
     build_fingerprint,
     entries_fingerprint,
@@ -23,10 +20,8 @@ from .verify import (
 
 __all__ = [
     "IndexingPipeline",
-    "Shard",
     "build_fingerprint",
     "entries_fingerprint",
-    "plan_shards",
     "postings_fingerprint",
     "reports_fingerprint",
     "termstats_fingerprint",

@@ -1,8 +1,9 @@
 """Canonical build-state fingerprints (determinism verification).
 
-The parallel pipeline's contract is *byte-identity*: any worker/shard
-count must produce exactly the global index, statistics directory,
-per-peer reports, and traffic totals the sequential protocol produces.
+The build's contract is *byte-identity*: every backend and build path
+that claims equivalence (``hdk`` vs ``hdk_disk``, a join vs a rebuild
+where the protocol allows it) must produce exactly the same global
+index, statistics directory, per-peer reports, and traffic totals.
 This module turns each of those into a plain, comparable Python value so
 harnesses (tests, benchmarks, CI smoke runs) can assert the contract
 with one ``==`` — and print a meaningful diff when it breaks.

@@ -16,8 +16,9 @@ opened with a scope:
 
 - ``scope="thread"`` — the window only sees messages recorded *by the
   thread that opened it*.  This is what makes per-query traffic windows
-  exact under a concurrent ``search_batch``: each worker thread runs its
-  query's backend section and accumulates only its own messages.
+  exact while other threads use the network: concurrent ``search``
+  callers, or a join running beside searches — each thread accumulates
+  only its own messages.
 - ``scope="global"`` — the window sees messages recorded by *every*
   thread (batch-level aggregates, experiment-level measurements).
 
@@ -337,7 +338,7 @@ class TrafficAccounting:
                 by every thread; ``"thread"`` accumulates only messages
                 recorded by the calling thread, which keeps the delta
                 exact when other threads record concurrently (per-query
-                windows under a parallel batch).  A thread-scoped window
+                windows beside concurrent searches or a join).  A thread-scoped window
                 must be closed by the thread that opened it.
         """
         return TrafficWindow(self, scope=scope)
@@ -462,8 +463,8 @@ def merge_snapshots(*snapshots: TrafficSnapshot) -> TrafficSnapshot:
     """Sum every counter across ``snapshots``.
 
     Used to accumulate one logical operation's traffic out of several
-    measurement windows — e.g. a peer's per-phase indexing windows
-    opened round by round on whichever shard worker staged its inserts.
+    measurement windows — e.g. a peer's per-stage indexing windows,
+    opened round by round.
     """
     postings: Counter[Phase] = Counter()
     messages: Counter[Phase] = Counter()

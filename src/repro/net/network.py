@@ -3,10 +3,11 @@
 :class:`P2PNetwork` is the substrate the global index runs on.  It exposes
 DHT-style primitives — merge-insert, lookup, notify — and passes every
 simulated message through one funnel, :meth:`P2PNetwork._send`: it
-validates the message's fields (kind, ends, postings, hops), counts them
-into the shared :class:`TrafficAccounting`, and pays the simulated link
-latency.  No message object is built; the key a message concerns is
-formatted only when a trace records the message as a ``net.msg`` span.
+validates the message's fields (kind, ends, postings, hops) and counts
+them into the shared :class:`TrafficAccounting` — simulated time is
+counted (hops, messages), never slept.  No message object is built; the
+key a message concerns is formatted only when a trace records the
+message as a ``net.msg`` span.
 A flat lookup's request and response go through the funnel as one
 exchange (one accounting call).  Higher layers never touch counters
 directly.
@@ -18,7 +19,6 @@ analysis deliberately reports separately from indexing/retrieval postings.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Protocol, runtime_checkable
@@ -110,29 +110,15 @@ class P2PNetwork:
             pass a :class:`repro.net.pgrid.PGridOverlay` for the paper's
             P-Grid substrate).
         accounting: shared traffic counters; created when omitted.
-        link_latency_s: simulated one-hop link latency in seconds; every
-            logged message blocks the sending thread for
-            ``hops * link_latency_s``.  The default ``0.0`` keeps the
-            simulation instantaneous; a non-zero value models the WAN
-            round-trips a real DHT pays, which is what makes concurrent
-            query execution (``search_batch(workers=N)``) overlap useful
-            work.  Mutable — benchmarks typically index at zero latency
-            and turn it on for the serving phase.
     """
 
     def __init__(
         self,
         overlay: Overlay | None = None,
         accounting: TrafficAccounting | None = None,
-        link_latency_s: float = 0.0,
     ) -> None:
-        if link_latency_s < 0.0:
-            raise NetworkError(
-                f"link_latency_s must be >= 0, got {link_latency_s}"
-            )
         self.overlay: Overlay = overlay if overlay is not None else ChordOverlay()
         self.accounting = accounting or TrafficAccounting()
-        self.link_latency_s = link_latency_s
         #: Optional hop-level routing hook (see :class:`RoutingPolicy`).
         #: ``None`` routes every message along the structured overlay.
         self.router: RoutingPolicy | None = None
@@ -159,7 +145,7 @@ class P2PNetwork:
         reply: int | None = None,
     ) -> None:
         """The one funnel every simulated message goes through: check
-        its fields, count them, and pay its simulated latency.
+        its fields and count them.
 
         ``key`` is the logical key the message concerns (or a label for
         keyless transfers) and ``route`` the path a routing policy took;
@@ -172,8 +158,6 @@ class P2PNetwork:
         ``net.msg`` span containing one ``net.hop`` child per accounted
         hop, so a trace's ``net.hop`` count equals the
         :class:`TrafficAccounting` hop total of the traced operation.
-        The per-hop link latency is paid inside the hop spans (same
-        total sleep as the untraced path).
 
         Raises:
             ValueError: a negative posting count or hop count.
@@ -198,11 +182,6 @@ class P2PNetwork:
                     tracer, phase, MessageKind.RESPONSE, destination,
                     source, reply, 1, label, route,
                 )
-            return
-        if self.link_latency_s > 0.0:
-            total = hops if reply is None else hops + 1
-            if total > 0:
-                time.sleep(self.link_latency_s * total)
 
     def _send_traced(
         self,
@@ -231,8 +210,7 @@ class P2PNetwork:
         with tracer.span("net.msg", **attrs):
             for hop in range(hops):
                 with tracer.span("net.hop", index=hop):
-                    if self.link_latency_s > 0.0:
-                        time.sleep(self.link_latency_s)
+                    pass
 
     def log_message(
         self,
@@ -490,11 +468,11 @@ class P2PNetwork:
         the paper's indexing-cost figures count.
 
         The operation is the composition of its two phases —
-        :meth:`send_insert` (transmission: message logging + simulated
-        latency) and :meth:`apply_insert` (the merge at the responsible
-        peer).  The parallel indexing pipeline drives the phases
-        separately: shard workers pay transmission concurrently while
-        the merges are applied in one deterministic order.
+        :meth:`send_insert` (transmission: message logging) and
+        :meth:`apply_insert` (the merge at the responsible peer).  The
+        indexing pipeline drives the phases separately: a round's
+        transmissions all run before its merges, which are applied in
+        one deterministic order.
 
         Returns the merged stored value.
         """
@@ -507,10 +485,9 @@ class P2PNetwork:
         key: Any,
         payload_postings: int,
     ) -> int:
-        """Transmission phase of an insert: log the routed INSERT message
-        and pay its simulated link latency.  Touches no storage, so
-        concurrent sends for different peers are safe; the insert
-        completes when :meth:`apply_insert` runs its merge.  Returns the
+        """Transmission phase of an insert: log the routed INSERT
+        message.  Touches no storage; the insert completes when
+        :meth:`apply_insert` runs its merge.  Returns the
         key's id, so the apply phase need not hash the key again."""
         source_id = self.id_of(source_peer_name)
         key_id = self._key_id(key)

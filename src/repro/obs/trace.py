@@ -3,10 +3,9 @@
 The design goal is a *zero-cost-when-off* tracer that still composes
 across every concurrency boundary the stack has:
 
-- **Threads** (``search_batch(workers=N)``): the active span lives in a
-  :class:`contextvars.ContextVar`; the service copies the submitting
-  thread's context per task (``contextvars.copy_context().run``), so a
-  worker thread sees exactly its submitter's span and nothing else.
+- **Threads** (concurrent ``search`` callers, joins beside searches):
+  the active span lives in a :class:`contextvars.ContextVar`, so each
+  thread sees its own span stack and nothing of another's.
 - **The asyncio gateway**: asyncio tasks copy the context at creation,
   so per-request spans isolate for free.
 - **Processes** (the serving :class:`~repro.serving.pool.WorkerPool`):

@@ -31,12 +31,10 @@ with 503 — all three are constant-time fast paths, so overload never
 queues unboundedly in front of the pool.
 
 Behind admission, every wait on the pool is bounded by
-``request_timeout_s`` (stretched by what a full batch's simulated link
-sleeps may cost when the workers run under ``link_latency_s``): a
-request whose worker has not answered by then gets 504 and frees its
-in-flight slot, and if that worker has answered *nothing* for as long
-it is wedged, not queueing, and is killed (the pool respawns it; what
-else was assigned to it answers 500).
+``request_timeout_s``: a request whose worker has not answered by then
+gets 504 and frees its in-flight slot, and if that worker has answered
+*nothing* for as long it is wedged, not queueing, and is killed (the
+pool respawns it; what else was assigned to it answers 500).
 
 An error the worker itself reports is a JSON body on a connection that
 stays open: 400 when the worker raised ``RetrievalError`` (the query is
@@ -87,8 +85,10 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -97,10 +97,6 @@ _REASONS = {
 #: Deepest accepted ``"k"``: a reply is pickled, framed and JSON-encoded
 #: whole, so its size must not be the client's to choose.
 _MAX_K = 1000
-
-#: Hops one query may take when the pool deadline is stretched for the
-#: workers' simulated link latency (the ledger workloads measure 7-27).
-_HOPS_ALLOWED_PER_QUERY = 128
 
 #: Endpoint -> allowed method (anything else on the path is a 405).
 _ROUTES = {
@@ -164,7 +160,9 @@ class GatewayConfig:
         default_k: result depth when the request body omits ``"k"``.
         request_timeout_s: longest a search request waits for its
             worker before it is answered 504 — and a worker that answers
-            nothing for as long is recycled (see the module docstring).
+            nothing for as long is recycled (see the module docstring);
+            also the longest a request may take to arrive, from its
+            first byte to its last (408 and close after that).
     """
 
     host: str = "127.0.0.1"
@@ -222,13 +220,6 @@ class Gateway:
         self._drain_started = False
         self._inflight = 0
         self._idle = asyncio.Event()  # set when _inflight falls to 0
-        # The longest a healthy worker may owe one request: the bound
-        # as configured, plus a full batch's sleeps on simulated links.
-        self._deadline_s = self.config.request_timeout_s + (
-            self.config.max_batch
-            * pool.spec.link_latency_s
-            * _HOPS_ALLOWED_PER_QUERY
-        )
         self._buckets: dict[str, TokenBucket] = {}
         self._ready = threading.Event()
         self._finished = threading.Event()
@@ -385,9 +376,27 @@ class Gateway:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes] | None:
-        line = await reader.readline()
-        if not line:
+        """Read one request; ``None`` on a clean EOF between requests.
+
+        The wait for a request's first byte is unbounded (an idle
+        keep-alive connection costs nothing); from there to its last
+        body byte the request must arrive within ``request_timeout_s``.
+        """
+        first = await reader.read(1)
+        if not first:
             return None
+        try:
+            async with asyncio.timeout(self.config.request_timeout_s):
+                return await self._read_rest(first, reader)
+        except TimeoutError:
+            raise _HttpError(408, "request not received in time") from None
+        except ValueError:  # a line beyond the StreamReader's limit
+            raise _HttpError(431, "request head line too long") from None
+
+    async def _read_rest(
+        self, first: bytes, reader: asyncio.StreamReader
+    ) -> tuple[str, str, dict[str, str], bytes]:
+        line = first if first == b"\n" else first + await reader.readline()
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
             raise _HttpError(400, "malformed request line")
@@ -510,7 +519,8 @@ class Gateway:
         except TimeoutError:  # counted as shed_timeout by its status
             return 504, {
                 "error": (
-                    f"no worker reply within {self._deadline_s:g}s"
+                    "no worker reply within "
+                    f"{self.config.request_timeout_s:g}s"
                 ),
             }, trace_headers
         finally:
@@ -529,10 +539,12 @@ class Gateway:
         future = self.pool.submit(method_name, payload)
         try:
             # timeout(), not wait_for(): no Task per request.
-            async with asyncio.timeout(self._deadline_s):
+            async with asyncio.timeout(self.config.request_timeout_s):
                 return await asyncio.wrap_future(future)
         except TimeoutError:
-            self.pool.recycle(future, stalled_s=self._deadline_s)
+            self.pool.recycle(
+                future, stalled_s=self.config.request_timeout_s
+            )
             raise
 
     def _admit_client(self, client_id: str) -> bool:

@@ -44,8 +44,8 @@ Design:
 ``asyncio`` is imported inside :meth:`WorkerPool.start` only — every
 worker process imports this module and must not pay for it.  ``crash``
 and ``hang`` are fault injection (the worker hard-exits without cleanup
-/ never answers again) for the respawn and deadline tests and chaos
-drills; the gateway never routes them.
+/ stalls, forever or for ``{"seconds": s}``) for the respawn and
+deadline tests and chaos drills; the gateway never routes them.
 """
 
 from __future__ import annotations
@@ -110,9 +110,6 @@ class WorkerSpec:
             loads (read-only: N workers share one snapshot).
         backend: backend-name override for the load (``None`` keeps the
             snapshot manifest's backend, typically ``hdk_disk``).
-        link_latency_s: simulated per-hop link latency applied to the
-            worker's serving phase — the WAN-shaped regime the repo's
-            parallelism benches measure in.
         source_peer: the querying peer name (defaults to the service's
             first peer).
         config: the deployment knobs every worker's service is loaded
@@ -121,7 +118,6 @@ class WorkerSpec:
 
     snapshot: str
     backend: str | None = None
-    link_latency_s: float = 0.0
     source_peer: str | None = None
     config: ServiceConfig = ServiceConfig()
 
@@ -202,7 +198,13 @@ def _worker_main(worker_id: int, spec: WorkerSpec, conn: Any) -> None:
             # earlier replies are written, only unfinished requests lost.
             os._exit(1)
         if method == "hang":
-            while True:  # wedged: alive, connected, never answering again
+            # Stalled: alive and connected; answers after ``seconds``
+            # when given (a busy worker), never otherwise (wedged).
+            seconds = payload.get("seconds")
+            if seconds is not None:
+                time.sleep(seconds)
+                return {}
+            while True:
                 time.sleep(3600.0)
         raise ValueError(f"unknown method {method!r}")
 
@@ -211,7 +213,6 @@ def _worker_main(worker_id: int, spec: WorkerSpec, conn: Any) -> None:
             service = SearchService.load(
                 spec.snapshot, backend=spec.backend, config=spec.config
             )
-            service.network.link_latency_s = spec.link_latency_s
         except Exception as exc:  # surface load failures to the pool
             reason = f"worker {worker_id} failed to load: {exc!r}"
             conn.send(("__load_failed__", reason))

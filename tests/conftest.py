@@ -27,6 +27,14 @@ from repro.corpus import (
 from repro.corpus.document import Document
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "concurrency: starts threads or processes (the CI "
+        "concurrency-stress job selects these)",
+    )
+
+
 SMALL_PARAMS = HDKParameters(
     df_max=10, window_size=8, s_max=3, ff=3_000, fr=3
 )

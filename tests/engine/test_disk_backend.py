@@ -1,4 +1,4 @@
-"""Tests for the disk-backed backend, snapshots, topk, and batch workers."""
+"""Tests for the disk-backed backend, snapshots, topk, and query batches."""
 
 from __future__ import annotations
 
@@ -263,31 +263,14 @@ class TestTopKBackend:
             assert a == b
 
 
-class TestParallelBatch:
-    def test_workers_match_sequential(self, small_collection, querylog):
-        seq = build(small_collection, "hdk")
-        par = build(small_collection, "hdk")
-        report_seq = seq.search_batch(querylog, k=10)
-        report_par = par.search_batch(querylog, k=10, workers=4)
-        assert [
-            [r.doc_id for r in resp.results]
-            for resp in report_seq.responses
-        ] == [
-            [r.doc_id for r in resp.results]
-            for resp in report_par.responses
-        ]
-        assert (
-            report_seq.total_postings_transferred
-            == report_par.total_postings_transferred
-        )
-
-    def test_per_query_windows_correct_under_concurrency(
+class TestBatch:
+    def test_per_query_windows_partition_the_batch(
         self, small_collection, querylog
     ):
         """Each response's traffic window must equal its own transfer
-        count — windows must not bleed across concurrent queries."""
+        count, and the windows sum to the batch's."""
         service = build(small_collection, "hdk")
-        report = service.search_batch(querylog, k=10, workers=8)
+        report = service.search_batch(querylog, k=10)
         for response in report.responses:
             assert response.traffic is not None
             assert (
@@ -300,12 +283,12 @@ class TestParallelBatch:
 
     def test_responses_keep_input_order(self, small_collection, querylog):
         service = build(small_collection, "hdk")
-        report = service.search_batch(querylog, k=10, workers=3)
+        report = service.search_batch(querylog, k=10)
         assert [r.query.query_id for r in report.responses] == [
             q.query_id for q in querylog
         ]
 
-    def test_cache_amortizes_across_workers(self, small_collection):
+    def test_cache_amortizes_repeats(self, small_collection):
         service = SearchService.build(
             small_collection,
             num_peers=4,
@@ -314,24 +297,17 @@ class TestParallelBatch:
             cache_capacity=64,
         )
         service.index()
-        report = service.search_batch(
-            ["t00042 t00137"] * 12, k=5, workers=4
-        )
+        report = service.search_batch(["t00042 t00137"] * 12, k=5)
         assert report.cache_hits == 11
         assert report.cache_misses == 1
 
-    def test_invalid_workers_rejected(self, small_collection, querylog):
-        service = build(small_collection, "hdk")
-        with pytest.raises(ConfigurationError):
-            service.search_batch(querylog, workers=0)
-
-    def test_disk_backend_parallel_batch(
+    def test_disk_backend_batch_matches_hdk(
         self, small_collection, querylog, hdk_service
     ):
         disk = build(
             small_collection, "hdk_disk", memory_budget_bytes=BUDGET_BYTES
         )
-        report = disk.search_batch(querylog, k=10, workers=4)
+        report = disk.search_batch(querylog, k=10)
         reference = hdk_service.search_batch(querylog, k=10)
         assert [
             [r.doc_id for r in resp.results] for resp in report.responses

@@ -1,13 +1,12 @@
-"""Acceptance tests for the race-proofed query path (PR 3).
+"""Tests for the race-proofed query path.
 
-``search_batch(workers=8)`` must be *byte-identical* to ``workers=1`` —
-same doc ids, same scores, same per-query traffic snapshots — on both
-the in-memory ``hdk`` backend and the disk-backed ``hdk_disk`` backend,
-while the backend section of each query genuinely runs concurrently
-(no serializing service lock).  Per-query traffic windows are
-thread-scoped (see ``repro.net.accounting``), so each response's
-``traffic`` is exactly the messages its own backend call generated, and
-the per-query deltas sum to the batch-level window.
+``search`` is thread-safe: the backend section of concurrent calls
+genuinely overlaps (no serializing service lock), identical term sets
+resolve once (single-flight), and a join may run beside searches.
+Per-query traffic windows are thread-scoped (see
+``repro.net.accounting``), so each response's ``traffic`` is exactly the
+messages its own backend call generated, and a batch's per-query deltas
+sum to its batch-level window.
 """
 
 from __future__ import annotations
@@ -58,61 +57,18 @@ def querylog(small_collection):
     return distinct + [distinct[2], distinct[7], distinct[2]]
 
 
-def fingerprint(report):
-    """Everything that must match between workers=1 and workers=8."""
-    return [
-        (
-            [(r.doc_id, r.score) for r in resp.results],
-            resp.postings_transferred,
-            resp.keys_looked_up,
-            resp.keys_found,
-            resp.cache_hit,
-            resp.traffic,
-        )
-        for resp in report.responses
-    ]
-
-
 class TestBatchDeterminism:
-    @pytest.mark.parametrize("backend", ["hdk", "hdk_disk"])
-    def test_workers_8_identical_to_workers_1(
-        self, small_collection, querylog, backend
-    ):
-        """The acceptance criterion: results, scores, and per-query
-        traffic snapshots are identical at any worker count."""
-        kwargs = build_kwargs(backend)
-        seq = build(small_collection, backend, cache_capacity=64, **kwargs)
-        par = build(small_collection, backend, cache_capacity=64, **kwargs)
-        report_seq = seq.search_batch(querylog, k=10, workers=1)
-        report_par = par.search_batch(querylog, k=10, workers=8)
-        assert fingerprint(report_seq) == fingerprint(report_par)
-        assert report_seq.cache_hits == report_par.cache_hits
-        assert report_seq.cache_misses == report_par.cache_misses
-
-    @pytest.mark.parametrize("backend", ["hdk", "hdk_disk"])
-    def test_uncached_batch_identical_too(
-        self, small_collection, querylog, backend
-    ):
-        """Without a cache every occurrence pays the backend — in both
-        modes — so reports still match exactly."""
-        kwargs = build_kwargs(backend)
-        seq = build(small_collection, backend, **kwargs)
-        par = build(small_collection, backend, **kwargs)
-        report_seq = seq.search_batch(querylog, k=10, workers=1)
-        report_par = par.search_batch(querylog, k=10, workers=8)
-        assert fingerprint(report_seq) == fingerprint(report_par)
-
     @pytest.mark.parametrize("backend", ["hdk", "hdk_disk"])
     def test_per_query_deltas_sum_to_batch_window(
         self, small_collection, querylog, backend
     ):
-        """Thread-scoped windows partition the batch's global window:
-        no message is lost and none is counted twice."""
+        """Per-query windows partition the batch's global window: no
+        message is lost and none is counted twice."""
         service = build(
             small_collection, backend, cache_capacity=64,
             **build_kwargs(backend),
         )
-        report = service.search_batch(querylog, k=10, workers=8)
+        report = service.search_batch(querylog, k=10)
         for field in ("postings_by_phase", "messages_by_phase",
                       "hops_by_phase"):
             batch_counts = getattr(report.traffic, field)
@@ -124,11 +80,9 @@ class TestBatchDeterminism:
             batch_counts = {p: v for p, v in batch_counts.items() if v}
             assert summed == batch_counts, field
 
-    def test_repeats_hit_cache_at_any_worker_count(
-        self, small_collection, querylog
-    ):
+    def test_repeats_hit_cache(self, small_collection, querylog):
         service = build(small_collection, "hdk", cache_capacity=64)
-        report = service.search_batch(querylog, k=10, workers=8)
+        report = service.search_batch(querylog, k=10)
         # 15 distinct term sets miss, the 3 appended repeats hit.
         assert report.cache_misses == 15
         assert report.cache_hits == 3
@@ -166,15 +120,23 @@ class _ProbeBackend:
 
 
 class TestBackendSectionConcurrency:
+    @pytest.mark.concurrency
     def test_backend_calls_overlap_with_workers(
         self, small_collection, querylog
     ):
-        """The point of PR 3: the backend section is no longer behind a
-        service-wide lock, so worker threads overlap inside it."""
+        """The backend section is not behind a service-wide lock, so
+        threads calling ``search`` overlap inside it."""
         service = build(small_collection, "hdk")
         probe = _ProbeBackend(service.backend, hold_s=0.02)
         service.backend = probe
-        service.search_batch(querylog[:12], k=10, workers=8)
+        threads = [
+            threading.Thread(target=service.search, args=(query, 10))
+            for query in querylog[:8]
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
         assert probe.max_active >= 2
 
     def test_sequential_batch_never_overlaps(
@@ -183,10 +145,11 @@ class TestBackendSectionConcurrency:
         service = build(small_collection, "hdk")
         probe = _ProbeBackend(service.backend)
         service.backend = probe
-        service.search_batch(querylog[:6], k=10, workers=1)
+        service.search_batch(querylog[:6], k=10)
         assert probe.max_active == 1
 
 
+@pytest.mark.concurrency
 class TestSingleFlight:
     def test_concurrent_identical_queries_resolve_once(
         self, small_collection
@@ -241,6 +204,7 @@ class TestSingleFlight:
         assert probe.calls == 2
 
 
+@pytest.mark.concurrency
 class TestJoinBesideSearches:
     @pytest.mark.parametrize("backend", ["hdk", "hdk_disk", "hdk_super"])
     def test_join_traffic_unchanged_by_a_concurrent_search_loop(

@@ -1,8 +1,8 @@
 """The differential equivalence harness.
 
 One place to assert the repo's strongest invariant: every HDK-family
-backend (``hdk``, ``hdk_disk``, ``hdk_super``) and every indexing
-worker count must produce the *same search system* — same global index
+backend (``hdk``, ``hdk_disk``, ``hdk_super``) must produce the *same
+search system* — same global index
 bytes, same statistics directory, same per-peer indexing costs, same
 top-k, same per-query posting transfers.  Backend tests used to spell
 out ad-hoc pairwise subsets of these checks; new suites should build a
@@ -12,7 +12,7 @@ compare through :func:`assert_fingerprints_equal` instead.
 Two comparison levels:
 
 - **strict** — byte-identity, for worlds that differ only in execution
-  (worker/shard counts, memory budgets): everything is compared,
+  (rebuilds, memory budgets, ``replication=1``): everything is compared,
   including per-peer report traffic and full message/hop/kind counters.
 - **results** (``strict=False``) — routing-independent equivalence, for
   worlds that differ in routing/residency (``hdk`` vs ``hdk_super``):
@@ -46,7 +46,6 @@ def build_indexed_service(
     backend: str,
     params: HDKParameters,
     num_peers: int,
-    index_workers: int = 1,
     **kwargs: Any,
 ) -> SearchService:
     """Build + index a service with the result cache disabled (every
@@ -57,7 +56,6 @@ def build_indexed_service(
         backend=backend,
         params=params,
         cache_capacity=None,
-        index_workers=index_workers,
         **kwargs,
     )
     service.index()

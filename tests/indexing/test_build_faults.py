@@ -1,7 +1,7 @@
-"""Fault injection on the parallel build path.
+"""Fault injection on the build path.
 
-A shard worker raising mid-round must leave the world exactly as the
-sequential protocol leaves it after the last *completed* round: no
+A peer's extraction raising mid-round must leave the world exactly as
+the protocol leaves it after the last *completed* round: no
 partial round applied, no traffic of the failed round recorded, no
 measurement window still attached, no stuck phase override.  And an
 ``hdk_disk`` build interrupted before its snapshot manifest is saved
@@ -71,8 +71,7 @@ def collection():
     return SyntheticCorpusGenerator(CORPUS, seed=11).generate(90)
 
 
-@pytest.mark.parametrize("workers", (1, 4))
-def test_worker_fault_does_not_corrupt_index(collection, workers):
+def test_extraction_fault_does_not_corrupt_index(collection):
     """Extraction fault in round 2 → the index equals a clean build
     whose rounds stop before round 2 (``s_max=1``), byte for byte,
     including traffic: nothing of the failed round was staged."""
@@ -84,7 +83,7 @@ def test_worker_fault_does_not_corrupt_index(collection, workers):
         fr=PARAMS.fr,
     )
     ref_network, ref_index, ref_indexers = _world(collection, 5)
-    IndexingPipeline(workers=1).build(ref_indexers, reference_params)
+    IndexingPipeline().build(ref_indexers, reference_params)
     reference = build_fingerprint(
         ref_index, traffic=ref_network.accounting.snapshot()
     )
@@ -93,16 +92,15 @@ def test_worker_fault_does_not_corrupt_index(collection, workers):
         collection, 5, indexer_cls_by_position={2: _PoisonedIndexer}
     )
     with pytest.raises(_BoomError):
-        IndexingPipeline(workers=workers).build(indexers, PARAMS)
+        IndexingPipeline().build(indexers, PARAMS)
     faulted = build_fingerprint(
         global_index, traffic=network.accounting.snapshot()
     )
     assert faulted == reference
 
 
-@pytest.mark.parametrize("workers", (1, 4))
-def test_worker_fault_leaks_no_window_or_phase(collection, workers):
-    """After a mid-shard fault no measurement window stays attached to
+def test_extraction_fault_leaks_no_window_or_phase(collection):
+    """After a mid-round fault no measurement window stays attached to
     the accounting (a leaked window would silently absorb every later
     message) and no thread-local phase override survives."""
     network, _, indexers = _world(
@@ -110,7 +108,7 @@ def test_worker_fault_leaks_no_window_or_phase(collection, workers):
     )
     accounting = network.accounting
     with pytest.raises(_BoomError):
-        IndexingPipeline(workers=workers).build(indexers, PARAMS)
+        IndexingPipeline().build(indexers, PARAMS)
     assert accounting._global_windows == []
     assert accounting._thread_windows() == []
     # The shared phase is wherever the build set it; what must not leak
@@ -123,7 +121,7 @@ def test_fault_then_fresh_rebuild_matches_clean_build(collection):
     """The documented recovery path after a failed build: rebuild into a
     fresh world — and get exactly the never-faulted outcome."""
     clean_network, clean_index, clean_indexers = _world(collection, 4)
-    IndexingPipeline(workers=2).build(clean_indexers, PARAMS)
+    IndexingPipeline().build(clean_indexers, PARAMS)
     clean = build_fingerprint(
         clean_index,
         [indexer.report for indexer in clean_indexers],
@@ -134,10 +132,10 @@ def test_fault_then_fresh_rebuild_matches_clean_build(collection):
         collection, 4, indexer_cls_by_position={1: _PoisonedIndexer}
     )
     with pytest.raises(_BoomError):
-        IndexingPipeline(workers=2).build(poisoned, PARAMS)
+        IndexingPipeline().build(poisoned, PARAMS)
 
     network, global_index, indexers = _world(collection, 4)
-    IndexingPipeline(workers=2).build(indexers, PARAMS)
+    IndexingPipeline().build(indexers, PARAMS)
     rebuilt = build_fingerprint(
         global_index,
         [indexer.report for indexer in indexers],

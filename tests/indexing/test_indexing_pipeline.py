@@ -1,4 +1,4 @@
-"""Unit tests for the sharded indexing pipeline (`repro.indexing`)."""
+"""Unit tests for the indexing pipeline (`repro.indexing`)."""
 
 from __future__ import annotations
 
@@ -13,11 +13,7 @@ from repro.engine.service import SearchService, spawn_peers
 from repro.errors import ConfigurationError, KeyGenerationError
 from repro.hdk.indexer import PeerIndexer, run_distributed_indexing
 from repro.index.global_index import GlobalKeyIndex
-from repro.indexing import (
-    IndexingPipeline,
-    build_fingerprint,
-    plan_shards,
-)
+from repro.indexing import IndexingPipeline, build_fingerprint
 from repro.net.accounting import Phase
 from repro.net.chord import ChordOverlay
 from repro.net.network import P2PNetwork
@@ -44,49 +40,7 @@ def _world(collection, num_peers=4):
     return network, global_index, indexers
 
 
-class TestShardPlanning:
-    def test_balanced_and_contiguous(self):
-        shards = plan_shards(10, 3)
-        assert [shard.members for shard in shards] == [
-            (0, 1, 2, 3),
-            (4, 5, 6),
-            (7, 8, 9),
-        ]
-        assert [shard.index for shard in shards] == [0, 1, 2]
-
-    def test_covers_every_position_exactly_once(self):
-        for items in (1, 7, 16, 33):
-            for shards in (1, 2, 5, 40):
-                plan = plan_shards(items, shards)
-                positions = [p for shard in plan for p in shard.members]
-                assert positions == list(range(items))
-                assert all(len(shard) > 0 for shard in plan)
-
-    def test_more_shards_than_items_shrinks_plan(self):
-        assert len(plan_shards(3, 8)) == 3
-
-    def test_zero_items(self):
-        assert plan_shards(0, 4) == []
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            plan_shards(-1, 2)
-        with pytest.raises(ConfigurationError):
-            plan_shards(4, 0)
-
-    def test_deterministic(self):
-        assert plan_shards(17, 5) == plan_shards(17, 5)
-
-
 class TestPipelineConstruction:
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ConfigurationError):
-            IndexingPipeline(workers=0)
-
-    def test_rejects_bad_shards(self):
-        with pytest.raises(ConfigurationError):
-            IndexingPipeline(workers=2, num_shards=0)
-
     def test_rejects_empty_build(self):
         with pytest.raises(KeyGenerationError):
             IndexingPipeline().build([], PARAMS)
@@ -97,36 +51,25 @@ class TestPipelineConstruction:
 
 
 class TestPipelineExecution:
-    def test_more_workers_than_peers(self, collection):
-        """Oversized pools must not change a thing."""
-        _, index_a, indexers_a = _world(collection, num_peers=2)
-        IndexingPipeline(workers=1).build(indexers_a, PARAMS)
-        _, index_b, indexers_b = _world(collection, num_peers=2)
-        IndexingPipeline(workers=16).build(indexers_b, PARAMS)
-        assert build_fingerprint(index_a) == build_fingerprint(index_b)
-
     def test_wrapper_is_single_worker_pipeline(self, collection):
-        """The classic entry point and an explicit sequential pipeline
-        are the same execution."""
+        """The classic entry point and an explicit pipeline are the
+        same execution."""
         net_a, index_a, indexers_a = _world(collection)
         reports_a = run_distributed_indexing(indexers_a, PARAMS)
         net_b, index_b, indexers_b = _world(collection)
-        reports_b = IndexingPipeline(workers=1).build(indexers_b, PARAMS)
+        reports_b = IndexingPipeline().build(indexers_b, PARAMS)
         assert build_fingerprint(
             index_a, reports_a, net_a.accounting.snapshot()
         ) == build_fingerprint(
             index_b, reports_b, net_b.accounting.snapshot()
         )
 
-    @pytest.mark.parametrize("workers", (1, 4))
-    def test_per_peer_traffic_partitions_indexing_totals(
-        self, collection, workers
-    ):
+    def test_per_peer_traffic_partitions_indexing_totals(self, collection):
         """Every INDEXING-phase message is attributed to exactly one
-        peer's report window — the thread-scoped windows neither drop
-        nor double-count messages at any worker count."""
+        peer's report window — the per-stage windows neither drop nor
+        double-count messages."""
         network, _, indexers = _world(collection)
-        reports = IndexingPipeline(workers=workers).build(indexers, PARAMS)
+        reports = IndexingPipeline().build(indexers, PARAMS)
         assert all(report.traffic is not None for report in reports)
         assert sum(
             report.traffic.postings_by_phase.get(Phase.INDEXING, 0)
@@ -212,25 +155,3 @@ class TestDoubleBuildIsExplicit:
         loaded = SearchService.load(tmp_path / "snap")
         with pytest.raises(ConfigurationError, match="already indexed"):
             loaded.index()
-
-
-class TestServiceIndexWorkers:
-    def test_index_workers_plumbs_to_pipeline(self, collection):
-        service = SearchService.build(
-            collection,
-            num_peers=3,
-            backend="hdk",
-            params=PARAMS,
-            index_workers=5,
-        )
-        assert service.backend.pipeline.workers == 5
-
-    def test_invalid_index_workers_rejected(self, collection):
-        with pytest.raises(ConfigurationError):
-            SearchService.build(
-                collection,
-                num_peers=3,
-                backend="hdk",
-                params=PARAMS,
-                index_workers=0,
-            )

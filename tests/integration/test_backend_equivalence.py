@@ -1,13 +1,13 @@
-"""Cross-backend + cross-worker-count differential equivalence.
+"""Cross-backend differential equivalence.
 
 One parametrized suite (through ``tests/harness/equivalence.py``)
 replacing the ad-hoc pairwise checks previously scattered across the
 backend tests:
 
-- every HDK-family backend at every indexing worker count must be
-  *byte-identical* to its own sequential build (index contents,
-  statistics directory, per-peer reports incl. traffic windows, global
-  traffic counters, top-k, per-query traffic);
+- a rebuild of the reference world, and ``replication=1`` on every
+  backend, must be *byte-identical* (index contents, statistics
+  directory, per-peer reports incl. traffic windows, global traffic
+  counters, top-k, per-query traffic);
 - across backends (``hdk`` vs ``hdk_disk`` vs ``hdk_super``) the
   routing-independent view must be identical: entries, statistics,
   report posting costs, indexing/retrieval posting totals, top-k, and
@@ -45,8 +45,6 @@ BACKENDS: dict[str, dict] = {
     "hdk_super": {"overlay_fanout": 2},
 }
 
-WORKER_SWEEP = (2, 8)
-
 
 @pytest.fixture(scope="module")
 def collection():
@@ -66,10 +64,8 @@ def querylog(collection):
 
 @pytest.fixture(scope="module")
 def reference(collection, querylog):
-    """The canonical world: ``hdk``, sequential build."""
-    service = build_indexed_service(
-        collection, "hdk", PARAMS, NUM_PEERS, index_workers=1
-    )
+    """The canonical world: ``hdk``."""
+    service = build_indexed_service(collection, "hdk", PARAMS, NUM_PEERS)
     return {
         "strict": service_fingerprint(service, strict=True),
         "results": service_fingerprint(service, strict=False),
@@ -80,59 +76,22 @@ def reference(collection, querylog):
     }
 
 
-@pytest.mark.parametrize("workers", WORKER_SWEEP)
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_worker_count_is_byte_identical(
-    collection, querylog, backend, workers
-):
-    """``index_workers=N`` vs ``index_workers=1``, same backend: every
-    byte of build state and query behaviour must match."""
-    kwargs = BACKENDS[backend]
-    sequential = build_indexed_service(
-        collection, backend, PARAMS, NUM_PEERS, index_workers=1, **kwargs
-    )
-    parallel = build_indexed_service(
-        collection,
-        backend,
-        PARAMS,
-        NUM_PEERS,
-        index_workers=workers,
-        **kwargs,
-    )
-    assert_fingerprints_equal(
-        service_fingerprint(sequential, strict=True),
-        service_fingerprint(parallel, strict=True),
-        context=f"{backend} workers={workers} build",
-    )
-    assert_fingerprints_equal(
-        query_fingerprint(sequential, querylog, strict=True),
-        query_fingerprint(parallel, querylog, strict=True),
-        context=f"{backend} workers={workers} queries",
-    )
-
-
-@pytest.mark.parametrize("workers", (1,) + WORKER_SWEEP)
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_cross_backend_equivalence(reference, collection, querylog, backend, workers):
-    """Every backend x worker count against the canonical ``hdk``
-    world: the routing-independent view must be identical."""
+def test_cross_backend_equivalence(reference, collection, querylog, backend):
+    """Every backend against the canonical ``hdk`` world: the
+    routing-independent view must be identical."""
     service = build_indexed_service(
-        collection,
-        backend,
-        PARAMS,
-        NUM_PEERS,
-        index_workers=workers,
-        **BACKENDS[backend],
+        collection, backend, PARAMS, NUM_PEERS, **BACKENDS[backend]
     )
     assert_fingerprints_equal(
         reference["results"],
         service_fingerprint(service, strict=False),
-        context=f"{backend} workers={workers} vs hdk",
+        context=f"{backend} vs hdk",
     )
     assert_fingerprints_equal(
         reference["queries"],
         query_fingerprint(service, querylog, strict=False),
-        context=f"{backend} workers={workers} queries vs hdk",
+        context=f"{backend} queries vs hdk",
     )
 
 
@@ -193,9 +152,7 @@ def test_any_single_crash_is_invisible_at_r2(
 def test_strict_equals_itself_across_runs(collection, querylog, reference):
     """Rebuilding the reference world from scratch reproduces it bit
     for bit (the corpus/seed contract the harness rests on)."""
-    service = build_indexed_service(
-        collection, "hdk", PARAMS, NUM_PEERS, index_workers=1
-    )
+    service = build_indexed_service(collection, "hdk", PARAMS, NUM_PEERS)
     assert_fingerprints_equal(
         reference["strict"], service_fingerprint(service, strict=True)
     )

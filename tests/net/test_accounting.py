@@ -145,6 +145,7 @@ class TestWindows:
         assert inner.delta.indexing_postings == 2
 
 
+@pytest.mark.concurrency
 class TestConcurrency:
     """Thread-scoped windows keep per-operation deltas exact while other
     threads record into the same accounting — the property that lets
@@ -339,6 +340,7 @@ accounting_ops = st.lists(
 )
 
 
+@pytest.mark.concurrency
 @settings(max_examples=200, deadline=None)
 @given(accounting_ops)
 def test_cells_match_counter_model(ops):
@@ -428,6 +430,7 @@ def test_bare_lookup_creates_zero_valued_postings_key():
         assert snapshot.messages_by_kind == {MessageKind.LOOKUP: 1}
 
 
+@pytest.mark.concurrency
 def test_hammer_with_windows_and_phase_scopes_stays_exact():
     """Eight threads, each under its own phase_scope and thread-scoped
     window, one global window over all of them: every total exact."""

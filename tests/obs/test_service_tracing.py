@@ -1,8 +1,13 @@
 """Traced query paths: span-tree shape through the service and overlay,
-the span-count == accounted-hops invariant, thread isolation under
-``search_batch(workers=8)``, and the store's spans."""
+the span-count == accounted-hops invariant, thread isolation between
+concurrent ``search`` callers, a traced batch's parenting, and the
+store's spans."""
 
 from __future__ import annotations
+
+import threading
+
+import pytest
 
 from repro.index.postings import Posting, PostingList
 from repro.store.segment import STATUS_NDK
@@ -92,18 +97,48 @@ class TestTracedSearch:
 
 
 class TestBatchThreadIsolation:
+    def test_traced_batch_parents_every_query_on_the_caller_span(
+        self, tracer, super_service
+    ):
+        """A batch run inside a caller's span: every per-query
+        ``service.search`` span is that span's child, in one trace."""
+        queries = [f"t{i:05d} t{i + 40:05d}" for i in range(1, 9)]
+        with tracer.span("batch") as batch:
+            report = super_service.search_batch(queries, k=5)
+        assert len(report.responses) == len(queries)
+        roots = [
+            s
+            for s in tracer.recent(limit=5000)
+            if s["name"] == "service.search"
+        ]
+        assert len(roots) == len(queries)
+        assert {s["parent_id"] for s in roots} == {batch.span_id}
+        assert {s["trace_id"] for s in roots} == {batch.trace_id}
+
+    @pytest.mark.concurrency
     def test_each_query_owns_one_isolated_trace(
         self, tracer, super_service
     ):
-        """Eight worker threads, more queries than workers: every query
-        must produce its own service.search root, and every child span
-        must stay inside its own query's trace (contextvars isolation —
-        no span may be parented across threads)."""
+        """Eight threads calling ``search``, two queries each: every
+        query must produce its own service.search root, and every child
+        span must stay inside its own query's trace (contextvars
+        isolation — no span may be parented across threads)."""
         queries = [
             f"t{i:05d} t{i + 40:05d}" for i in range(1, 17)
         ]
-        report = super_service.search_batch(queries, k=5, workers=8)
-        assert len(report.responses) == len(queries)
+
+        def run(share):
+            for query in share:
+                super_service.search(query, k=5)
+
+        threads = [
+            threading.Thread(target=run, args=(queries[i::8],))
+            for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
 
         roots = [
             s

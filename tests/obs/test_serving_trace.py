@@ -15,6 +15,8 @@ from repro.obs.trace import Tracer, set_global_tracer
 from repro.serving import Gateway, GatewayConfig, WorkerPool, WorkerSpec
 from repro.serving.loadgen import http_request
 
+pytestmark = pytest.mark.concurrency
+
 NO_CACHE = ServiceConfig(cache_capacity=None)
 
 

@@ -189,6 +189,7 @@ class TestTakeAdopt:
         assert len(tracer.recent_traces(limit=1)) == 1
 
 
+@pytest.mark.concurrency
 class TestThreadIsolation:
     def test_threads_do_not_inherit_context_by_default(self, tracer):
         seen = []
@@ -203,8 +204,8 @@ class TestThreadIsolation:
         assert seen == [None]
 
     def test_copied_context_carries_the_span(self, tracer):
-        """The propagation idiom ``search_batch`` uses: one context
-        copy per task, entered with ``ctx.run``."""
+        """The propagation idiom for a thread pool: one context copy
+        per task, entered with ``ctx.run``."""
 
         def traced_task(label):
             with tracer.span("task", label=label):

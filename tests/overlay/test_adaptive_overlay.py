@@ -535,6 +535,7 @@ class TestSummarySingleFlight:
         with router._lock:
             assert router._summaries[start] is not stale
 
+    @pytest.mark.concurrency
     def test_concurrent_inserts_never_produce_false_negatives(self):
         network, router = make_static(num_peers=8, fanout=4)
         # Tiny summaries so concurrent inserts keep saturating them.
@@ -566,6 +567,7 @@ class TestSummarySingleFlight:
             assert lookup(network, "peer-001", key) == [1]
 
 
+@pytest.mark.concurrency
 class TestLoadChargesUnderConcurrency:
     def test_no_election_charge_is_lost(self):
         # The topology's load observation is an unlocked

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.config import HDKParameters, ServiceConfig
@@ -120,15 +122,29 @@ class TestParity:
         assert runs["hdk"][0] == runs["hdk_super"][0]
         assert runs["hdk"][1] == runs["hdk_super"][1]
 
-    def test_parallel_batch_results_deterministic(
+    @pytest.mark.concurrency
+    def test_concurrent_search_results_deterministic(
         self, collection, queries
     ):
         # Thread interleaving may shift which lookup warms the path
         # cache (hops can differ run to run) but never the answers.
         service = build(collection, "hdk_super", overlay_fanout=4)
-        sequential = service.search_batch(queries, k=10, workers=1)
-        parallel = service.search_batch(queries, k=10, workers=4)
-        for a, b in zip(sequential.responses, parallel.responses):
+        sequential = service.search_batch(queries, k=10)
+        concurrent = [None] * len(queries)
+
+        def run(positions):
+            for position in positions:
+                concurrent[position] = service.search(queries[position], k=10)
+
+        threads = [
+            threading.Thread(target=run, args=(range(i, len(queries), 4),))
+            for i in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for a, b in zip(sequential.responses, concurrent):
             assert [(r.doc_id, r.score) for r in a.results] == [
                 (r.doc_id, r.score) for r in b.results
             ]

@@ -8,6 +8,7 @@ import sys
 import threading
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -210,6 +211,7 @@ def test_chord_membership_change_between_identical_calls_is_observed(
         )
 
 
+@pytest.mark.concurrency
 def test_chord_route_hops_racing_add_peer_sees_one_ring_generation():
     """Routers race a joiner.  Every hop count must be the reference
     count on *one* of the rings that existed (a walk never mixes two),

@@ -19,6 +19,7 @@ import random
 import sys
 import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +133,7 @@ def test_placement_matches_reference_walk(replication, ops, extra_keys):
         check()
 
 
+@pytest.mark.concurrency
 def test_placement_racing_joins_sees_one_ring_generation():
     """Six readers race a stream of joins.  Every replica set a reader
     sees must be the reference answer on *one* of the rings that

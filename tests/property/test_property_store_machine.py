@@ -20,6 +20,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -35,6 +36,10 @@ from repro.index.codec import encode_posting_list
 from repro.index.postings import Posting, PostingList
 from repro.store.segment import MAGIC, STATUS_DK, STATUS_NDK
 from repro.store.store import SegmentStore, StoredMeta
+
+# The machines' maybe_compact rule runs compaction on the store's
+# maintenance thread.
+pytestmark = pytest.mark.concurrency
 
 KEYS = [frozenset({f"k{i}"}) for i in range(3)]
 

@@ -152,6 +152,7 @@ class TestWithRealEngine:
         assert cache.stats.postings_saved == first.postings_transferred
 
 
+@pytest.mark.concurrency
 class TestQueryResultCacheThreadSafety:
     """The service-level LRU is hammered by every search_batch worker;
     entries, LRU order, and counters must stay consistent."""

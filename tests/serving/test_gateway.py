@@ -1,6 +1,6 @@
 """Gateway protocol tests: byte-identical results over HTTP, every
-error-path status code, admission control, the pool deadline, the
-hand-over of the pool's read side, and graceful drain."""
+error-path status code, the request-read and pool deadlines, admission
+control, the hand-over of the pool's read side, and graceful drain."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -20,19 +21,27 @@ from repro.serving import Gateway, GatewayConfig, TokenBucket, WorkerPool, Worke
 from repro.serving.loadgen import http_request, run_load
 from repro.serving.pool import response_payload
 
+pytestmark = pytest.mark.concurrency
+
 
 @pytest.fixture(scope="module")
 def pool(snapshot_dir):
-    # A small simulated per-hop link latency keeps requests in flight
-    # long enough for the admission-control and drain tests to observe
-    # them, without slowing the module meaningfully.
     spec = WorkerSpec(
         snapshot=str(snapshot_dir),
         config=ServiceConfig(cache_capacity=None),
-        link_latency_s=0.002,
     )
     with WorkerPool(spec, size=2) as running:
         yield running
+
+
+def _stall(pool, seconds):
+    """Hold every worker of ``pool`` busy for ``seconds``: requests
+    that arrive meanwhile stay in flight, queued behind the stalls.
+    Returns the stalls' futures (each answers ``{}``)."""
+    return [
+        pool.submit_to(worker, "hang", {"seconds": seconds})
+        for worker in range(pool.size)
+    ]
 
 
 @contextmanager
@@ -207,6 +216,71 @@ class TestProtocolErrors:
             assert "large" in body["error"]
 
 
+def _read_until_closed(sock):
+    """Everything the server sends until it closes the connection (a
+    reset after the reply counts as closed: the server may close with
+    request bytes it never read)."""
+    received = b""
+    while True:
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:
+            return received
+        if not chunk:
+            return received
+        received += chunk
+
+
+class TestRequestReadDeadline:
+    """From its first byte to its last, a request must arrive within
+    ``request_timeout_s``; the wait for a first byte is unbounded."""
+
+    def test_stalled_half_request_line_is_closed_within_the_deadline(
+        self, pool
+    ):
+        with serving(pool, request_timeout_s=0.5) as (gateway, _url):
+            with socket.create_connection(
+                ("127.0.0.1", gateway.port), timeout=10
+            ) as sock:
+                started = time.monotonic()
+                sock.sendall(b"POST /sea")
+                reply = _read_until_closed(sock)
+                elapsed = time.monotonic() - started
+            assert reply.startswith(b"HTTP/1.1 408 "), reply
+            assert 0.4 < elapsed < 5.0
+
+    def test_overlong_header_line_is_431_and_serving_goes_on(self, url):
+        port = int(url.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(
+                b"GET /healthz HTTP/1.1\r\nX-Filler: "
+                + b"a" * (70 * 1024)
+                + b"\r\n\r\n"
+            )
+            reply = _read_until_closed(sock)
+        assert reply.startswith(b"HTTP/1.1 431 "), reply[:80]
+        status, _ = http_request(url, "GET", "/healthz")
+        assert status == 200
+
+    def test_idle_keepalive_outlives_the_request_deadline(self, pool):
+        with serving(pool, request_timeout_s=0.3) as (gateway, _url):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", gateway.port, timeout=10
+            )
+            try:
+                for _ in range(2):
+                    connection.request("GET", "/healthz")
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    response.read()
+                    sock = connection.sock
+                    time.sleep(0.8)  # idle past request_timeout_s
+                # one connection throughout: never closed and reopened
+                assert connection.sock is sock
+            finally:
+                connection.close()
+
+
 class TestWorkerErrors:
     """An error the worker reports is an answer, not a dropped socket."""
 
@@ -279,21 +353,14 @@ class TestPoolDeadline:
         spec = WorkerSpec(
             snapshot=str(snapshot_dir),
             config=ServiceConfig(cache_capacity=None),
-            link_latency_s=0.002,  # keeps worker 1's batch in flight
         )
         search = {"query": query_log[0], "k": 3}
         with WorkerPool(spec, size=2) as pool:
-            # max_batch=1: next to nothing is added to the deadline for
-            # the link sleeps of a full batch
-            with serving(
-                pool, request_timeout_s=3.0, max_batch=1
-            ) as (gateway, url):
+            with serving(pool, request_timeout_s=3.0) as (gateway, url):
                 pool.submit_to(0, "hang", {})
                 # One request each: the tie goes to the lowest slot, so
                 # the next /search lands behind the hang on worker 0.
-                busy = pool.submit_to(
-                    1, "search_batch", {"queries": list(query_log) * 2, "k": 3}
-                )
+                busy = pool.submit_to(1, "hang", {"seconds": 2.0})
                 results: list = []
                 doomed = threading.Thread(
                     target=lambda: results.append(
@@ -306,14 +373,13 @@ class TestPoolDeadline:
                     lambda: pool.stats()["per_worker"][0]["assigned"] == 2
                 )
                 # meanwhile worker 1 (the less loaded now) keeps answering
-                assert busy.result(timeout=30)["responses"]
+                assert busy.result(timeout=30) == {}
                 status, body = http_request(url, "POST", "/search", search)
                 assert status == 200, body
                 doomed.join(30)
                 status, body = results[0]
                 assert status == 504, body
-                assert f"{gateway._deadline_s:g}s" in body["error"]
-                assert 3.0 < gateway._deadline_s < 3.5
+                assert "within 3s" in body["error"]
                 assert time.monotonic() - started < 15.0
                 assert gateway.inflight == 0
                 # the wedged process was killed; its replacement serves
@@ -335,41 +401,44 @@ class TestPoolDeadline:
     def test_slow_but_answering_worker_is_left_alone(
         self, snapshot_dir, query_log
     ):
-        """One healthy worker behind on a long queue of batches: the
-        deadline is stretched by a full batch's link sleeps, a request
-        that waits past it costs its own 504 only, and a worker that
-        keeps answering is never killed — no collateral 500s."""
+        """One healthy worker behind on a queue of stalls, each shorter
+        than the deadline: the requests queued behind them wait past it
+        and cost their own 504 only, and a worker that keeps answering
+        is never killed — no collateral 500s."""
         spec = WorkerSpec(
             snapshot=str(snapshot_dir),
             config=ServiceConfig(cache_capacity=None),
-            link_latency_s=0.002,
         )
-        batch = {"queries": list(query_log[:4]), "k": 3}
+        search = {"query": query_log[0], "k": 3}
         with WorkerPool(spec, size=1) as pool:
-            with serving(
-                pool, request_timeout_s=0.05, max_batch=4
-            ) as (gateway, url):
-                assert 1.0 < gateway._deadline_s < 1.2
+            with serving(pool, request_timeout_s=0.5) as (gateway, url):
+                stalls = [
+                    pool.submit_to(0, "hang", {"seconds": 0.25})
+                    for _ in range(8)
+                ]
                 statuses: list[int] = []
                 clients = [
                     threading.Thread(
                         target=lambda: statuses.append(
-                            http_request(url, "POST", "/search_batch", batch)[0]
+                            http_request(url, "POST", "/search", search)[0]
                         )
                     )
-                    for _ in range(24)
+                    for _ in range(4)
                 ]
                 for client in clients:
                     client.start()
                 for client in clients:
                     client.join(60)
-                # the head of the queue is served (each batch alone takes
-                # longer than request_timeout_s), the tail times out
-                assert sorted(set(statuses)) == [200, 504], statuses
+                assert statuses == [504] * 4
+                for stall in stalls:
+                    assert stall.result(timeout=30) == {}
                 assert pool.stats()["respawns"] == 0
                 assert pool.stats()["alive"] == 1
                 _status, served = http_request(url, "GET", "/stats")
-                assert served["gateway"]["shed_timeout"] == statuses.count(504)
+                assert served["gateway"]["shed_timeout"] == 4
+                # the queue drained; the same worker answers again
+                status, _ = http_request(url, "POST", "/search", search)
+                assert status == 200
 
 
 class TestBackPressure:
@@ -383,7 +452,6 @@ class TestBackPressure:
         spec = WorkerSpec(
             snapshot=str(snapshot_dir),
             config=ServiceConfig(cache_capacity=None),
-            link_latency_s=0.0001,  # the batch keeps the worker a while
         )
         deep = {"queries": list(query_log) * 100, "k": 1000}
         padded = {"queries": [" " * 400_000 + query_log[0]], "k": 3}
@@ -396,16 +464,19 @@ class TestBackPressure:
                         url, "POST", "/search_batch", body, timeout_s=60
                     )
 
+                # the stall holds the worker while both requests arrive
+                (stall,) = _stall(pool, 0.5)
                 first = threading.Thread(target=post, args=("deep", deep))
                 first.start()
-                assert _wait_until(lambda: pool.stats()["inflight"] == 1)
+                assert _wait_until(lambda: pool.stats()["inflight"] == 2)
                 second = threading.Thread(target=post, args=("padded", padded))
                 second.start()
-                assert _wait_until(lambda: pool.stats()["inflight"] == 2)
+                assert _wait_until(lambda: pool.stats()["inflight"] == 3)
                 status, _ = http_request(url, "GET", "/healthz", timeout_s=10)
                 assert status == 200
                 first.join(60)
                 second.join(60)
+                assert stall.result(timeout=30) == {}
                 status, body = replies["deep"]
                 assert status == 200, body
                 assert len(json.dumps(body)) > 400_000
@@ -519,6 +590,7 @@ class TestAdmissionControl:
 
     def test_full_inflight_window_sheds_503(self, pool, query_log):
         with serving(pool, max_inflight=1) as (gateway, url):
+            stalls = _stall(pool, 1.0)
             results: list = []
             slow = threading.Thread(
                 target=lambda: results.append(
@@ -539,6 +611,7 @@ class TestAdmissionControl:
             assert status == 503
             assert "max_inflight" in body["error"]
             slow.join()
+            assert [stall.result(timeout=30) for stall in stalls] == [{}, {}]
             status, batch = results[0]
             assert status == 200  # the admitted batch was never dropped
             _status, stats = http_request(url, "GET", "/stats")
@@ -548,6 +621,7 @@ class TestAdmissionControl:
 class TestGracefulDrain:
     def test_drain_finishes_inflight_then_closes(self, pool, query_log):
         with serving(pool, max_inflight=8) as (gateway, url):
+            stalls = _stall(pool, 1.0)
             results: list = []
             slow = threading.Thread(
                 target=lambda: results.append(
@@ -576,6 +650,7 @@ class TestGracefulDrain:
             assert "draining" in body["error"]
             # 3. the in-flight batch still completes with 200
             slow.join()
+            assert [stall.result(timeout=30) for stall in stalls] == [{}, {}]
             status, batch = results[0]
             assert status == 200
             assert len(batch["responses"]) == len(query_log) * 4

@@ -26,6 +26,8 @@ from repro.serving.pool import (
     response_payload,
 )
 
+pytestmark = pytest.mark.concurrency
+
 
 def _comparable(payload):
     """Everything deterministic in a search payload (timing excluded)."""
@@ -176,16 +178,13 @@ class TestTransport:
         spec = WorkerSpec(
             snapshot=str(snapshot_dir),
             config=ServiceConfig(cache_capacity=None),
-            link_latency_s=0.002,  # the first batch keeps the worker ~1 s
         )
 
         def flushing():
             return any(t.name == "pool-flush" for t in threading.enumerate())
 
         with WorkerPool(spec, size=1) as pool:
-            busy = pool.submit(
-                "search_batch", {"queries": list(query_log) * 2, "k": 5}
-            )
+            busy = pool.submit_to(0, "hang", {"seconds": 1.0})
             started = time.monotonic()
             padded = [
                 pool.submit("search", {"query": " " * 300_000 + q, "k": 5})
@@ -194,7 +193,7 @@ class TestTransport:
             small = pool.submit("search", {"query": query_log[4], "k": 5})
             assert time.monotonic() - started < 0.5
             assert flushing()
-            assert len(busy.result(timeout=30)["responses"]) == 24
+            assert busy.result(timeout=30) == {}
             for query, future in zip(query_log[:5], [*padded, small]):
                 expected = response_payload(direct_service.search(query, k=5))
                 got = future.result(timeout=30)
@@ -229,13 +228,10 @@ class TestTransport:
         spec = WorkerSpec(
             snapshot=str(snapshot_dir),
             config=ServiceConfig(cache_capacity=None),
-            link_latency_s=0.002,  # keeps the batch genuinely in flight
         )
         pool = WorkerPool(spec, size=1)
         pool.start()
-        running = pool.submit(
-            "search_batch", {"queries": list(query_log) * 4, "k": 5}
-        )
+        running = pool.submit_to(0, "hang", {"seconds": 1.0})
         queued = pool.submit("search", {"query": query_log[0], "k": 5})
         pool.shutdown()
         for future in (running, queued):
@@ -315,9 +311,10 @@ def test_crash_respawns_without_dropping_other_inflight(
     spec = WorkerSpec(
         snapshot=str(snapshot_dir),
         config=ServiceConfig(cache_capacity=None),
-        link_latency_s=0.002,  # keeps the batch genuinely in flight
     )
     with WorkerPool(spec, size=2) as pool:
+        # A stall keeps worker 1's batch genuinely in flight.
+        pool.submit_to(1, "hang", {"seconds": 1.0})
         inflight = pool.submit_to(
             1, "search_batch", {"queries": list(query_log) * 3, "k": 5}
         )
@@ -325,16 +322,12 @@ def test_crash_respawns_without_dropping_other_inflight(
         # doomed request both sit queued behind it — otherwise a slow
         # test thread could lose the race against the monitor's respawn
         # and the "doomed" request would be served by the replacement.
-        occupy = pool.submit_to(
-            0, "search_batch", {"queries": list(query_log) * 2, "k": 5}
-        )
+        occupy = pool.submit_to(0, "hang", {"seconds": 0.5})
         crashed = pool.submit_to(0, "crash", {})
         doomed = pool.submit_to(0, "search", {"query": query_log[0], "k": 5})
 
         # the request running before the crash completes normally...
-        assert len(occupy.result(timeout=60)["responses"]) == 2 * len(
-            query_log
-        )
+        assert occupy.result(timeout=60) == {}
         # ...both requests behind the crash fail fast...
         with pytest.raises(WorkerCrashError):
             crashed.result(timeout=30)

@@ -9,7 +9,11 @@ from __future__ import annotations
 import threading
 import time
 
+import pytest
+
 from repro.store.maintenance import MaintenanceWorker
+
+pytestmark = pytest.mark.concurrency
 
 
 class TestBasics:

@@ -166,6 +166,7 @@ class TestSegmentStore:
         for i in range(1, 10):
             assert store.get_postings(key_of(i)) == make_postings((i + 50,))
 
+    @pytest.mark.concurrency
     def test_auto_compaction_triggers(self, tmp_path):
         store = SegmentStore(tmp_path, compact_dead_ratio=0.4)
         for _ in range(8):  # rewrite one key repeatedly

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import threading
 
+import pytest
+
 from repro.index.postings import Posting, PostingList
 from repro.net.network import P2PNetwork
 from repro.store.blockcache import BlockCache
@@ -27,6 +29,8 @@ from repro.store.segment import STATUS_DK
 from repro.store.spill import SpilledPostings, SpillingGlobalKeyIndex
 from repro.store.store import SegmentStore
 from tests.conftest import SMALL_PARAMS
+
+pytestmark = pytest.mark.concurrency
 
 NUM_THREADS = 8
 

@@ -98,6 +98,7 @@ class TestSyncCompaction:
         for i in range(n):  # supersede everything: 50% dead
             store.put_record(record_for(i))
 
+    @pytest.mark.concurrency
     @pytest.mark.parametrize("run", ["compact", "maybe_compact"])
     def test_background_compaction_fsyncs_lineage_sidecar(
         self, tmp_path, fsync_calls, run

@@ -253,6 +253,7 @@ class TestSidecarReopen:
         assert contents(reopened) == expected
 
 
+@pytest.mark.concurrency
 class TestCompactionCrash:
     def test_crash_before_swap_leaves_sources_authoritative(
         self, tmp_path, monkeypatch
@@ -456,6 +457,7 @@ class TestCompactionCrash:
         reopened.close()
 
 
+@pytest.mark.concurrency
 class TestBackgroundCompaction:
     def test_background_compaction_compacts_without_blocking(
         self, tmp_path

@@ -155,65 +155,6 @@ class TestSearchBackends:
             main(self.BASE + ["--batch", "-5"])
 
 
-class TestLinkLatencyFlag:
-    BASE = TestSearchBackends.BASE
-
-    def test_latency_end_to_end(self, capsys):
-        code = main(
-            self.BASE
-            + ["t00001 t00002", "--link-latency", "0.0002"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "n_k=" in out
-
-    def test_latency_applies_to_batch_workers(self, capsys):
-        code = main(
-            self.BASE
-            + ["--batch", "6", "--link-latency", "0.0002", "--workers", "4"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "cache hit rate" in out
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(self.BASE + ["t00001", "--link-latency", "-0.5"])
-        assert "--link-latency" in str(excinfo.value)
-
-
-class TestIndexWorkersFlag:
-    BASE = TestSearchBackends.BASE
-
-    def test_parallel_build_end_to_end(self, capsys):
-        code = main(
-            self.BASE + ["t00001 t00002", "--index-workers", "4"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "indexed" in out
-        assert "n_k=" in out
-
-    def test_parallel_build_matches_sequential_output(self, capsys):
-        main(self.BASE + ["t00001 t00002", "--index-workers", "1"])
-        sequential = capsys.readouterr().out
-        main(self.BASE + ["t00001 t00002", "--index-workers", "8"])
-        parallel = capsys.readouterr().out
-        # Stored postings, backend line, and the full ranked table are
-        # deterministic — only timings may differ.
-        strip = lambda text: [  # noqa: E731
-            line
-            for line in text.splitlines()
-            if "ms)" not in line
-        ]
-        assert strip(parallel) == strip(sequential)
-
-    def test_invalid_index_workers_rejected(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(self.BASE + ["t00001", "--index-workers", "0"])
-        assert "--index-workers" in str(excinfo.value)
-
-
 class TestOverlayFlags:
     BASE = TestSearchBackends.BASE + ["--backend", "hdk_super"]
 
@@ -411,7 +352,7 @@ class TestServeInputChecks:
     process is spawned (the snapshot directory is never even opened)."""
 
     @pytest.mark.parametrize(
-        "flag", ["--memory-budget-bytes", "--link-latency", "--cache-capacity"]
+        "flag", ["--memory-budget-bytes", "--cache-capacity"]
     )
     def test_negative_value_rejected(self, flag, tmp_path, monkeypatch):
         from repro.serving import pool

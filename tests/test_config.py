@@ -113,7 +113,6 @@ OUT_OF_RANGE = {
     "overlay_split_threshold": 0,
     "overlay_merge_threshold": -1,
     "sync": "yes",
-    "index_workers": 0,
     "replication": 0,
 }
 
@@ -161,7 +160,7 @@ class TestKnobsReachTheService:
 
     @pytest.mark.parametrize("backend", ["hdk", "hdk_disk", "centralized"])
     @pytest.mark.parametrize(
-        "knob", ["cache_capacity", "memory_budget_bytes", "index_workers"]
+        "knob", ["cache_capacity", "memory_budget_bytes"]
     )
     def test_build_rejects_up_front_on_every_backend(self, backend, knob):
         def no_split(*args, **kwargs):
@@ -196,14 +195,14 @@ class TestKnobsReachTheService:
         assert service.cache is None
         assert service.stats()["overlay"]["fanout"] == 4
 
-    def test_load_honours_index_workers_and_rejects_store_dir(
+    def test_load_honours_knobs_and_rejects_store_dir(
         self, tiny_collection, tmp_path
     ):
         service = SearchService.build(tiny_collection, num_peers=2)
         service.index()
         service.save(tmp_path / "snap")
-        loaded = SearchService.load(tmp_path / "snap", index_workers=3)
-        assert loaded.backend.pipeline.workers == 3
+        loaded = SearchService.load(tmp_path / "snap", cache_capacity=None)
+        assert loaded.cache is None
         assert loaded.replication == 1
         with pytest.raises(ConfigurationError, match="store_dir"):
             SearchService.load(tmp_path / "snap", store_dir=tmp_path / "x")

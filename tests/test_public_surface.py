@@ -1,6 +1,6 @@
 """The public surface: every exported name resolves, the names
 removed in 2.0.0 (the legacy engine shims and the serving-side
-histogram re-export) are really gone from every package that exported
+histogram re-export) and the build's shard plan are really gone from every package that exported
 them, and a deployment knob is declared in ``ServiceConfig`` only."""
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ REMOVED = [
     ("repro.retrieval", "CachingSearchEngine"),
     ("repro.serving", "LatencyHistogram"),
     ("repro.serving", "DEFAULT_BUCKET_BOUNDS_MS"),
+    ("repro.indexing", "Shard"),
+    ("repro.indexing", "plan_shards"),
 ]
 
 
