@@ -54,7 +54,7 @@ def main() -> None:
     )
 
     # 4. Search.  Queries go through the same text pipeline as documents;
-    #    every response carries timing and a per-phase traffic window.
+    #    every response carries timing and per-phase traffic.
     responses = {}
     for raw_query in ("t00012 t00055", "t00003 t00104 t00288"):
         response = responses[raw_query] = service.search(raw_query, k=10)

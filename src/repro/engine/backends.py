@@ -34,7 +34,7 @@ core again.  This module turns the seam into a first-class API:
 Backends are constructed from a :class:`BackendContext` (network +
 parameters + deployment knobs) and own their indexers/engines; the
 :class:`repro.engine.service.SearchService` facade owns everything above
-(query pipeline, cache, traffic windows, batching).
+(query pipeline, cache, traffic charges, batching).
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ class SearchResponse:
             the other backends).
         cache_hit: True when the service answered from its result cache.
         elapsed_ms: wall-clock service time for this query.
-        traffic: the per-phase traffic window the query generated
+        traffic: the per-phase traffic the query generated
             (``None`` until the service attaches it; cached responses
-            carry an all-zero window).
+            carry an all-zero snapshot).
         detail: backend-specific extras (e.g. the Bloom protocol's
             filter/candidate/false-positive breakdown).
     """

@@ -7,7 +7,7 @@ and per-query traffic accounting, and exposes three query surfaces:
 
 - :meth:`SearchService.search` — one query, returning a
   :class:`~repro.engine.backends.SearchResponse` with timing, cache-hit
-  flag, and the per-phase traffic window it generated;
+  flag, and the per-phase traffic it generated;
 - :meth:`SearchService.search_batch` — a query batch (the heavy-traffic
   scenario): repeated term sets inside the batch are amortized through
   the cache and the report aggregates traffic, lookups, and hit rates;
@@ -45,6 +45,7 @@ from ..net.accounting import (
     TrafficAccounting,
     TrafficSnapshot,
     empty_snapshot,
+    merge_snapshots,
 )
 from ..net.chord import ChordOverlay, Overlay
 from ..net.network import P2PNetwork
@@ -126,8 +127,8 @@ class BatchSearchReport:
 
     Attributes:
         responses: one :class:`SearchResponse` per query, in order.
-        traffic: the per-phase traffic window the whole batch generated
-            on the network (cache hits generate none).
+        traffic: the merge of the responses' per-phase traffic (cache
+            hits generate none).
         elapsed_ms: wall-clock time for the whole batch.
         cache_hits / cache_misses: cache outcomes inside this batch.
     """
@@ -258,8 +259,8 @@ class SearchService:
         # Concurrency design (short critical sections): only the cache
         # lookup/fill and the single-flight table are serialized, under
         # this fine-grained lock; the backend section of a query runs
-        # fully concurrent, with a thread-scoped traffic window keeping
-        # its per-query delta exact (see repro.net.accounting).
+        # fully concurrent, with its own RETRIEVAL charge keeping its
+        # traffic exact (see repro.net.accounting).
         self._cache_lock = threading.Lock()
         #: In-flight backend computations by term set (single-flight:
         #: concurrent identical queries wait for one resolution).
@@ -348,7 +349,6 @@ class SearchService:
                 "service is already indexed; index() runs once — grow "
                 "with add_peers() or build a fresh service to rebuild"
             )
-        self.network.accounting.set_phase(Phase.INDEXING)
         self._reports = self.backend.index(self.peers)
         self._indexed = True
         return self._reports
@@ -369,7 +369,6 @@ class SearchService:
         new_peers = spawn_peers(
             self.network, new_collection, num_new_peers, start=len(self.peers)
         )
-        self.network.accounting.set_phase(Phase.INDEXING)
         reports = self.backend.add_peers(new_peers)
         self.peers.extend(new_peers)
         self._reports.extend(reports)
@@ -396,12 +395,12 @@ class SearchService:
                 peer.
 
         Returns a :class:`SearchResponse` carrying the ranked results,
-        the traffic window the query generated, wall-clock timing, and
+        the traffic the query generated, wall-clock timing, and
         whether it was served from the cache.
 
         Thread-safe, and concurrent calls genuinely overlap: only the
         cache lookup/fill runs under a lock; the backend section runs
-        outside it with a thread-scoped traffic window, so each
+        outside it under the query's own RETRIEVAL charge, so each
         response's ``traffic`` is exactly the messages its own backend
         call generated.  Concurrent calls for the *same* term set are
         de-duplicated (single-flight): one caller resolves against the
@@ -504,21 +503,21 @@ class SearchService:
     def _backend_search(
         self, source: str, query: Query, k: int, started: float
     ) -> SearchResponse:
-        """The concurrent section: backend resolution under a
-        thread-scoped traffic window (no service lock held)."""
+        """The concurrent section: backend resolution under the query's
+        RETRIEVAL charge (no service lock held)."""
         tracer = get_tracer()
         if not tracer.active:
-            with self.network.accounting.measure(scope="thread") as window:
+            with self.network.accounting.charge(Phase.RETRIEVAL) as charge:
                 response = self.backend.search(source, query, k)
-            response.traffic = window.delta
+            response.traffic = charge.snapshot()
             response.elapsed_ms = _ms_since(started)
             return response
         with tracer.span(
             "service.backend", backend=self.backend.name, source=source
         ) as span:
-            with self.network.accounting.measure(scope="thread") as window:
+            with self.network.accounting.charge(Phase.RETRIEVAL) as charge:
                 response = self.backend.search(source, query, k)
-            response.traffic = window.delta
+            response.traffic = charge.snapshot()
             span.set_attrs(
                 keys_looked_up=response.keys_looked_up,
                 keys_found=response.keys_found,
@@ -559,7 +558,7 @@ class SearchService:
         enabled — the first occurrence pays the backend, every repeat is
         a cache hit), and the report aggregates traffic, index lookups,
         timing, and cache outcomes across the batch.  Responses keep the
-        input order, and each carries its own per-query traffic window.
+        input order, and each carries its own per-query traffic.
 
         Args:
             queries: raw strings or processed :class:`Query` objects.
@@ -571,12 +570,13 @@ class SearchService:
         started = time.perf_counter()
         hits_before, misses_before = self._cache_counters()
         report = BatchSearchReport()
-        with self.network.accounting.measure(scope="global") as window:
-            for raw in queries:
-                report.responses.append(
-                    self.search(raw, k=k, source_peer=source_peer)
-                )
-        report.traffic = window.delta
+        for raw in queries:
+            report.responses.append(
+                self.search(raw, k=k, source_peer=source_peer)
+            )
+        report.traffic = merge_snapshots(
+            *(response.traffic for response in report.responses)
+        )
         report.elapsed_ms = _ms_since(started)
         hits_after, misses_after = self._cache_counters()
         report.cache_hits = hits_after - hits_before

@@ -33,13 +33,14 @@ reference sequential protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from ..config import HDKParameters
 from ..corpus.collection import DocumentCollection
 from ..errors import KeyGenerationError
 from ..index.global_index import GlobalKeyIndex, KeyStatus, StagedInsert
 from ..index.postings import PostingList
-from ..net.accounting import TrafficSnapshot, merge_snapshots
+from ..net.accounting import Phase, TrafficSnapshot, merge_snapshots
 from .generator import LocalHDKGenerator
 from .semantic import filter_candidates_by_pmi
 
@@ -73,12 +74,12 @@ class IndexingReport:
         candidate_keys_by_size: key size -> number of proposed keys.
         ndk_keys_by_size: key size -> how many of the peer's proposals were
             (or became) globally non-discriminative.
-        traffic: the per-phase traffic window this peer's publication
-            activity generated (statistics publication, key inserts with
-            their transition notifications, and any NDK-expansion
-            cascades) — measured through thread-scoped windows, so it is
-            exact at any pipeline worker count and byte-identical to the
-            sequential build's attribution.  ``None`` until a driver
+        traffic: the per-phase traffic this peer's publication activity
+            generated (statistics publication, key inserts with their
+            transition notifications, and any NDK-expansion cascades) —
+            counted by the INDEXING charges the driver opens around each
+            of the peer's steps, so it is exact even while other threads
+            use the network.  ``None`` until a driver
             (:mod:`repro.indexing`) attaches it.
     """
 
@@ -97,7 +98,7 @@ class IndexingReport:
         return sum(self.candidate_keys_by_size.values())
 
     def add_traffic(self, snapshot: TrafficSnapshot) -> None:
-        """Fold another measured window into this report's traffic."""
+        """Fold another charge's traffic into this report's."""
         if self.traffic is None:
             self.traffic = snapshot
         else:
@@ -148,6 +149,15 @@ class PeerIndexer:
                     self._local_term_dfs.get(term, 0) + 1
                 )
         self.report = IndexingReport(peer_name=peer_name)
+
+    def charged(self, step: Callable[..., Any], *args: Any) -> Any:
+        """Run one of this peer's protocol steps under an INDEXING
+        charge and add the traffic it sent to :attr:`report`."""
+        accounting = self.global_index.network.accounting
+        with accounting.charge(Phase.INDEXING) as charge:
+            result = step(*args)
+        self.report.add_traffic(charge.snapshot())
+        return result
 
     def _apply_semantic_filter(
         self, candidates: dict[frozenset[str], PostingList]
@@ -442,15 +452,12 @@ def run_expansion_cascade(
     come back NDK enter the next batch implicitly through the index's
     transition log; already-NDK acks are cascaded explicitly.
 
-    Deliberately sequential at any pipeline worker count: within a batch
-    one peer's expansion extraction can depend on its own earlier
-    expansions (same-size sub-key checks across mixed-size batches), so
-    the cascade is ordered work by construction — and it is small, since
-    only transitioned keys enter it.  Each expansion runs under a
-    thread-scoped traffic window attributed to the expanding peer's
-    report.
+    Ordered work by construction: within a batch one peer's expansion
+    extraction can depend on its own earlier expansions (same-size
+    sub-key checks across mixed-size batches) — and it is small, since
+    only transitioned keys enter it.  Each expansion runs under an
+    INDEXING charge attributed to the expanding peer's report.
     """
-    accounting = global_index.network.accounting
     by_overlay_id = {indexer.overlay_id: indexer for indexer in indexers}
     pending = global_index.drain_transitions()
     # Acked-NDK expansions that never transition (inserted already-NDK).
@@ -480,9 +487,9 @@ def run_expansion_cascade(
                 indexer = by_overlay_id.get(overlay_id)
                 if indexer is None:
                     continue
-                with accounting.measure(scope="thread") as window:
-                    statuses = indexer.expand_transitioned_key(key)
-                indexer.report.add_traffic(window.delta)
+                statuses = indexer.charged(
+                    indexer.expand_transitioned_key, key
+                )
                 for candidate, status in statuses.items():
                     if status is KeyStatus.NON_DISCRIMINATIVE:
                         extra.append(

@@ -25,7 +25,6 @@ from enum import Enum
 
 from ..config import HDKParameters
 from ..errors import IndexError_
-from ..net.accounting import Phase
 from ..net.network import P2PNetwork
 from ..net.node_id import key_repr
 from .bm25 import TermStats
@@ -356,7 +355,14 @@ class GlobalKeyIndex:
         local statistics into the global directory (no message).  The
         sums are commutative, but the directory's iteration order — and
         therefore snapshot bytes — follows aggregation order, so the
-        pipeline aggregates in peer order at any worker count."""
+        pipeline aggregates in peer order.
+
+        The document totals grow before any term's frequency does, so a
+        search reading a term's frequency and then the totals (as
+        :class:`~repro.retrieval.hdk_engine.HDKRetrievalEngine` does)
+        never sees a frequency above the document count."""
+        self._num_documents += num_documents
+        self._total_doc_length += total_doc_length
         for term, (df, cf) in term_frequencies.items():
             existing = self._term_stats.get(term)
             if existing is None:
@@ -371,8 +377,6 @@ class GlobalKeyIndex:
                         existing.collection_frequency + cf
                     ),
                 )
-        self._num_documents += num_documents
-        self._total_doc_length += total_doc_length
 
     def term_stats(self, term: str) -> TermStats | None:
         """Global statistics of ``term`` (None when never published)."""
@@ -472,7 +476,3 @@ class GlobalKeyIndex:
                 if isinstance(stored.value, GlobalEntry):
                     found.append(stored.value)
         return found
-
-    def set_phase(self, phase: Phase) -> None:
-        """Convenience passthrough to the network's accounting phase."""
-        self.network.accounting.set_phase(phase)

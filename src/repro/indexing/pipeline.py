@@ -18,16 +18,16 @@ Stage 3 is the only stage that mutates the index.  For ``hdk_disk``,
 spill flushes ride the apply stage, so segment writes go through the
 :class:`~repro.store.store.SegmentStore` in merge order.
 
-Per-peer traffic attribution uses thread-scoped accounting windows:
-each peer's stage and apply operations run under their own
-``measure(scope="thread")`` window, so
-:attr:`~repro.hdk.indexer.IndexingReport.traffic` stays exact even
-while queries run beside a join on other threads.
+Per-peer traffic attribution: each peer's statistics send, stage and
+apply run under their own INDEXING charge
+(:meth:`~repro.hdk.indexer.PeerIndexer.charged`), so
+:attr:`~repro.hdk.indexer.IndexingReport.traffic` is exactly that
+peer's messages, even while queries run beside a join on other threads.
 
 Failure semantics: extraction errors surface before anything of the
 failed round is staged or applied — the global index is left exactly as
-the last completed round left it, no measurement window stays attached,
-and no traffic of the failed round is recorded.
+the last completed round left it, no charge stays open, and no traffic
+of the failed round is recorded.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ from ..hdk.indexer import (
     run_expansion_cascade,
 )
 from ..index.global_index import GlobalKeyIndex, KeyStatus
-from ..net.accounting import (
-    Phase,
-    TrafficAccounting,
-    TrafficSnapshot,
-    merge_snapshots,
-)
 
 __all__ = ["IndexingPipeline"]
 
@@ -77,15 +71,9 @@ class IndexingPipeline:
         if not indexers:
             raise KeyGenerationError("no peers to index with")
         global_index = indexers[0].global_index
-        global_index.set_phase(Phase.INDEXING)
-        accounting = global_index.network.accounting
-        traffic = [[] for _ in indexers]  # type: list[list[TrafficSnapshot]]
-
-        self._publish_statistics(indexers, accounting, traffic)
+        self._publish_statistics(indexers)
         for key_size in range(1, params.s_max + 1):
-            statuses_by_position = self._run_round(
-                indexers, key_size, accounting, traffic
-            )
+            statuses_by_position = self._run_round(indexers, key_size)
             proposed: dict[frozenset[str], set[int]] = {}
             for position, statuses in enumerate(statuses_by_position):
                 for key in statuses:
@@ -98,7 +86,6 @@ class IndexingPipeline:
                     if status is KeyStatus.NON_DISCRIMINATIVE
                 )
             self._reconcile(global_index, indexers, proposed)
-        self._attach_traffic(indexers, traffic)
         return [indexer.report for indexer in indexers]
 
     def join(
@@ -122,36 +109,24 @@ class IndexingPipeline:
         if not joining:
             raise KeyGenerationError("no joining peers")
         global_index = joining[0].global_index
-        global_index.set_phase(Phase.INDEXING)
-        accounting = global_index.network.accounting
         # Discard transitions from the original build: its reconciliation
         # already delivered them.
         global_index.drain_transitions()
-        traffic = [[] for _ in joining]  # type: list[list[TrafficSnapshot]]
-
-        self._publish_statistics(joining, accounting, traffic)
+        self._publish_statistics(joining)
         for key_size in range(1, params.s_max + 1):
-            self._run_round(joining, key_size, accounting, traffic)
-        self._attach_traffic(joining, traffic)
+            self._run_round(joining, key_size)
         run_expansion_cascade(existing + joining, global_index, params)
         return [indexer.report for indexer in joining]
 
     # -- protocol stages ---------------------------------------------------------
 
-    def _publish_statistics(
-        self,
-        indexers: list[PeerIndexer],
-        accounting: TrafficAccounting,
-        traffic: list[list[TrafficSnapshot]],
-    ) -> None:
+    def _publish_statistics(self, indexers: list[PeerIndexer]) -> None:
         """Extract + send each peer's statistics, then aggregate them in
         peer order."""
         all_statistics = []
-        for indexer, snapshots in zip(indexers, traffic):
+        for indexer in indexers:
             statistics = indexer.extract_statistics()
-            with accounting.measure(scope="thread") as window:
-                indexer.send_statistics(statistics)
-            snapshots.append(window.delta)
+            indexer.charged(indexer.send_statistics, statistics)
             all_statistics.append(statistics)
         # Aggregation order fixes the directory's iteration order (and
         # with it snapshot bytes), so it runs after every send.
@@ -159,34 +134,19 @@ class IndexingPipeline:
             indexer.aggregate_statistics(statistics)
 
     def _run_round(
-        self,
-        indexers: list[PeerIndexer],
-        key_size: int,
-        accounting: TrafficAccounting,
-        traffic: list[list[TrafficSnapshot]],
+        self, indexers: list[PeerIndexer], key_size: int
     ) -> list[dict[frozenset[str], KeyStatus]]:
         """One generation round: extract every peer's candidates, then
         stage every peer's messages, then apply every peer's merges."""
         candidates = [indexer.extract_round(key_size) for indexer in indexers]
-
-        staged_by_position = []
-        for indexer, peer_candidates, snapshots in zip(
-            indexers, candidates, traffic
-        ):
-            with accounting.measure(scope="thread") as window:
-                staged_by_position.append(indexer.stage_round(peer_candidates))
-            snapshots.append(window.delta)
-
-        statuses_by_position: list[dict[frozenset[str], KeyStatus]] = []
-        for indexer, staged, snapshots in zip(
-            indexers, staged_by_position, traffic
-        ):
-            with accounting.measure(scope="thread") as window:
-                statuses_by_position.append(
-                    indexer.apply_round(key_size, staged)
-                )
-            snapshots.append(window.delta)
-        return statuses_by_position
+        staged_by_position = [
+            indexer.charged(indexer.stage_round, peer_candidates)
+            for indexer, peer_candidates in zip(indexers, candidates)
+        ]
+        return [
+            indexer.charged(indexer.apply_round, key_size, staged)
+            for indexer, staged in zip(indexers, staged_by_position)
+        ]
 
     @staticmethod
     def _reconcile(
@@ -203,11 +163,3 @@ class IndexingPipeline:
                 continue
             for position in proposer_positions:
                 indexers[position].learn_status(key, entry.status)
-
-    @staticmethod
-    def _attach_traffic(
-        indexers: list[PeerIndexer],
-        traffic: list[list[TrafficSnapshot]],
-    ) -> None:
-        for indexer, snapshots in zip(indexers, traffic):
-            indexer.report.add_traffic(merge_snapshots(*snapshots))

@@ -83,7 +83,7 @@ def traffic_fingerprint(
     """A traffic snapshot as sorted (name, count) tuples.
 
     Args:
-        snapshot: the window/accounting snapshot (``None`` passes
+        snapshot: a charge or accounting snapshot (``None`` passes
             through).
         postings_only: drop message/hop/kind counters — the comparison
             level for *cross-backend* equivalence, where routing (and

@@ -8,6 +8,7 @@ accounting:
 - :mod:`repro.net.node_id` — the hashed key/peer identifier space,
 - :mod:`repro.net.messages` — the message kinds,
 - :mod:`repro.net.accounting` — traffic counters by phase and kind,
+  charged to the operation that sent each message,
 - :mod:`repro.net.chord` — a Chord-style ring with finger-table routing,
 - :mod:`repro.net.pgrid` — a P-Grid-style binary-trie overlay,
 - :mod:`repro.net.storage` — per-peer key/value stores,
@@ -18,13 +19,7 @@ Both overlays implement the same :class:`repro.net.chord.Overlay` protocol,
 so the global index is overlay-agnostic (an ablation in DESIGN.md §5).
 """
 
-from .accounting import (
-    Phase,
-    TrafficAccounting,
-    TrafficSnapshot,
-    TrafficWindow,
-    diff_snapshots,
-)
+from .accounting import Charge, Phase, TrafficAccounting, TrafficSnapshot
 from .chord import ChordOverlay
 from .messages import MessageKind
 from .network import P2PNetwork
@@ -33,11 +28,10 @@ from .pgrid import PGridOverlay
 from .storage import PeerStorage
 
 __all__ = [
+    "Charge",
     "Phase",
     "TrafficAccounting",
     "TrafficSnapshot",
-    "TrafficWindow",
-    "diff_snapshots",
     "ChordOverlay",
     "MessageKind",
     "P2PNetwork",

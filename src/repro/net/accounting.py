@@ -7,31 +7,23 @@ are also kept for overlay diagnostics, and maintenance traffic (key
 handoffs on churn) is tracked but reported separately, exactly as the paper
 excludes it from its analysis.
 
-Concurrency model: the accounting object is shared by every thread that
-touches the network, so the global counters are guarded by a lock and
-measurement windows *accumulate* messages as they are recorded instead of
-diffing global snapshots (a snapshot diff taken around one query would
-absorb every message other threads recorded in the meantime).  A window is
-opened with a scope:
+Attribution: an operation names its phase once, where it starts, by
+opening a *charge* (:meth:`TrafficAccounting.charge`).  The open charge
+lives in a :class:`contextvars.ContextVar`, like the active span of
+:mod:`repro.obs.trace`, so each thread or asyncio task charges its own
+operation.  Charges nest: the innermost names the phase, and a closing
+charge folds its count into the enclosing one — a MAINTENANCE fan-out
+fired inside a query is MAINTENANCE traffic *of that query*.  A message
+sent outside any charge counts as INDEXING; every message also counts
+into the totals (:meth:`TrafficAccounting.snapshot`).
 
-- ``scope="thread"`` — the window only sees messages recorded *by the
-  thread that opened it*.  This is what makes per-query traffic windows
-  exact while other threads use the network: concurrent ``search``
-  callers, or a join running beside searches — each thread accumulates
-  only its own messages.
-- ``scope="global"`` — the window sees messages recorded by *every*
-  thread (batch-level aggregates, experiment-level measurements).
-
-Either scope aggregates into the same global totals; closing a window
-freezes its delta.
-
-Representation: totals and windows accumulate into flat lists of integer
+Representation: totals and charges accumulate into flat lists of integer
 cells — ``[messages, postings, hops]`` per ``(Phase, MessageKind)`` pair,
 indexed by the members' ordinals — so recording is three list increments
 and no enum hashing.  :meth:`TrafficAccounting.record` takes a message's
 fields, not a message object, and is the only writer of cells; a lookup's
 request and its one-hop response are counted in one call (one lock, one
-phase read).  :class:`TrafficSnapshot` dicts are built from the cells
+charge read).  :class:`TrafficSnapshot` dicts are built from the cells
 when read; a phase or kind is a key there exactly when a message of it
 was recorded.
 """
@@ -39,22 +31,20 @@ was recorded.
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import Counter
-from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import Iterator
+from operator import add
 
 from .messages import MessageKind
 
 __all__ = [
+    "Charge",
     "Phase",
     "TrafficAccounting",
     "TrafficSnapshot",
-    "TrafficWindow",
-    "diff_snapshots",
     "empty_snapshot",
     "merge_snapshots",
 ]
@@ -195,87 +185,77 @@ class TrafficSnapshot:
         }
 
 
-class TrafficAccounting:
-    """Mutable counters fed by the network simulator.
+_UNCHARGED_BASE = Phase.INDEXING.ordinal * _STRIDE  # outside any charge
 
-    The accounting object is shared: the network counts every message's
-    fields into it, and experiments snapshot/diff it around the
-    operations they measure.  All mutation goes through :meth:`record`,
-    which is thread-safe; per-thread measurement windows (see
-    :meth:`measure`) keep per-operation deltas exact even when several
-    threads record concurrently.
+
+class Charge:
+    """One operation's traffic, opened by :meth:`TrafficAccounting.charge`.
+
+    A context manager: while open it is the innermost charge of its
+    context, and every message that context records counts into it
+    under :attr:`phase`.  On close it folds what it counted into the
+    enclosing charge, if one is open.  :meth:`snapshot` reads what it
+    counted, open or closed.
     """
+
+    __slots__ = ("phase", "_accounting", "_base", "_cells", "_token")
+
+    def __init__(self, accounting: "TrafficAccounting", phase: Phase) -> None:
+        if not isinstance(phase, Phase):
+            raise TypeError(f"expected Phase, got {type(phase).__name__}")
+        self.phase = phase
+        self._accounting = accounting
+        self._base = phase.ordinal * _STRIDE
+        #: Written under the accounting lock, by ``record`` and exits.
+        self._cells = _new_cells()
+        self._token = None
+
+    def __enter__(self) -> "Charge":
+        self._token = self._accounting._charge.set(self)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._accounting._charge.reset(self._token)
+        outer = self._accounting._charge.get()
+        if outer is not None:
+            with self._accounting._lock:
+                outer._cells[:] = map(add, outer._cells, self._cells)
+
+    def snapshot(self) -> TrafficSnapshot:
+        """The traffic counted so far (all of it, once closed)."""
+        with self._accounting._lock:
+            return TrafficSnapshot._from_cells(self._cells)
+
+
+class TrafficAccounting:
+    """Counters fed by the network simulator through the thread-safe
+    :meth:`record`: the totals count every message, a :meth:`charge`
+    one operation's."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._cells = _new_cells()
-        self._current_phase = Phase.INDEXING
-        #: Open windows fed by every thread's messages (under the lock).
-        #: Weak references: the old snapshot-diff windows cost nothing
-        #: when abandoned unclosed, so the accumulating kind must not
-        #: regress that — a window nobody holds is collected and pruned
-        #: on the next record() instead of taxing it forever.
-        self._global_windows: list["weakref.ref[TrafficWindow]"] = []
-        #: Per-thread state: open thread-scoped windows + phase override.
-        self._local = threading.local()
+        #: The innermost open charge of the current thread or task.
+        self._charge: ContextVar[Charge | None] = ContextVar(
+            "repro_traffic_charge", default=None
+        )
 
-    def _thread_windows(self) -> list["weakref.ref[TrafficWindow]"]:
-        windows = getattr(self._local, "windows", None)
-        if windows is None:
-            windows = []
-            self._local.windows = windows
-        return windows
+    def charge(self, phase: Phase) -> Charge:
+        """Charge the messages this context records inside the block to
+        ``phase`` and to the returned :class:`Charge`::
 
-    @staticmethod
-    def _absorb_into(
-        refs: list["weakref.ref[TrafficWindow]"],
-        cell: int,
-        postings: int,
-        hops: int,
-        reply_cell: int,
-        reply: int | None,
-    ) -> None:
-        """Add one recorded exchange to every live window in ``refs``,
-        pruning refs whose window was abandoned without close()."""
-        dead = False
-        for ref in refs:
-            window = ref()
-            if window is None:
-                dead = True
-            else:
-                _add(window._cells, cell, postings, hops, reply_cell, reply)
-        if dead:
-            refs[:] = [ref for ref in refs if ref() is not None]
-
-    # -- phase control ---------------------------------------------------------
+            with accounting.charge(Phase.RETRIEVAL) as charge:
+                engine.search(...)
+            print(charge.snapshot().retrieval_postings)
+        """
+        return Charge(self, phase)
 
     @property
     def phase(self) -> Phase:
-        """The phase newly logged messages are attributed to (the
-        thread-local override from :meth:`phase_scope` wins)."""
-        override = getattr(self._local, "phase_override", None)
-        return override if override is not None else self._current_phase
-
-    def set_phase(self, phase: Phase) -> None:
-        """Switch the accounting phase (indexing/retrieval/maintenance)."""
-        if not isinstance(phase, Phase):
-            raise TypeError(f"expected Phase, got {type(phase).__name__}")
-        self._current_phase = phase
-
-    @contextmanager
-    def phase_scope(self, phase: Phase) -> Iterator[None]:
-        """Attribute messages recorded *by this thread* inside the block
-        to ``phase``, without touching the shared phase other threads
-        read (e.g. maintenance handoffs racing with retrieval queries).
-        """
-        if not isinstance(phase, Phase):
-            raise TypeError(f"expected Phase, got {type(phase).__name__}")
-        previous = getattr(self._local, "phase_override", None)
-        self._local.phase_override = phase
-        try:
-            yield
-        finally:
-            self._local.phase_override = previous
+        """The phase a message recorded now, in this context, counts
+        under: the innermost open charge's, INDEXING outside any."""
+        charge = self._charge.get()
+        return Phase.INDEXING if charge is None else charge.phase
 
     # -- recording ------------------------------------------------------------
 
@@ -287,61 +267,27 @@ class TrafficAccounting:
         reply: int | None = None,
     ) -> None:
         """Count one message of ``kind`` carrying ``postings`` over
-        ``hops`` under the current phase (thread-safe).
+        ``hops`` into the totals and the open charge (thread-safe).
 
         ``reply``, when given, also counts the receiver's one-hop
         RESPONSE carrying that many postings back — a flat lookup's
         request and answer accounted as one exchange.  Callers validate
         the fields (:meth:`repro.net.network.P2PNetwork._send`)."""
-        override = getattr(self._local, "phase_override", None)
-        phase = self._current_phase if override is None else override
-        base = phase.ordinal * _STRIDE
+        charge = self._charge.get()
+        base = _UNCHARGED_BASE if charge is None else charge._base
         cell = base + 3 * kind.ordinal
         reply_cell = base + _RESPONSE_CELL
         with self._lock:
             _add(self._cells, cell, postings, hops, reply_cell, reply)
-            if self._global_windows:
-                self._absorb_into(
-                    self._global_windows, cell, postings, hops,
-                    reply_cell, reply,
-                )
-        # Thread-scoped windows belong to this thread alone: no other
-        # thread reads them while open, so no lock is needed.
-        windows = getattr(self._local, "windows", None)
-        if windows:
-            self._absorb_into(
-                windows, cell, postings, hops, reply_cell, reply
-            )
+            if charge is not None:
+                _add(charge._cells, cell, postings, hops, reply_cell, reply)
 
     # -- reading ----------------------------------------------------------------
 
     def snapshot(self) -> TrafficSnapshot:
-        """Return an immutable copy of all counters."""
+        """Return an immutable copy of the totals."""
         with self._lock:
             return TrafficSnapshot._from_cells(self._cells)
-
-    def measure(self, scope: str = "global") -> "TrafficWindow":
-        """Open a measurement window over these counters.
-
-        Usable as a context manager::
-
-            with accounting.measure() as window:
-                engine.search(...)
-            print(window.delta.retrieval_postings)
-
-        ``window.delta`` is the per-phase traffic generated inside the
-        window — the snapshot-diff idiom experiments previously spelled
-        out by hand around every measured operation.
-
-        Args:
-            scope: ``"global"`` (default) accumulates messages recorded
-                by every thread; ``"thread"`` accumulates only messages
-                recorded by the calling thread, which keeps the delta
-                exact when other threads record concurrently (per-query
-                windows beside concurrent searches or a join).  A thread-scoped window
-                must be closed by the thread that opened it.
-        """
-        return TrafficWindow(self, scope=scope)
 
     def _phase_total(self, phase: Phase, field: int) -> int:
         """Sum cell ``field`` (0 messages, 1 postings, 2 hops) over the
@@ -363,90 +309,9 @@ class TrafficAccounting:
         return self._phase_total(phase, 2)
 
     def reset(self) -> None:
-        """Zero every counter (the phase is preserved)."""
+        """Zero the totals (open charges keep what they counted)."""
         with self._lock:
             self._cells = _new_cells()
-
-    # -- window registry (called by TrafficWindow) ------------------------------
-
-    def _attach(self, window: "TrafficWindow") -> None:
-        ref = weakref.ref(window)
-        if window.scope == "global":
-            with self._lock:
-                self._global_windows.append(ref)
-        else:
-            self._thread_windows().append(ref)
-
-    def _detach(self, window: "TrafficWindow") -> None:
-        def prune(refs: list["weakref.ref[TrafficWindow]"]) -> None:
-            refs[:] = [
-                ref for ref in refs
-                if ref() is not None and ref() is not window
-            ]
-
-        if window.scope == "global":
-            with self._lock:
-                prune(self._global_windows)
-        else:
-            prune(self._thread_windows())
-
-
-class TrafficWindow:
-    """A live measurement window over a :class:`TrafficAccounting`.
-
-    Accumulates every message recorded while open (all threads' messages
-    for ``scope="global"``, only the opening thread's for
-    ``scope="thread"``); :attr:`delta` reads the accumulated counters
-    (frozen once the window is closed, so the delta is stable afterwards).
-    """
-
-    def __init__(
-        self, accounting: TrafficAccounting, scope: str = "global"
-    ) -> None:
-        if scope not in ("global", "thread"):
-            raise ValueError(
-                f"scope must be 'global' or 'thread', got {scope!r}"
-            )
-        self._accounting = accounting
-        self.scope = scope
-        #: Written by :meth:`TrafficAccounting.record` — under the
-        #: accounting lock for global-scoped windows, lock-free from the
-        #: owning thread for thread-scoped ones.
-        self._cells = _new_cells()
-        self._frozen: TrafficSnapshot | None = None
-        accounting._attach(self)
-
-    def _materialize(self) -> TrafficSnapshot:
-        return TrafficSnapshot._from_cells(self._cells)
-
-    def __enter__(self) -> "TrafficWindow":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def close(self) -> TrafficSnapshot:
-        """Freeze the window; returns the final delta."""
-        if self._frozen is None:
-            self._accounting._detach(self)
-            if self.scope == "global":
-                # Copy under the lock so a concurrent record() cannot
-                # interleave with the freeze.
-                with self._accounting._lock:
-                    self._frozen = self._materialize()
-            else:
-                self._frozen = self._materialize()
-        return self._frozen
-
-    @property
-    def delta(self) -> TrafficSnapshot:
-        """Traffic accumulated since the window opened."""
-        if self._frozen is not None:
-            return self._frozen
-        if self.scope == "global":
-            with self._accounting._lock:
-                return self._materialize()
-        return self._materialize()
 
 
 def empty_snapshot() -> TrafficSnapshot:
@@ -463,8 +328,8 @@ def merge_snapshots(*snapshots: TrafficSnapshot) -> TrafficSnapshot:
     """Sum every counter across ``snapshots``.
 
     Used to accumulate one logical operation's traffic out of several
-    measurement windows — e.g. a peer's per-stage indexing windows,
-    opened round by round.
+    charges — e.g. a peer's per-stage indexing charges, opened round by
+    round — or a batch's out of its queries'.
     """
     postings: Counter[Phase] = Counter()
     messages: Counter[Phase] = Counter()
@@ -480,23 +345,4 @@ def merge_snapshots(*snapshots: TrafficSnapshot) -> TrafficSnapshot:
         messages_by_phase=dict(messages),
         hops_by_phase=dict(hops),
         messages_by_kind=dict(by_kind),
-    )
-
-
-def diff_snapshots(
-    before: TrafficSnapshot, after: TrafficSnapshot
-) -> TrafficSnapshot:
-    """Return ``after - before`` for every counter (measurement windows)."""
-    def sub(a: dict, b: dict) -> dict:
-        return {k: a.get(k, 0) - b.get(k, 0) for k in set(a) | set(b)}
-
-    return TrafficSnapshot(
-        postings_by_phase=sub(
-            after.postings_by_phase, before.postings_by_phase
-        ),
-        messages_by_phase=sub(
-            after.messages_by_phase, before.messages_by_phase
-        ),
-        hops_by_phase=sub(after.hops_by_phase, before.hops_by_phase),
-        messages_by_kind=sub(after.messages_by_kind, before.messages_by_kind),
     )

@@ -12,9 +12,13 @@ A flat lookup's request and response go through the funnel as one
 exchange (one accounting call).  Higher layers never touch counters
 directly.
 
-Peer churn (join/leave) triggers key handoff between the affected peers;
-handoff traffic is attributed to the MAINTENANCE phase, which the paper's
-analysis deliberately reports separately from indexing/retrieval postings.
+Which phase a message counts under is not the network's choice: the
+operation that sent it opened a charge
+(:meth:`TrafficAccounting.charge`) where it started.  The network opens
+MAINTENANCE charges of its own only around what it sends unasked — key
+handoffs on churn (join/leave) and :meth:`P2PNetwork.log_maintenance` —
+which the paper's analysis reports separately from indexing/retrieval
+postings.
 """
 
 from __future__ import annotations
@@ -245,16 +249,16 @@ class P2PNetwork:
         route: str | None = None,
     ) -> None:
         """Log one overlay-maintenance message under the MAINTENANCE
-        phase regardless of the calling thread's current phase.
+        phase, whatever the operation that fired it.
 
         The hook the adaptive overlay's split/merge protocol and scoped
         repair fan-outs go through: those fire from inside query or
-        insert handling, whose thread-local phase is RETRIEVAL or
-        INDEXING, but the paper's analysis reports maintenance
-        separately — so the override scope wraps each message
-        individually instead of trusting the caller to set it.
+        insert handling, charged to RETRIEVAL or INDEXING, but the
+        paper's analysis reports maintenance separately — so each
+        message gets a MAINTENANCE charge of its own, nested in (and
+        folded into) the operation's.
         """
-        with self.accounting.phase_scope(Phase.MAINTENANCE):
+        with self.accounting.charge(Phase.MAINTENANCE):
             self._send(kind, source, destination, postings, hops, key, route)
 
     def _route_hops(self, source_id: int, key_id: int) -> int:
@@ -430,9 +434,7 @@ class P2PNetwork:
     def _record_maintenance(
         self, source: int, destination: int, postings: int
     ) -> None:
-        # A thread-local phase override: churn handoffs racing with
-        # queries in other threads must not re-attribute their messages.
-        with self.accounting.phase_scope(Phase.MAINTENANCE):
+        with self.accounting.charge(Phase.MAINTENANCE):
             self._send(MessageKind.HANDOFF, source, destination, postings, 1)
 
     # -- DHT primitives ---------------------------------------------------------------

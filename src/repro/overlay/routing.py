@@ -384,7 +384,10 @@ class HierarchicalRouter:
             # Dark range: the message travels to the local super-peer
             # and on toward the dead region (nobody) before timing out.
             return (source_id, local.super_peer, None), None, local
-        home = self.topology.cluster_of_peer(owner)
+        # A peer joining on another thread owns keys from the moment
+        # the ring has it, before the rebuild clusters it: route via the
+        # cluster whose span holds its ring position until then.
+        home = self.topology.access_cluster(owner)
         path = (source_id, local.super_peer, home.super_peer, owner)
         return path, home, local
 
@@ -767,7 +770,7 @@ class HierarchicalRouter:
         network = self.topology.network
         rows = scan_cluster_key_ids(network, cluster)
         summary = summary_for_scan(rows)
-        with network.accounting.phase_scope(Phase.MAINTENANCE):
+        with network.accounting.charge(Phase.MAINTENANCE):
             for member, key_ids in rows:
                 if key_ids and member != cluster.super_peer:
                     network.log_message(

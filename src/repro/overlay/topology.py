@@ -25,12 +25,12 @@ simply re-split.
 
 Membership changes re-cluster from scratch (the peer population is the
 input, not an incremental structure); the registration and
-routing-index-exchange messages this costs are logged under the
-MAINTENANCE phase via a thread-local :meth:`phase_scope`, exactly like
-churn key handoffs — the paper's analysis reports maintenance
+routing-index-exchange messages this costs are sent under a MAINTENANCE
+charge (:meth:`~repro.net.accounting.TrafficAccounting.charge`), exactly
+like churn key handoffs — the paper's analysis reports maintenance
 separately from indexing/retrieval.  Split/merge/re-election traffic
 goes through :meth:`P2PNetwork.log_maintenance` for the same reason:
-those fire mid-query, where the thread's phase is RETRIEVAL.
+those fire mid-query, inside the query's RETRIEVAL charge.
 """
 
 from __future__ import annotations
@@ -171,9 +171,7 @@ class SuperPeerTopology:
             )
             for member in members:
                 cluster_of[member] = index
-        # Thread-local phase override: a rebuild racing with queries in
-        # other threads must not re-attribute their messages.
-        with self.network.accounting.phase_scope(Phase.MAINTENANCE):
+        with self.network.accounting.charge(Phase.MAINTENANCE):
             for cluster in clusters:
                 for member in cluster.members:
                     if member != cluster.super_peer:
@@ -408,10 +406,11 @@ class SuperPeerTopology:
 
     def access_cluster(self, peer_id: int) -> Cluster:
         """The cluster ``peer_id`` sends its own messages through: the
-        one it belongs to, or — for a crashed peer, which a
-        :meth:`rebuild` leaves out of the map while it still originates
-        traffic (its indexer expands keys in a later join's cascade) —
-        the cluster whose id span holds its ring position."""
+        one it belongs to, or — for a peer the map does not hold (a
+        crashed peer, which a :meth:`rebuild` leaves out while it still
+        originates traffic in a later join's cascade, or a peer that
+        joined on another thread and is not clustered yet) — the
+        cluster whose id span holds its ring position."""
         clusters, cluster_of = self._state
         index = cluster_of.get(peer_id)
         if index is None:

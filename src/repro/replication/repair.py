@@ -7,8 +7,8 @@ range (one range per ring primary) the live replicas exchange
 :class:`~repro.replication.merkle.MerkleTree` digests — root first, then
 only the divergent buckets — and finally ship just the keys whose value
 fingerprints differ, fresher side to staler side as decided by the
-manager's per-key write versions.  All messages run under the
-MAINTENANCE accounting phase, so the paper's indexing/retrieval figures
+manager's per-key write versions.  All messages run under a
+MAINTENANCE charge, so the paper's indexing/retrieval figures
 stay clean and repair traffic is reported where churn handoff already
 is.
 
@@ -118,7 +118,7 @@ class AntiEntropyRepairer:
         Returns the merged :class:`RepairReport`.
         """
         report = RepairReport()
-        with self.network.accounting.phase_scope(Phase.MAINTENANCE):
+        with self.network.accounting.charge(Phase.MAINTENANCE):
             for primary in self.manager.placement.ring():
                 owners = self.manager.placement.owners_of_primary(primary)
                 live = [o for o in owners if self.network.is_live(o)]

@@ -31,7 +31,6 @@ from ..errors import RetrievalError
 from ..index.bm25 import BM25Scorer
 from ..index.global_index import GlobalKeyIndex, KeyStatus
 from ..index.postings import PostingList
-from ..net.accounting import Phase
 from .ranking import DistributedRanker, RankedResult
 
 __all__ = ["HDKSearchResult", "HDKRetrievalEngine"]
@@ -102,35 +101,30 @@ class HDKRetrievalEngine:
         expandable: set[tuple[str, ...]] = set()
         query_terms = sorted(query.term_set)
         max_size = min(len(query_terms), self.params.s_max)
-        # This thread's messages only: a join running in another thread
-        # keeps its own phase.
-        with self.global_index.network.accounting.phase_scope(
-            Phase.RETRIEVAL
-        ):
-            for size in range(1, max_size + 1):
-                ndk_keys_before = result.ndk_keys
-                for subset in self._candidate_subsets(
-                    query_terms, size, expandable
-                ):
-                    entry = self.global_index.lookup(
-                        source_peer_name, frozenset(subset)
-                    )
-                    result.keys_looked_up += 1
-                    if entry is None:
-                        continue
-                    result.keys_found += 1
-                    result.postings_transferred += len(entry.postings)
-                    # The answer arrives here: a spilled list loads now.
-                    fetched.append((subset, entry.postings.resident()))
-                    if entry.status is KeyStatus.NON_DISCRIMINATIVE:
-                        result.ndk_keys += 1
-                        expandable.add(subset)
-                    else:
-                        result.dk_keys += 1
-                if result.ndk_keys == ndk_keys_before:
-                    # Nothing of this size expands, so no larger subset
-                    # can be a candidate.
-                    break
+        for size in range(1, max_size + 1):
+            ndk_keys_before = result.ndk_keys
+            for subset in self._candidate_subsets(
+                query_terms, size, expandable
+            ):
+                entry = self.global_index.lookup(
+                    source_peer_name, frozenset(subset)
+                )
+                result.keys_looked_up += 1
+                if entry is None:
+                    continue
+                result.keys_found += 1
+                result.postings_transferred += len(entry.postings)
+                # The answer arrives here: a spilled list loads now.
+                fetched.append((subset, entry.postings.resident()))
+                if entry.status is KeyStatus.NON_DISCRIMINATIVE:
+                    result.ndk_keys += 1
+                    expandable.add(subset)
+                else:
+                    result.dk_keys += 1
+            if result.ndk_keys == ndk_keys_before:
+                # Nothing of this size expands, so no larger subset
+                # can be a candidate.
+                break
         result.results = self._rank(fetched, query, k)
         return result
 
@@ -171,6 +165,12 @@ class HDKRetrievalEngine:
         if not fetched:
             return []
         index = self.global_index
+        # Frequencies before totals: a join beside this search grows the
+        # totals first, so no frequency read here exceeds the count.
+        term_dfs = {
+            term: index.term_document_frequency(term)
+            for term in query.terms
+        }
         generation = (index.num_documents, index.average_document_length)
         scoring = self._scoring
         if scoring is None or scoring[0] != generation:
@@ -179,9 +179,5 @@ class HDKRetrievalEngine:
                 average_doc_length=generation[1] or 1.0,
             )
             scoring = self._scoring = (generation, scorer, {})
-        term_dfs = {
-            term: index.term_document_frequency(term)
-            for term in query.terms
-        }
         ranker = DistributedRanker(scoring[1], term_dfs, norms=scoring[2])
         return ranker.rank(fetched, k)

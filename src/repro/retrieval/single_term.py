@@ -18,7 +18,6 @@ from ..corpus.querylog import Query
 from ..errors import RetrievalError
 from ..index.bm25 import BM25Scorer
 from ..index.postings import Posting, PostingList
-from ..net.accounting import Phase
 from ..net.network import P2PNetwork
 from .ranking import DistributedRanker, RankedResult
 
@@ -150,23 +149,20 @@ class SingleTermRetrievalEngine:
         fetched: list[tuple[tuple[str, ...], PostingList]] = []
         term_dfs: dict[str, int] = {}
         transferred = 0
-        # This thread's messages only: a join running in another thread
-        # keeps its own phase.
-        with self.network.accounting.phase_scope(Phase.RETRIEVAL):
-            for term in query.terms:
-                entry: STEntry | None = self.network.lookup(
-                    source_peer_name,
-                    term,
-                    lambda value: len(value.postings)
-                    if value is not None
-                    else 0,
-                )
-                if entry is None:
-                    term_dfs[term] = 0
-                    continue
-                term_dfs[term] = len(entry.postings)
-                transferred += len(entry.postings)
-                fetched.append(((term,), entry.postings))
+        for term in query.terms:
+            entry: STEntry | None = self.network.lookup(
+                source_peer_name,
+                term,
+                lambda value: len(value.postings)
+                if value is not None
+                else 0,
+            )
+            if entry is None:
+                term_dfs[term] = 0
+                continue
+            term_dfs[term] = len(entry.postings)
+            transferred += len(entry.postings)
+            fetched.append(((term,), entry.postings))
         ranker = DistributedRanker(self.scorer, term_dfs)
         return STSearchOutcome(
             results=ranker.rank(fetched, k),

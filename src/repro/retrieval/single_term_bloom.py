@@ -29,7 +29,6 @@ from ..corpus.querylog import Query
 from ..errors import RetrievalError
 from ..index.bloom import BloomFilter
 from ..index.bm25 import BM25Scorer
-from ..net.accounting import Phase
 from ..net.messages import MessageKind
 from ..net.network import P2PNetwork
 from .ranking import DistributedRanker, RankedResult
@@ -123,10 +122,7 @@ class BloomSingleTermEngine:
         """
         if k < 1:
             raise RetrievalError(f"k must be >= 1, got {k}")
-        # This thread's messages only: a join running in another thread
-        # keeps its own phase.
-        with self.network.accounting.phase_scope(Phase.RETRIEVAL):
-            return self._conjunctive_search(source_peer_name, query, k)
+        return self._conjunctive_search(source_peer_name, query, k)
 
     def _conjunctive_search(
         self, source_peer_name: str, query: Query, k: int

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from ..corpus.querylog import Query
 from ..errors import RetrievalError
 from ..index.bm25 import BM25Scorer
-from ..net.accounting import Phase
 from ..net.messages import MessageKind
 from ..net.network import P2PNetwork
 from .ranking import RankedResult
@@ -112,10 +111,7 @@ class DistributedTopKEngine:
         """Exact BM25 top-``k`` via the Threshold Algorithm."""
         if k < 1:
             raise RetrievalError(f"k must be >= 1, got {k}")
-        # This thread's messages only: a join running in another thread
-        # keeps its own phase.
-        with self.network.accounting.phase_scope(Phase.RETRIEVAL):
-            return self._threshold_algorithm(source_peer_name, query, k)
+        return self._threshold_algorithm(source_peer_name, query, k)
 
     def _threshold_algorithm(
         self, source_peer_name: str, query: Query, k: int

@@ -50,7 +50,9 @@ readiness probe flips unready immediately, new search requests are
 refused, every in-flight request runs to completion, and only then does
 the listener close — zero in-flight requests are dropped, and a load
 balancer watching ``/healthz`` stops routing before the socket goes
-away.
+away.  Connections still open then are closed (an idle keep-alive at
+once, a busy one after its response or ``request_timeout_s``), and
+:meth:`Gateway.run` returns only when every handler has finished.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -193,6 +196,15 @@ class GatewayConfig:
             self.rate_burst = max(1.0, float(int(self.rate_limit + 0.999)))
 
 
+def _shut(conn: socket.socket) -> None:
+    """End a connection from under its transport: the handler reads EOF
+    (or fails its write) and closes it the normal way."""
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already disconnected
+
+
 class Gateway:
     """The asyncio HTTP server tying admission control, the worker
     pool, and the metrics registry together.
@@ -215,11 +227,16 @@ class Gateway:
         self.metrics = metrics or MetricsRegistry()
         self.port: int | None = None  # set once the listener is bound
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.base_events.Server | None = None
+        self._listener: socket.socket | None = None
         self._draining = False
         self._drain_started = False
+        self._closing = False  # listener closed: no further request
         self._inflight = 0
         self._idle = asyncio.Event()  # set when _inflight falls to 0
+        #: Open connections (handler task -> socket), and the handlers
+        #: waiting for a request's first byte (idle keep-alives).
+        self._connections: dict[asyncio.Task, socket.socket] = {}
+        self._awaiting_request: set[asyncio.Task] = set()
         self._buckets: dict[str, TokenBucket] = {}
         self._ready = threading.Event()
         self._finished = threading.Event()
@@ -278,10 +295,12 @@ class Gateway:
     async def _main(self, install_signal_handlers: bool) -> None:
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port
+        self._listener = socket.create_server(
+            (self.config.host, self.config.port), backlog=100
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._listener.setblocking(False)
+        self.port = self._listener.getsockname()[1]
+        self._loop.add_reader(self._listener, self._accept_ready)
         if install_signal_handlers:
             for signum in (signal.SIGTERM, signal.SIGINT):
                 self._loop.add_signal_handler(signum, self.initiate_drain)
@@ -295,6 +314,7 @@ class Gateway:
         try:
             await self._stopped.wait()
         finally:
+            self._listener.close()
             self.pool.return_reader(self._loop)
             self._finished.set()
 
@@ -306,20 +326,61 @@ class Gateway:
     async def _drain(self) -> None:
         self._draining = True
         # In-flight requests finish first: the listener closes only
-        # after the last one left the pool.  Its handler runs before
-        # this task does and hands the whole response to the transport;
-        # only one above the write buffer's high-water mark (64 KiB) is
-        # still being flushed while the loop winds down — for those,
-        # delivery is the transport's best effort, not a guarantee.
+        # after the last one left the pool.  Their handlers are awaited
+        # below, so each response is flushed before run() returns.
         while self._inflight > 0:
             self._idle.clear()
             await self._idle.wait()
-        assert self._server is not None
-        self._server.close()
-        await self._server.wait_closed()
+        assert self._loop is not None and self._listener is not None
+        # Connections still in the listen backlog are reset by the
+        # kernel; every accepted one is in _connections.
+        self._loop.remove_reader(self._listener)
+        self._listener.close()
+        self._closing = True
+        for task in self._awaiting_request:
+            _shut(self._connections[task])
+        if self._connections:
+            # A busy one ends after its response (Connection: close);
+            # one stuck longer than a request may take is cut.
+            _done, stuck = await asyncio.wait(
+                list(self._connections),
+                timeout=self.config.request_timeout_s,
+            )
+            for task in stuck:
+                _shut(self._connections[task])
+            if stuck:
+                await asyncio.wait(stuck)
         self._stopped.set()
 
     # -- connection handling -----------------------------------------------------
+
+    def _accept_ready(self) -> None:
+        """The listener's read callback: accept every queued connection
+        and register its handler at once, so the drain reaches each
+        accepted socket even before its handler first runs.  (An
+        ``asyncio.start_server`` listener closed while an accept is
+        still being set up drops that socket unclosed, and its client
+        hangs.)"""
+        assert self._loop is not None and self._listener is not None
+        while True:
+            try:
+                conn, _address = self._listener.accept()
+            except (BlockingIOError, InterruptedError):
+                return  # the backlog is empty
+            except ConnectionAbortedError:
+                continue  # the client reset before the accept
+            conn.setblocking(False)
+            task = self._loop.create_task(self._serve_connection(conn))
+            self._connections[task] = conn
+            task.add_done_callback(self._connections.pop)
+
+    async def _serve_connection(self, conn: socket.socket) -> None:
+        try:
+            reader, writer = await asyncio.open_connection(sock=conn)
+        except OSError:
+            conn.close()
+            return
+        await self._handle_client(reader, writer)
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -382,7 +443,14 @@ class Gateway:
         keep-alive connection costs nothing); from there to its last
         body byte the request must arrive within ``request_timeout_s``.
         """
-        first = await reader.read(1)
+        if self._closing:
+            return None  # drained: no further request on this connection
+        task = asyncio.current_task()
+        self._awaiting_request.add(task)
+        try:
+            first = await reader.read(1)
+        finally:
+            self._awaiting_request.discard(task)
         if not first:
             return None
         try:

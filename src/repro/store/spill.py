@@ -34,7 +34,6 @@ from ..errors import StoreError
 from ..index.codec import posting_list_wire_size
 from ..index.global_index import GlobalEntry, GlobalKeyIndex, KeyStatus
 from ..index.postings import PostingList
-from ..net.accounting import Phase
 from ..net.network import P2PNetwork
 from ..obs.trace import NOOP_SPAN, get_tracer
 from .segment import STATUS_DK, STATUS_NDK
@@ -179,10 +178,9 @@ class SpillingGlobalKeyIndex(GlobalKeyIndex):
         network: the simulated P2P network storing the entries.
         params: HDK model parameters.
         store_dir: directory of the backing :class:`SegmentStore` (a
-            private temporary directory when None).  The store compacts
-            under the network's ``phase_scope(Phase.MAINTENANCE)``, so
-            maintenance is never attributed to the paper's
-            indexing/retrieval traffic.
+            private temporary directory when None).  Compaction is
+            local disk work: it sends no simulated message, so it adds
+            nothing to the paper's traffic.
         sync: fsync segment files on rollover/close and WAL appends.
         memory_budget_bytes: RAM budget in encoded posting bytes — what
             the hot lists actually cost on disk and on the wire; ``0``
@@ -215,9 +213,6 @@ class SpillingGlobalKeyIndex(GlobalKeyIndex):
             cache_bytes=memory_budget_bytes,
             sync=sync,
             wal=wal,
-            maintenance_scope=lambda: network.accounting.phase_scope(
-                Phase.MAINTENANCE
-            ),
         )
         # Hot-set bookkeeping is shared by every thread whose reads
         # re-heat stubs.  Acyclic lock order: a stub's load lock is

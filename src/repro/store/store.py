@@ -49,15 +49,8 @@ import os
 import re
 import tempfile
 import threading
-from contextlib import nullcontext
 from pathlib import Path
-from typing import (
-    BinaryIO,
-    Callable,
-    ContextManager,
-    Iterator,
-    NamedTuple,
-)
+from typing import BinaryIO, Iterator, NamedTuple
 
 from ..errors import IndexError_, StoreError
 from ..index.codec import decode_posting_list
@@ -155,9 +148,6 @@ class SegmentStore:
             (crash-durable incremental writes); off by default — bulk
             writers (snapshot saves) append straight to segments.
         memtable_bytes: encoded-byte flush threshold of the memtable.
-        maintenance_scope: zero-arg callable returning a context manager
-            wrapped around every compaction, on either thread (e.g. a
-            traffic-accounting ``phase_scope(MAINTENANCE)``).
     """
 
     def __init__(
@@ -170,7 +160,6 @@ class SegmentStore:
         sync: bool = False,
         wal: bool = False,
         memtable_bytes: int = DEFAULT_MEMTABLE_BYTES,
-        maintenance_scope: Callable[[], ContextManager] | None = None,
     ) -> None:
         if segment_max_bytes < 1:
             raise StoreError(
@@ -239,7 +228,6 @@ class SegmentStore:
         #: Serializes compactions (:meth:`compact` vs. the maintenance
         #: thread); never acquired while holding ``_lock``.
         self._compact_mutex = threading.Lock()
-        self._maintenance_scope = maintenance_scope or nullcontext
         #: Its thread starts on the first wake, so a store that never
         #: crosses its dead-byte threshold runs none.
         self._maintenance = MaintenanceWorker(self._compact)
@@ -871,7 +859,7 @@ class SegmentStore:
         swap, and pinned descriptors outlive the unlink.  Unforced (the
         maintenance thread's run) it first re-checks the threshold."""
         tracer = get_tracer()
-        with self._compact_mutex, self._maintenance_scope(), (
+        with self._compact_mutex, (
             tracer.span("store.compaction", phase="maintenance")
             if tracer.active
             else NOOP_SPAN

@@ -267,8 +267,8 @@ class TestBatch:
     def test_per_query_windows_partition_the_batch(
         self, small_collection, querylog
     ):
-        """Each response's traffic window must equal its own transfer
-        count, and the windows sum to the batch's."""
+        """Each response's traffic must equal its own transfer count,
+        and the responses' traffic sums to the batch's."""
         service = build(small_collection, "hdk")
         report = service.search_batch(querylog, k=10)
         for response in report.responses:

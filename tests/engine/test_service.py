@@ -136,7 +136,7 @@ class TestBatch:
         assert report.cache_hits == 3
         assert report.cache_misses == 3
         assert report.cache_hit_rate == pytest.approx(0.5)
-        # The accounting window agrees with the per-response sum.
+        # The batch traffic agrees with the per-response sum.
         assert (
             report.traffic.retrieval_postings
             == report.total_postings_transferred

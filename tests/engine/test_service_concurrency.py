@@ -3,10 +3,10 @@
 ``search`` is thread-safe: the backend section of concurrent calls
 genuinely overlaps (no serializing service lock), identical term sets
 resolve once (single-flight), and a join may run beside searches.
-Per-query traffic windows are thread-scoped (see
+Each query's backend section runs under its own RETRIEVAL charge (see
 ``repro.net.accounting``), so each response's ``traffic`` is exactly the
-messages its own backend call generated, and a batch's per-query deltas
-sum to its batch-level window.
+messages its own backend call generated, and a batch's traffic is the
+merge of its responses'.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 
 from repro.corpus.querylog import QueryLogGenerator
 from repro.engine.service import SearchService
+from repro.net.accounting import Phase, merge_snapshots
 from tests.conftest import SMALL_PARAMS
 
 BUDGET_BYTES = 1_750  # ~250 postings
@@ -58,27 +59,54 @@ def querylog(small_collection):
 
 
 class TestBatchDeterminism:
-    @pytest.mark.parametrize("backend", ["hdk", "hdk_disk"])
+    @pytest.mark.parametrize("case", ["hdk", "hdk_disk", "hdk+join"])
     def test_per_query_deltas_sum_to_batch_window(
-        self, small_collection, querylog, backend
+        self, small_collection, querylog, case
     ):
-        """Per-query windows partition the batch's global window: no
-        message is lost and none is counted twice."""
-        service = build(
-            small_collection, backend, cache_capacity=64,
-            **build_kwargs(backend),
+        """A batch's traffic is the merge of its responses': no message
+        is lost and none is counted twice.  With ``+join`` a join runs
+        on another thread meanwhile: none of its messages leaks into
+        the batches, and its reports carry exactly the traffic of a
+        join with no searches beside it."""
+        backend, _, join = case.partition("+")
+        if not join:
+            service = build(
+                small_collection, backend, cache_capacity=64,
+                **build_kwargs(backend),
+            )
+            report = service.search_batch(querylog, k=10)
+            assert report.traffic == merge_snapshots(
+                *(response.traffic for response in report.responses)
+            )
+            assert report.traffic.retrieval_postings > 0
+            return
+        ids = small_collection.doc_ids()
+        initial = small_collection.subset(ids[:-4])
+        held_out = small_collection.subset(ids[-4:])
+        service = build(initial, backend)  # no cache: every query pays
+        joined: list = []
+        joiner = threading.Thread(
+            target=lambda: joined.extend(service.add_peers(held_out, 1))
         )
-        report = service.search_batch(querylog, k=10)
-        for field in ("postings_by_phase", "messages_by_phase",
-                      "hops_by_phase"):
-            batch_counts = getattr(report.traffic, field)
-            summed: dict = {}
-            for resp in report.responses:
-                for phase, value in getattr(resp.traffic, field).items():
-                    summed[phase] = summed.get(phase, 0) + value
-            summed = {p: v for p, v in summed.items() if v}
-            batch_counts = {p: v for p, v in batch_counts.items() if v}
-            assert summed == batch_counts, field
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            joiner.start()
+            while joiner.is_alive():
+                reports.append(service.search_batch(querylog, k=10))
+        finally:
+            sys.setswitchinterval(interval)
+            joiner.join(timeout=60)
+        assert not joiner.is_alive()
+        assert len(reports) > 1, "no batch ran during the join"
+        for report in reports:
+            assert report.traffic == merge_snapshots(
+                *(response.traffic for response in report.responses)
+            )
+            assert Phase.INDEXING not in report.traffic.messages_by_phase
+        alone = build(initial, backend).add_peers(held_out, 1)
+        assert [r.traffic for r in joined] == [r.traffic for r in alone]
 
     def test_repeats_hit_cache(self, small_collection, querylog):
         service = build(small_collection, "hdk", cache_capacity=64)
@@ -222,17 +250,21 @@ class TestJoinBesideSearches:
             service = build(initial, backend, **build_kwargs(backend))
             stop = threading.Event()
             searched = []
+            errors = []
 
             def search_loop():
-                while not stop.is_set():
-                    for query in querylog:
-                        service.search(query, k=10)
-                        searched.append(query)
+                try:
+                    while not stop.is_set():
+                        for query in querylog:
+                            service.search(query, k=10)
+                            searched.append(query)
+                except Exception as error:  # reported by the assert below
+                    errors.append(error)
 
             loop = threading.Thread(target=search_loop)
             if searching:
                 loop.start()
-                while not searched:
+                while not searched and not errors:
                     time.sleep(0.001)
             before = len(searched)
             # Switch threads often, so searches land inside short joins.
@@ -247,6 +279,7 @@ class TestJoinBesideSearches:
             if searching:
                 loop.join(timeout=60)
                 assert not loop.is_alive()
+                assert not errors, errors
                 assert during > 0, "no search ran during the join"
             return [report.traffic for report in reports]
 

@@ -125,14 +125,14 @@ class TestLookup:
 
     def test_lookup_counts_retrieval_postings(self, index):
         index.insert("peer-0", key("alpha"), pl(1, 2))
-        index.set_phase(Phase.RETRIEVAL)
-        index.lookup("peer-1", key("alpha"))
+        with index.network.accounting.charge(Phase.RETRIEVAL):
+            index.lookup("peer-1", key("alpha"))
         assert index.network.accounting.postings(Phase.RETRIEVAL) == 2
 
     def test_status_of_carries_no_postings(self, index):
         index.insert("peer-0", key("alpha"), pl(1, 2))
-        index.set_phase(Phase.RETRIEVAL)
-        status = index.status_of("peer-1", key("alpha"))
+        with index.network.accounting.charge(Phase.RETRIEVAL):
+            status = index.status_of("peer-1", key("alpha"))
         assert status is KeyStatus.DISCRIMINATIVE
         assert index.network.accounting.postings(Phase.RETRIEVAL) == 0
 

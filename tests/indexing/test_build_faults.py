@@ -100,20 +100,16 @@ def test_extraction_fault_does_not_corrupt_index(collection):
 
 
 def test_extraction_fault_leaks_no_window_or_phase(collection):
-    """After a mid-round fault no measurement window stays attached to
-    the accounting (a leaked window would silently absorb every later
-    message) and no thread-local phase override survives."""
+    """After a mid-round fault no charge stays open (a leaked charge
+    would silently absorb every later message of this context and name
+    its phase)."""
     network, _, indexers = _world(
         collection, 5, indexer_cls_by_position={0: _PoisonedIndexer}
     )
     accounting = network.accounting
     with pytest.raises(_BoomError):
         IndexingPipeline().build(indexers, PARAMS)
-    assert accounting._global_windows == []
-    assert accounting._thread_windows() == []
-    # The shared phase is wherever the build set it; what must not leak
-    # is a thread-local override masking it.
-    assert getattr(accounting._local, "phase_override", None) is None
+    assert accounting._charge.get() is None
     assert accounting.phase is Phase.INDEXING
 
 

@@ -6,7 +6,6 @@ import json
 import sys
 import threading
 from collections import Counter
-from contextlib import ExitStack
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,6 @@ from repro.net.accounting import (
     Phase,
     TrafficAccounting,
     TrafficSnapshot,
-    diff_snapshots,
     merge_snapshots,
 )
 from repro.net.messages import MessageKind
@@ -31,20 +29,21 @@ class TestPhases:
     def test_default_phase_is_indexing(self):
         assert TrafficAccounting().phase is Phase.INDEXING
 
-    def test_set_phase(self):
+    def test_charge_sets_phase(self):
         acc = TrafficAccounting()
-        acc.set_phase(Phase.RETRIEVAL)
-        assert acc.phase is Phase.RETRIEVAL
+        with acc.charge(Phase.RETRIEVAL):
+            assert acc.phase is Phase.RETRIEVAL
+        assert acc.phase is Phase.INDEXING
 
-    def test_set_phase_type_checked(self):
+    def test_charge_type_checked(self):
         with pytest.raises(TypeError):
-            TrafficAccounting().set_phase("retrieval")
+            TrafficAccounting().charge("retrieval")
 
     def test_messages_attributed_to_current_phase(self):
         acc = TrafficAccounting()
         acc.record(*make_message(postings=3))
-        acc.set_phase(Phase.RETRIEVAL)
-        acc.record(*make_message(postings=7))
+        with acc.charge(Phase.RETRIEVAL):
+            acc.record(*make_message(postings=7))
         assert acc.postings(Phase.INDEXING) == 3
         assert acc.postings(Phase.RETRIEVAL) == 7
 
@@ -69,11 +68,12 @@ class TestCounters:
 
     def test_reset(self):
         acc = TrafficAccounting()
-        acc.set_phase(Phase.RETRIEVAL)
-        acc.record(*make_message())
-        acc.reset()
-        assert acc.postings(Phase.RETRIEVAL) == 0
-        assert acc.phase is Phase.RETRIEVAL  # phase preserved
+        with acc.charge(Phase.RETRIEVAL) as charge:
+            acc.record(*make_message())
+            acc.reset()
+            assert acc.postings(Phase.RETRIEVAL) == 0
+            assert acc.phase is Phase.RETRIEVAL  # the open charge stays
+        assert charge.snapshot().retrieval_postings == 5  # and keeps its count
 
 
 class TestSnapshots:
@@ -88,82 +88,111 @@ class TestSnapshots:
     def test_total_postings_includes_maintenance(self):
         acc = TrafficAccounting()
         acc.record(*make_message(postings=2))
-        acc.set_phase(Phase.MAINTENANCE)
-        acc.record(*make_message(postings=9, kind=MessageKind.HANDOFF))
+        with acc.charge(Phase.MAINTENANCE):
+            acc.record(*make_message(postings=9, kind=MessageKind.HANDOFF))
         snap = acc.snapshot()
         assert snap.maintenance_postings == 9
         assert snap.total_postings == 11
 
-    def test_diff_snapshots(self):
-        acc = TrafficAccounting()
-        acc.record(*make_message(postings=4))
-        before = acc.snapshot()
-        acc.record(*make_message(postings=6))
-        delta = diff_snapshots(before, acc.snapshot())
-        assert delta.indexing_postings == 6
-        assert delta.messages_by_phase[Phase.INDEXING] == 1
-
 
 class TestWindows:
+    """A charge is the measurement window of one operation."""
+
     def test_window_delta_counts_only_inside(self):
         acc = TrafficAccounting()
         acc.record(*make_message(postings=4))
-        with acc.measure() as window:
+        with acc.charge(Phase.INDEXING) as charge:
             acc.record(*make_message(postings=6, hops=3))
-        delta = window.delta
+        delta = charge.snapshot()
         assert delta.indexing_postings == 6
         assert delta.messages_by_phase[Phase.INDEXING] == 1
         assert delta.hops_by_phase[Phase.INDEXING] == 3
 
     def test_delta_frozen_after_close(self):
         acc = TrafficAccounting()
-        with acc.measure() as window:
+        with acc.charge(Phase.INDEXING) as charge:
             acc.record(*make_message(postings=2))
         acc.record(*make_message(postings=100))
-        assert window.delta.indexing_postings == 2
+        assert charge.snapshot().indexing_postings == 2
 
     def test_live_delta_before_close(self):
         acc = TrafficAccounting()
-        window = acc.measure()
-        acc.record(*make_message(postings=2))
-        assert window.delta.indexing_postings == 2
-        acc.record(*make_message(postings=3))
-        assert window.delta.indexing_postings == 5
-        window.close()
-
-    def test_invalid_scope_rejected(self):
-        with pytest.raises(ValueError):
-            TrafficAccounting().measure(scope="process")
+        with acc.charge(Phase.INDEXING) as charge:
+            acc.record(*make_message(postings=2))
+            assert charge.snapshot().indexing_postings == 2
+            acc.record(*make_message(postings=3))
+            assert charge.snapshot().indexing_postings == 5
 
     def test_nested_windows_both_count(self):
         acc = TrafficAccounting()
-        with acc.measure() as outer:
+        with acc.charge(Phase.INDEXING) as outer:
             acc.record(*make_message(postings=1))
-            with acc.measure() as inner:
+            with acc.charge(Phase.INDEXING) as inner:
                 acc.record(*make_message(postings=2))
-        assert outer.delta.indexing_postings == 3
-        assert inner.delta.indexing_postings == 2
+            # The inner charge folds into the outer one when it closes.
+            assert outer.snapshot().indexing_postings == 3
+        assert outer.snapshot().indexing_postings == 3
+        assert inner.snapshot().indexing_postings == 2
+
+    def test_maintenance_inside_retrieval_stays_in_the_query(self):
+        """A MAINTENANCE fan-out fired mid-query counts as MAINTENANCE
+        and folds into the query's tally; the query's own messages stay
+        RETRIEVAL."""
+        acc = TrafficAccounting()
+        with acc.charge(Phase.RETRIEVAL) as query:
+            acc.record(MessageKind.LOOKUP, 0, 3, reply=4)
+            with acc.charge(Phase.MAINTENANCE) as fan_out:
+                assert acc.phase is Phase.MAINTENANCE
+                acc.record(MessageKind.CACHE_INVALIDATE, 0, 1)
+                acc.record(MessageKind.ROUTING_UPDATE, 2, 1)
+            assert acc.phase is Phase.RETRIEVAL
+            acc.record(MessageKind.LOOKUP, 0, 2, reply=1)
+        assert fan_out.snapshot() == TrafficSnapshot(
+            postings_by_phase={Phase.MAINTENANCE: 2},
+            messages_by_phase={Phase.MAINTENANCE: 2},
+            hops_by_phase={Phase.MAINTENANCE: 2},
+            messages_by_kind={
+                MessageKind.CACHE_INVALIDATE: 1,
+                MessageKind.ROUTING_UPDATE: 1,
+            },
+        )
+        assert query.snapshot() == TrafficSnapshot(
+            postings_by_phase={Phase.RETRIEVAL: 5, Phase.MAINTENANCE: 2},
+            messages_by_phase={Phase.RETRIEVAL: 4, Phase.MAINTENANCE: 2},
+            hops_by_phase={Phase.RETRIEVAL: 7, Phase.MAINTENANCE: 2},
+            messages_by_kind={
+                MessageKind.LOOKUP: 2,
+                MessageKind.RESPONSE: 2,
+                MessageKind.CACHE_INVALIDATE: 1,
+                MessageKind.ROUTING_UPDATE: 1,
+            },
+        )
+        assert acc.snapshot() == query.snapshot()
+
+    def test_charge_closes_on_error(self):
+        acc = TrafficAccounting()
+        with pytest.raises(RuntimeError):
+            with acc.charge(Phase.MAINTENANCE):
+                raise RuntimeError("boom")
+        assert acc.phase is Phase.INDEXING
 
 
 @pytest.mark.concurrency
 class TestConcurrency:
-    """Thread-scoped windows keep per-operation deltas exact while other
-    threads record into the same accounting — the property that lets
-    ``search_batch`` drop the serializing service lock."""
+    """A charge lives in a ContextVar, so each thread counts only its
+    own messages while other threads record into the same accounting."""
 
     def test_thread_scoped_window_ignores_other_threads(self):
-        import threading
-
         acc = TrafficAccounting()
         start = threading.Barrier(2)
         deltas = {}
 
         def worker(name: str, postings: int, count: int) -> None:
             start.wait()
-            with acc.measure(scope="thread") as window:
+            with acc.charge(Phase.INDEXING) as charge:
                 for _ in range(count):
                     acc.record(*make_message(postings=postings, hops=1))
-            deltas[name] = window.delta
+            deltas[name] = charge.snapshot()
 
         threads = [
             threading.Thread(target=worker, args=("a", 3, 400)),
@@ -173,7 +202,7 @@ class TestConcurrency:
             thread.start()
         for thread in threads:
             thread.join()
-        # Each window saw exactly its own thread's messages...
+        # Each charge saw exactly its own thread's messages...
         assert deltas["a"].indexing_postings == 3 * 400
         assert deltas["b"].indexing_postings == 7 * 400
         # ...while the global totals aggregate both.
@@ -181,10 +210,10 @@ class TestConcurrency:
         assert acc.messages(Phase.INDEXING) == 800
 
     def test_global_window_sees_every_thread(self):
-        import threading
-
+        """The totals see every thread; a charge open in this thread
+        sees none of the others' messages."""
         acc = TrafficAccounting()
-        with acc.measure(scope="global") as window:
+        with acc.charge(Phase.RETRIEVAL) as charge:
             threads = [
                 threading.Thread(
                     target=lambda: [
@@ -198,12 +227,11 @@ class TestConcurrency:
                 thread.start()
             for thread in threads:
                 thread.join()
-        assert window.delta.indexing_postings == 1000
-        assert window.delta.messages_by_phase[Phase.INDEXING] == 1000
+        assert acc.snapshot().indexing_postings == 1000
+        assert acc.snapshot().messages_by_phase == {Phase.INDEXING: 1000}
+        assert charge.snapshot().total_messages == 0
 
     def test_concurrent_records_never_lost(self):
-        import threading
-
         acc = TrafficAccounting()
         threads = [
             threading.Thread(
@@ -222,66 +250,74 @@ class TestConcurrency:
         assert acc.postings(Phase.INDEXING) == 8000
         assert acc.hops(Phase.INDEXING) == 12000
 
-    def test_phase_scope_is_thread_local(self):
-        import threading
-
+    def test_charge_phase_is_context_local(self):
         acc = TrafficAccounting()
-        acc.set_phase(Phase.RETRIEVAL)
         inside = threading.Event()
         proceed = threading.Event()
 
         def maintenance_worker() -> None:
-            with acc.phase_scope(Phase.MAINTENANCE):
+            with acc.charge(Phase.MAINTENANCE):
                 acc.record(*make_message(postings=5, kind=MessageKind.HANDOFF))
                 inside.set()
                 proceed.wait()
 
         thread = threading.Thread(target=maintenance_worker)
-        thread.start()
-        inside.wait()
-        # While the other thread is inside its maintenance scope, this
-        # thread still records into the shared retrieval phase.
-        acc.record(*make_message(postings=11))
-        proceed.set()
-        thread.join()
+        with acc.charge(Phase.RETRIEVAL):
+            thread.start()
+            inside.wait()
+            # While the other thread is inside its maintenance charge,
+            # this thread still records under its own retrieval charge.
+            acc.record(*make_message(postings=11))
+            proceed.set()
+            thread.join()
         assert acc.postings(Phase.MAINTENANCE) == 5
         assert acc.postings(Phase.RETRIEVAL) == 11
 
-    def test_phase_scope_restores_previous_override(self):
+    def test_nested_charge_restores_the_outer_phase(self):
         acc = TrafficAccounting()
-        with acc.phase_scope(Phase.RETRIEVAL):
-            with acc.phase_scope(Phase.MAINTENANCE):
+        with acc.charge(Phase.RETRIEVAL):
+            with acc.charge(Phase.MAINTENANCE):
                 assert acc.phase is Phase.MAINTENANCE
             assert acc.phase is Phase.RETRIEVAL
         assert acc.phase is Phase.INDEXING
 
-    def test_phase_scope_type_checked(self):
-        acc = TrafficAccounting()
-        with pytest.raises(TypeError):
-            with acc.phase_scope("maintenance"):
-                pass
+    def test_charges_of_two_accountings_are_separate(self):
+        first, second = TrafficAccounting(), TrafficAccounting()
+        with first.charge(Phase.RETRIEVAL) as charge:
+            second.record(*make_message(postings=4))
+        assert charge.snapshot().total_messages == 0
+        assert second.snapshot().indexing_postings == 4
 
     def test_abandoned_window_is_pruned_not_leaked(self):
-        """The old snapshot-diff windows cost nothing when never
-        closed; the accumulating windows must match that — an
-        abandoned window is collected and dropped from the registry
-        instead of taxing every later record() forever."""
+        """A charge that is never opened is registered nowhere: later
+        records neither pay for it nor count into it."""
         acc = TrafficAccounting()
-        window = acc.measure(scope="global")
+        charge = acc.charge(Phase.RETRIEVAL)
         acc.record(*make_message(postings=1))
-        assert len(acc._global_windows) == 1
-        del window  # abandoned without close()
-        acc.record(*make_message(postings=1))
-        assert acc._global_windows == []
+        assert charge.snapshot().total_messages == 0
+        assert acc.snapshot().messages_by_phase == {Phase.INDEXING: 1}
 
     def test_abandoned_thread_window_is_pruned_too(self):
+        """A charge left open by a thread that ended stays in that
+        thread's context: it absorbs no later message."""
         acc = TrafficAccounting()
-        window = acc.measure(scope="thread")
+        abandoned = []
+
+        def abandon() -> None:
+            abandoned.append(acc.charge(Phase.RETRIEVAL).__enter__())
+            acc.record(*make_message(postings=1))
+
+        thread = threading.Thread(target=abandon)
+        thread.start()
+        thread.join()
+        assert acc.phase is Phase.INDEXING
         acc.record(*make_message(postings=1))
-        assert len(acc._thread_windows()) == 1
-        del window
-        acc.record(*make_message(postings=1))
-        assert acc._thread_windows() == []
+        assert abandoned[0].snapshot().messages_by_phase == {
+            Phase.RETRIEVAL: 1
+        }
+        assert acc.snapshot().messages_by_phase == {
+            Phase.RETRIEVAL: 1, Phase.INDEXING: 1
+        }
 
 
 # -- cell-based accounting vs a plain-Counter model --------------------------------
@@ -329,26 +365,31 @@ accounting_ops = st.lists(
             # A lookup's one-hop response, counted in the same call.
             st.one_of(st.none(), st.integers(min_value=0, max_value=50)),
         ),
-        st.tuples(st.just("set_phase"), st.sampled_from(list(Phase))),
-        st.tuples(st.just("enter_scope"), st.sampled_from(list(Phase))),
-        st.tuples(st.just("exit_scope")),
-        st.tuples(st.just("open"), st.sampled_from(["global", "thread"])),
-        st.tuples(st.just("close"), st.integers(min_value=0, max_value=9)),
+        st.tuples(st.just("open"), st.sampled_from(list(Phase))),
+        st.tuples(st.just("close")),
         st.tuples(st.just("reset")),
     ),
     max_size=60,
 )
 
 
+def fold(outer, inner):
+    """``outer += inner``, keeping zero-valued keys (``Counter.update``
+    adds instead of replacing, and creates every key it sees)."""
+    for dimension in ("postings", "messages", "hops", "kinds"):
+        getattr(outer, dimension).update(getattr(inner, dimension))
+
+
 @pytest.mark.concurrency
 @settings(max_examples=200, deadline=None)
 @given(accounting_ops)
 def test_cells_match_counter_model(ops):
+    """Random nested charges of random phases, with records (here and
+    on another thread) and snapshots in between, against one Counter
+    model per open charge and one for the totals."""
     acc = TrafficAccounting()
     totals = CounterModel()
-    shared_phase = Phase.INDEXING
-    overrides: list[Phase] = []  # this thread's phase_scope stack
-    open_windows: list[tuple[object, CounterModel]] = []
+    open_charges: list[tuple[object, Phase, CounterModel]] = []
     closed: list[tuple[object, TrafficSnapshot]] = []
 
     def check():
@@ -357,73 +398,64 @@ def test_cells_match_counter_model(ops):
             assert acc.postings(phase) == totals.postings[phase]
             assert acc.messages(phase) == totals.messages[phase]
             assert acc.hops(phase) == totals.hops[phase]
-        for window, model in open_windows:
-            assert_same_snapshot(window.delta, model.snapshot())
-        for window, frozen in closed:
-            assert_same_snapshot(window.delta, frozen)
+        for charge, _, model in open_charges:
+            assert_same_snapshot(charge.snapshot(), model.snapshot())
+        for charge, frozen in closed:
+            assert_same_snapshot(charge.snapshot(), frozen)
 
-    with ExitStack() as scopes:
-        scope_exits: list[ExitStack] = []
+    try:
         for op in ops:
             name = op[0]
             if name in ("record", "record_elsewhere"):
                 _, kind, postings, hops, reply = op
                 fields = (kind, postings, hops, reply)
+                models = [totals]
                 if name == "record":
-                    phase = overrides[-1] if overrides else shared_phase
+                    phase = Phase.INDEXING
+                    if open_charges:
+                        _, phase, innermost = open_charges[-1]
+                        models.append(innermost)
                     acc.record(*fields)
                 else:
-                    # Another thread: no override of its own, invisible
-                    # to this thread's thread-scoped windows.
-                    phase = shared_phase
+                    # Another thread: its own (empty) context, so no
+                    # charge of this one sees the message.
+                    phase = Phase.INDEXING
                     other = threading.Thread(target=acc.record, args=fields)
                     other.start()
                     other.join(timeout=10)
                     assert not other.is_alive()
-                models = [totals] + [
-                    model
-                    for window, model in open_windows
-                    if name == "record" or window.scope == "global"
-                ]
                 for model in models:
                     model.add(phase, kind, postings, hops)
                     if reply is not None:
                         model.add(phase, MessageKind.RESPONSE, reply, 1)
-            elif name == "set_phase":
-                shared_phase = op[1]
-                acc.set_phase(shared_phase)
-            elif name == "enter_scope":
-                exit_stack = scopes.enter_context(ExitStack())
-                exit_stack.enter_context(acc.phase_scope(op[1]))
-                scope_exits.append(exit_stack)
-                overrides.append(op[1])
-            elif name == "exit_scope" and scope_exits:
-                scope_exits.pop().close()
-                overrides.pop()
             elif name == "open":
-                open_windows.append((acc.measure(scope=op[1]), CounterModel()))
-            elif name == "close" and open_windows:
-                window, model = open_windows.pop(op[1] % len(open_windows))
-                assert_same_snapshot(window.close(), model.snapshot())
-                closed.append((window, model.snapshot()))
+                charge = acc.charge(op[1]).__enter__()
+                open_charges.append((charge, op[1], CounterModel()))
+            elif name == "close" and open_charges:
+                charge, _, model = open_charges.pop()
+                charge.__exit__(None, None, None)
+                if open_charges:
+                    fold(open_charges[-1][2], model)
+                closed.append((charge, model.snapshot()))
             elif name == "reset":
-                # Totals only: open windows keep what they accumulated.
+                # Totals only: open charges keep what they counted.
                 acc.reset()
                 totals = CounterModel()
-            assert acc.phase is (overrides[-1] if overrides else shared_phase)
+            expected = open_charges[-1][1] if open_charges else Phase.INDEXING
+            assert acc.phase is expected
             check()
-        for window, _ in open_windows:
-            window.close()
+    finally:
+        while open_charges:
+            open_charges.pop()[0].__exit__(None, None, None)
 
 
 def test_bare_lookup_creates_zero_valued_postings_key():
     """Fingerprints compare snapshot dicts, so a recorded message must
     create its phase's postings/hops keys even when it carries none."""
     acc = TrafficAccounting()
-    acc.set_phase(Phase.RETRIEVAL)
-    with acc.measure(scope="thread") as window:
+    with acc.charge(Phase.RETRIEVAL) as charge:
         acc.record(*make_message(postings=0, hops=0, kind=MessageKind.LOOKUP))
-    for snapshot in (acc.snapshot(), window.delta):
+    for snapshot in (acc.snapshot(), charge.snapshot()):
         assert snapshot.postings_by_phase == {Phase.RETRIEVAL: 0}
         assert snapshot.hops_by_phase == {Phase.RETRIEVAL: 0}
         assert snapshot.messages_by_phase == {Phase.RETRIEVAL: 1}
@@ -431,51 +463,67 @@ def test_bare_lookup_creates_zero_valued_postings_key():
 
 
 @pytest.mark.concurrency
-def test_hammer_with_windows_and_phase_scopes_stays_exact():
-    """Eight threads, each under its own phase_scope and thread-scoped
-    window, one global window over all of them: every total exact."""
+def test_hammer_with_charges_stays_exact():
+    """Eight threads, each under one charge of its own phase with a
+    charge of another phase nested inside for half its messages: every
+    tally exact, and the totals equal the merge of the outer tallies."""
     acc = TrafficAccounting()
     phases = list(Phase)
     kinds = list(MessageKind)
     per_thread = 400
-    deltas: dict[int, TrafficSnapshot] = {}
+    outers: dict[int, TrafficSnapshot] = {}
+    inners: dict[int, list[TrafficSnapshot]] = {}
+
+    def send(number, i):
+        acc.record(
+            *make_message(
+                postings=number, hops=i % 3,
+                kind=kinds[(number + i) % len(kinds)],
+            )
+        )
 
     def worker(number):
         phase = phases[number % len(phases)]
-        with acc.phase_scope(phase), acc.measure(scope="thread") as window:
-            for i in range(per_thread):
-                acc.record(
-                    *make_message(
-                        postings=number, hops=i % 3,
-                        kind=kinds[(number + i) % len(kinds)],
-                    )
-                )
-        deltas[number] = window.delta
+        nested = phases[(number + 1) % len(phases)]
+        with acc.charge(phase) as outer:
+            for i in range(0, per_thread, 2):
+                send(number, i)
+                with acc.charge(nested) as inner:
+                    send(number, i + 1)
+                inners.setdefault(number, []).append(inner.snapshot())
+        outers[number] = outer.snapshot()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with acc.measure(scope="global") as everything:
-            threads = [
-                threading.Thread(target=worker, args=(number,))
-                for number in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
+        threads = [
+            threading.Thread(target=worker, args=(number,))
+            for number in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(interval)
-    expected_hops = sum(i % 3 for i in range(per_thread))
-    for number, delta in deltas.items():
+    half = per_thread // 2
+    even_hops = sum(i % 3 for i in range(0, per_thread, 2))
+    odd_hops = sum(i % 3 for i in range(1, per_thread, 2))
+    for number, outer in outers.items():
         phase = phases[number % len(phases)]
-        assert delta.messages_by_phase == {phase: per_thread}
-        assert delta.postings_by_phase == {phase: number * per_thread}
-        assert delta.hops_by_phase == {phase: expected_hops}
-        assert sum(delta.messages_by_kind.values()) == per_thread
-    assert_same_snapshot(everything.delta, acc.snapshot())
-    assert everything.delta == merge_snapshots(*deltas.values())
+        nested = phases[(number + 1) % len(phases)]
+        inner = merge_snapshots(*inners[number])
+        assert inner.messages_by_phase == {nested: half}
+        assert inner.postings_by_phase == {nested: number * half}
+        assert inner.hops_by_phase == {nested: odd_hops}
+        assert outer.messages_by_phase == {phase: half, nested: half}
+        assert outer.postings_by_phase == {
+            phase: number * half, nested: number * half
+        }
+        assert outer.hops_by_phase == {phase: even_hops, nested: odd_hops}
+        assert sum(outer.messages_by_kind.values()) == per_thread
+    assert_same_snapshot(acc.snapshot(), merge_snapshots(*outers.values()))
     assert acc.snapshot().total_messages == 8 * per_thread
     assert acc.snapshot().total_postings == per_thread * sum(range(8))
-    assert acc.snapshot().total_hops == 8 * expected_hops
+    assert acc.snapshot().total_hops == 8 * (even_hops + odd_hops)

@@ -61,21 +61,20 @@ class TestInsertLookup:
         assert network.lookup("peer-1", key_b, lambda v: 0) == "v"
 
     def test_insert_accounts_postings(self, network):
-        network.accounting.set_phase(Phase.INDEXING)
         before = network.accounting.postings(Phase.INDEXING)
         network.insert("peer-0", "k", lambda cur: "v", 17)
         assert network.accounting.postings(Phase.INDEXING) == before + 17
 
     def test_lookup_accounts_response_postings(self, network):
         network.insert("peer-0", "k", lambda cur: "v", 1)
-        network.accounting.set_phase(Phase.RETRIEVAL)
-        network.lookup("peer-1", "k", lambda v: 9)
+        with network.accounting.charge(Phase.RETRIEVAL):
+            network.lookup("peer-1", "k", lambda v: 9)
         assert network.accounting.postings(Phase.RETRIEVAL) == 9
 
     def test_lookup_logs_two_messages(self, network):
         network.insert("peer-0", "k", lambda cur: "v", 1)
-        network.accounting.set_phase(Phase.RETRIEVAL)
-        network.lookup("peer-1", "k", lambda v: 0)
+        with network.accounting.charge(Phase.RETRIEVAL):
+            network.lookup("peer-1", "k", lambda v: 0)
         snap = network.accounting.snapshot()
         assert snap.messages_by_kind[MessageKind.LOOKUP] == 1
         assert snap.messages_by_kind[MessageKind.RESPONSE] == 1

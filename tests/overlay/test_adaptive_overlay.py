@@ -18,6 +18,7 @@ from harness.equivalence import (
     query_fingerprint,
 )
 from repro.errors import ConfigurationError
+from repro.net.accounting import Phase
 from repro.net.messages import MessageKind
 from repro.net.network import P2PNetwork
 from repro.obs.metrics import get_hub
@@ -311,13 +312,13 @@ class TestMultiLevelCache:
         insert(network, source, key, [1])
         assert lookup(network, source, key) == [1]  # fills both levels
         local_hits_before = router.stats.local_cache_hits
-        with network.accounting.measure() as window:
+        with network.accounting.charge(Phase.RETRIEVAL) as charge:
             assert lookup(network, source, key) == [1]
         assert router.stats.local_cache_hits == local_hits_before + 1
         # Answered inside the source's own cluster: at most one hop
         # each way, and the response still carries the full payload.
-        assert window.delta.total_hops <= 2
-        assert window.delta.total_postings == 1
+        assert charge.snapshot().total_hops <= 2
+        assert charge.snapshot().total_postings == 1
 
     def test_insert_invalidates_remote_copy(self):
         network, router = self.make_quiet_adaptive()
@@ -328,9 +329,9 @@ class TestMultiLevelCache:
         lookup(network, source, key)
         lookup(network, source, key)  # local copy now live
         invalidations_before = router.stats.invalidations
-        with network.accounting.measure() as window:
+        with network.accounting.charge(Phase.INDEXING) as charge:
             insert(network, source, key, [2])
-        fanout = window.delta.messages_by_kind.get(
+        fanout = charge.snapshot().messages_by_kind.get(
             MessageKind.CACHE_INVALIDATE, 0
         )
         assert fanout >= 1
@@ -349,15 +350,18 @@ class TestMultiLevelCache:
         source = peer_outside(network, hot.members)
         insert(network, source, cached, [1])
         lookup(network, source, cached)  # fills home + local caches
-        with network.accounting.measure() as baseline:
+        with network.accounting.charge(Phase.INDEXING) as baseline:
             insert(network, source, control, [2])
-        with network.accounting.measure() as window:
+        with network.accounting.charge(Phase.INDEXING) as charge:
             insert(network, source, cached, [2])
-        fanout = window.delta.messages_by_kind.get(
+        fanout = charge.snapshot().messages_by_kind.get(
             MessageKind.CACHE_INVALIDATE, 0
         )
         assert fanout >= 1
-        assert window.delta.total_postings == baseline.delta.total_postings
+        assert (
+            charge.snapshot().total_postings
+            == baseline.snapshot().total_postings
+        )
 
     def test_absence_cached_at_local_level(self):
         network, router = self.make_quiet_adaptive()

@@ -131,17 +131,17 @@ class World:
         )
 
     def insert(self, source: str, key: frozenset, value: list) -> None:
-        self.network.accounting.set_phase(Phase.INDEXING)
-        self.network.insert(
-            source,
-            key,
-            lambda current: (current or []) + value,
-            payload_postings=len(value),
-        )
+        with self.network.accounting.charge(Phase.INDEXING):
+            self.network.insert(
+                source,
+                key,
+                lambda current: (current or []) + value,
+                payload_postings=len(value),
+            )
 
     def lookup(self, source: str, key: frozenset):
-        self.network.accounting.set_phase(Phase.RETRIEVAL)
-        return self.network.lookup(source, key, lambda v: len(v or []))
+        with self.network.accounting.charge(Phase.RETRIEVAL):
+            return self.network.lookup(source, key, lambda v: len(v or []))
 
     def keys_homed_in(self, members, count: int, tag: str) -> list[frozenset]:
         """``count`` keys whose responsible peer is in ``members``

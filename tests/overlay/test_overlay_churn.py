@@ -100,9 +100,9 @@ class TestChurnParity:
 class TestChurnAccounting:
     def test_churn_traffic_is_maintenance_only(self, collection):
         service = build(collection, "hdk_super", overlay_fanout=3)
-        with service.network.accounting.measure() as window:
+        with service.network.accounting.charge(Phase.INDEXING) as charge:
             churn(service.network)
-        delta = window.delta
+        delta = charge.snapshot()
         assert delta.messages_by_phase.get(Phase.MAINTENANCE, 0) > 0
         assert delta.messages_by_phase.get(Phase.INDEXING, 0) == 0
         assert delta.messages_by_phase.get(Phase.RETRIEVAL, 0) == 0

@@ -104,14 +104,14 @@ class TestRoutedLookups:
         key = frozenset({"gamma"})
         insert(network, "peer-000", key, [7])
         for i in range(24):
-            with network.accounting.measure() as window:
+            with network.accounting.charge(Phase.RETRIEVAL) as charge:
                 network.lookup(
                     f"peer-{i:03d}", key, lambda v: len(v or [])
                 )
-            for kind, count in window.delta.messages_by_kind.items():
+            for kind, count in charge.snapshot().messages_by_kind.items():
                 assert count <= 1, kind
             # request <= 3 hops, response <= 2: never more than 5 total.
-            assert window.delta.total_hops <= 5
+            assert charge.snapshot().total_hops <= 5
 
     def test_path_hops_bounded_for_all_pairs(self):
         network, router = make_routed_network(num_peers=20, fanout=4)
@@ -130,7 +130,7 @@ class TestPathCache:
         insert(network, "peer-000", key, [1, 2])
         first = network.lookup("peer-007", key, lambda v: len(v or []))
         hits_before = router.stats.cache_hits
-        with network.accounting.measure() as window:
+        with network.accounting.charge(Phase.RETRIEVAL) as charge:
             second = network.lookup(
                 "peer-007", key, lambda v: len(v or [])
             )
@@ -138,9 +138,9 @@ class TestPathCache:
         assert router.stats.cache_hits == hits_before + 1
         # Answered at the home super-peer: response is a single hop and
         # still carries the full payload.
-        response = window.delta.messages_by_kind[MessageKind.RESPONSE]
+        response = charge.snapshot().messages_by_kind[MessageKind.RESPONSE]
         assert response == 1
-        assert window.delta.total_postings == len(first)
+        assert charge.snapshot().total_postings == len(first)
 
     def test_absence_is_cached(self):
         network, router = make_routed_network(use_summaries=False)
@@ -203,12 +203,12 @@ class TestSummaries:
             for name in network.peer_names()
             if network.id_of(name) != owner
         )
-        with network.accounting.measure() as window:
+        with network.accounting.charge(Phase.RETRIEVAL) as charge:
             value = network.lookup(source, key, lambda v: 0)
         assert value is None
         assert router.stats.summary_skips == 1
-        assert window.delta.total_postings == 0
-        assert window.delta.total_hops <= 3  # <= 2 request + 1 response
+        assert charge.snapshot().total_postings == 0
+        assert charge.snapshot().total_hops <= 3  # <= 2 request + 1 response
 
     def test_inserted_keys_never_summary_skipped(self):
         network, router = make_routed_network(path_cache_capacity=0)
@@ -280,9 +280,9 @@ class TestStatsAndDescribe:
     def test_refresh_traffic_is_maintenance(self):
         network, router = make_routed_network()
         insert(network, "peer-000", frozenset({"kappa"}), [1, 2, 3])
-        with network.accounting.measure() as window:
+        with network.accounting.charge(Phase.INDEXING) as charge:
             router.refresh()
-        delta = window.delta
+        delta = charge.snapshot()
         assert delta.messages_by_phase.get(Phase.MAINTENANCE, 0) > 0
         assert delta.messages_by_phase.get(Phase.RETRIEVAL, 0) == 0
         assert delta.messages_by_phase.get(Phase.INDEXING, 0) == 0

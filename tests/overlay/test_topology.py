@@ -85,9 +85,9 @@ class TestClustering:
 class TestMaintenanceAccounting:
     def test_build_traffic_is_maintenance_only(self):
         network = make_network(8)
-        with network.accounting.measure() as window:
+        with network.accounting.charge(Phase.INDEXING) as charge:
             SuperPeerTopology(network, fanout=3)
-        delta = window.delta
+        delta = charge.snapshot()
         assert delta.maintenance_postings == 0  # registrations carry none
         assert delta.messages_by_phase.get(Phase.MAINTENANCE, 0) > 0
         assert delta.messages_by_phase.get(Phase.INDEXING, 0) == 0
@@ -95,9 +95,9 @@ class TestMaintenanceAccounting:
 
     def test_build_message_shapes(self):
         network = make_network(8)
-        with network.accounting.measure() as window:
+        with network.accounting.charge(Phase.INDEXING) as charge:
             SuperPeerTopology(network, fanout=3)
-        by_kind = window.delta.messages_by_kind
+        by_kind = charge.snapshot().messages_by_kind
         # 3 clusters of (3, 3, 2): non-super members register once each,
         # and each of the 3 super-peers updates the other 2.
         assert by_kind[MessageKind.CLUSTER_JOIN] == 8 - 3

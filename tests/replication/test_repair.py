@@ -130,10 +130,11 @@ def test_repair_traffic_is_maintenance(replicated):
     _populate(net)
     net.kill_peer("peer-2")
     net.respawn_peer("peer-2")
-    net.accounting.set_phase(Phase.RETRIEVAL)
     retrieval_before = net.accounting.postings(Phase.RETRIEVAL)
     maintenance_before = net.accounting.postings(Phase.MAINTENANCE)
-    report = AntiEntropyRepairer(net).run()
+    # Fired inside a query, repair still charges MAINTENANCE.
+    with net.accounting.charge(Phase.RETRIEVAL):
+        report = AntiEntropyRepairer(net).run()
     assert report.postings_shipped > 0
     assert (
         net.accounting.postings(Phase.RETRIEVAL) == retrieval_before

@@ -95,11 +95,15 @@ class TestLatticeWalk:
         )
 
     def test_retrieval_phase_accounting(self):
+        # The caller opens the query's RETRIEVAL charge (as the service
+        # does); the lattice walk's lookups count into it.
         network, _, engine = build_world(DOCS)
-        result = engine.search("p0", q("a", "b"))
+        with network.accounting.charge(Phase.RETRIEVAL) as charge:
+            result = engine.search("p0", q("a", "b"))
         assert (
             network.accounting.postings(Phase.RETRIEVAL)
             == result.postings_transferred
+            == charge.snapshot().retrieval_postings
         )
 
 

@@ -81,9 +81,13 @@ class TestRetrieval:
         assert transferred == 4
 
     def test_retrieval_phase_accounting(self):
+        # The caller opens the query's RETRIEVAL charge (as the service
+        # does); the engine's lookups count into it.
         network, engine, _, _ = build_world(WORLD)
-        engine.search("p0", q("apple"), k=5)
+        with network.accounting.charge(Phase.RETRIEVAL) as charge:
+            engine.search("p0", q("apple"), k=5)
         assert network.accounting.postings(Phase.RETRIEVAL) == 2
+        assert charge.snapshot().postings_by_phase == {Phase.RETRIEVAL: 2}
 
     def test_unknown_term_is_free(self):
         network, engine, _, _ = build_world(WORLD)

@@ -659,6 +659,33 @@ class TestGracefulDrain:
             with pytest.raises(OSError):
                 http_request(url, "GET", "/healthz", timeout_s=2.0)
 
+    def test_drain_answers_or_closes_a_just_opened_connection(
+        self, pool, caplog
+    ):
+        """A client that connected just before an idle drain gets a 503,
+        an EOF or a reset within 2 s — never a hang — and no handler
+        dies cancelled with a traceback."""
+        request = b"GET /healthz HTTP/1.1\r\nHost: gateway\r\n\r\n"
+        for _ in range(20):
+            gateway = Gateway(pool, GatewayConfig(port=0))
+            gateway.start_in_thread()
+            with socket.create_connection(
+                ("127.0.0.1", gateway.port), timeout=2.0
+            ) as client:
+                gateway.initiate_drain()
+                try:
+                    client.sendall(request)
+                    reply = client.recv(65536)
+                except (ConnectionResetError, BrokenPipeError):
+                    reply = b""
+                except TimeoutError:
+                    pytest.fail("no answer and no close within 2 s")
+            assert reply == b"" or reply.startswith(b"HTTP/1.1 503"), reply
+            assert gateway.wait_finished(10.0)
+        assert not [
+            record for record in caplog.records if record.name == "asyncio"
+        ]
+
 
 class TestConfigAndBucket:
     def test_config_validation(self):
