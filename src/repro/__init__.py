@@ -13,8 +13,8 @@ Retrieval is organized around a pluggable backend seam: the
 string-keyed registry (``hdk``, ``hdk_disk``, ``single_term``,
 ``single_term_bloom``, ``topk``, ``centralized``), fronted by
 :class:`SearchService` — the facade owning the query pipeline, an LRU
-result cache, and traffic accounting, with single, batch (optionally
-thread-parallel), and query-log search surfaces, plus ``save``/``load``
+result cache, and traffic accounting, with single, batch, and
+query-log search surfaces, plus ``save``/``load``
 snapshots backed by the :mod:`repro.store` segmented disk store.
 
 Every tier is observable through :mod:`repro.obs`: a contextvars-based

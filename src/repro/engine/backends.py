@@ -393,11 +393,6 @@ class HDKSuperBackend(HDKBackend):
     handoffs themselves.  Crash/respawn events repair only the affected
     cluster (the fault model keeps ring positions), preserving the
     other clusters' path caches.
-
-    Concurrency note: results and posting counts are deterministic at
-    any worker count, but per-query *hop* counts can vary with thread
-    interleaving — concurrent first lookups of a shared key may both
-    miss the path cache where a sequential run would hit on the second.
     """
 
     def __init__(self, context: BackendContext) -> None:

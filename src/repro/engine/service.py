@@ -28,7 +28,6 @@ Typical use::
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -51,7 +50,7 @@ from ..net.chord import ChordOverlay, Overlay
 from ..net.network import P2PNetwork
 from ..net.pgrid import PGridOverlay
 from ..obs.metrics import LatencyHistogram
-from ..obs.trace import current_span, get_tracer
+from ..obs.trace import get_tracer
 from ..replication import (
     AntiEntropyRepairer,
     RepairReport,
@@ -107,18 +106,6 @@ def spawn_peers(
             network.add_peer(name)
             peers.append(Peer(name=name, collection=slice_))
     return peers
-
-
-class _InFlightQuery:
-    """A single-flight slot: one in-progress backend resolution that
-    concurrent identical queries (same term set, depth <= ``k``) wait
-    on instead of hitting the index again."""
-
-    __slots__ = ("k", "done")
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self.done = threading.Event()
 
 
 @dataclass
@@ -181,6 +168,12 @@ class SearchService:
     network), or construct directly around an existing network and peer
     split.  Then :meth:`index` once and query via :meth:`search`,
     :meth:`search_batch`, or :meth:`run_querylog`.
+
+    One caller per service: searches, joins, crashes and repairs run
+    one at a time, in the order they are called, and nothing in the
+    service, its network or its routing state takes a lock.  Parallelism
+    is by process — :mod:`repro.serving.pool` runs one service per
+    worker process, each serving one request at a time.
 
     Args:
         peers: the initial peer population with their local collections.
@@ -256,19 +249,9 @@ class SearchService:
         )
         self._indexed = False
         self._reports: list[IndexingReport] = []
-        # Concurrency design (short critical sections): only the cache
-        # lookup/fill and the single-flight table are serialized, under
-        # this fine-grained lock; the backend section of a query runs
-        # fully concurrent, with its own RETRIEVAL charge keeping its
-        # traffic exact (see repro.net.accounting).
-        self._cache_lock = threading.Lock()
-        #: In-flight backend computations by term set (single-flight:
-        #: concurrent identical queries wait for one resolution).
-        self._inflight: dict[frozenset[str], _InFlightQuery] = {}
         #: Service-side latency distribution over every search() call
         #: (hits and misses alike); :meth:`stats` exposes its state so
         #: the serving gateway can merge the per-worker histograms.
-        self._latency_lock = threading.Lock()
         self._latency = LatencyHistogram()
 
     # -- construction ------------------------------------------------------------
@@ -396,26 +379,20 @@ class SearchService:
 
         Returns a :class:`SearchResponse` carrying the ranked results,
         the traffic the query generated, wall-clock timing, and
-        whether it was served from the cache.
-
-        Thread-safe, and concurrent calls genuinely overlap: only the
-        cache lookup/fill runs under a lock; the backend section runs
-        outside it under the query's own RETRIEVAL charge, so each
-        response's ``traffic`` is exactly the messages its own backend
-        call generated.  Concurrent calls for the *same* term set are
-        de-duplicated (single-flight): one caller resolves against the
-        index, the others wait and are served as cache hits.
+        whether it was served from the cache.  A miss resolves against
+        the backend under the query's own RETRIEVAL charge, so the
+        response's ``traffic`` is exactly the messages it generated.
 
         When tracing is active (see :mod:`repro.obs`) the call records a
-        ``service.search`` span with cache-hit / single-flight
-        attribution and a ``service.backend`` child covering the backend
-        section; the no-trace path adds only a guard check and one
-        histogram observation.
+        ``service.search`` span with cache-hit attribution and a
+        ``service.backend`` child covering the backend section; the
+        no-trace path adds only a guard check and one histogram
+        observation.
         """
         tracer = get_tracer()
         if not tracer.active:
             response = self._search_impl(raw_query, k, source_peer)
-            self._observe_latency(response.elapsed_ms)
+            self._latency.observe(response.elapsed_ms)
             return response
         with tracer.span("service.search", k=k) as span:
             response = self._search_impl(raw_query, k, source_peer)
@@ -427,12 +404,8 @@ class SearchService:
                 else "",
                 postings_transferred=response.postings_transferred,
             )
-        self._observe_latency(response.elapsed_ms)
+        self._latency.observe(response.elapsed_ms)
         return response
-
-    def _observe_latency(self, elapsed_ms: float) -> None:
-        with self._latency_lock:
-            self._latency.observe(elapsed_ms)
 
     def _search_impl(
         self,
@@ -444,67 +417,26 @@ class SearchService:
             raise RetrievalError("call index() before search()")
         if k < 1:
             raise RetrievalError(f"k must be >= 1, got {k}")
-        query = self._process(raw_query)  # pipeline work outside the lock
+        query = self._process(raw_query)
         source = source_peer or self.peers[0].name
         started = time.perf_counter()
         if self.cache is None:
-            # No cache, no single-flight: every call pays the backend.
             return self._backend_search(source, query, k, started)
-        while True:
-            with self._cache_lock:
-                cached = self.cache.try_hit(query, k)
-                if cached is None:
-                    flight = self._inflight.get(query.term_set)
-                    if flight is None or flight.k < k:
-                        # Become the leader for this term set (a deeper
-                        # request supersedes a shallower in-flight one).
-                        self.cache.note_miss()
-                        flight = _InFlightQuery(k)
-                        self._inflight[query.term_set] = flight
-                        break
-            if cached is not None:
-                # Shape the hit outside the lock: clipping copies the
-                # result list, and concurrent lookups must not queue
-                # behind per-hit copies (cached payloads are never
-                # mutated, so no lock is needed to read one).
-                return self._hit_response(cached, query, k, started)
-            # Follower: an identical term set is already resolving.
-            # Wait outside the lock, then retry the cache (the leader
-            # fills it before signalling; on leader failure or eviction
-            # the retry simply becomes the new leader).
-            span = current_span()
-            if span is not None:
-                span.set_attr("flight", "follower")
-            flight.done.wait()
-        span = current_span()
-        if span is not None:
-            span.set_attr("flight", "leader")
-        try:
-            response = self._backend_search(source, query, k, started)
-            # Cache a copy, not the object handed to the caller: a
-            # caller mutating response.results must not poison hits.
-            # The cache is internally locked and followers only read it
-            # after flight.done below, so the fill runs outside
-            # _cache_lock — other queries' lookups must not queue
-            # behind this clip-and-insert.
-            self.cache.put(
-                query,
-                k,
-                response.clipped(k),
-                response.postings_transferred,
-            )
-            return response
-        finally:
-            with self._cache_lock:
-                if self._inflight.get(query.term_set) is flight:
-                    del self._inflight[query.term_set]
-            flight.done.set()
+        cached = self.cache.get(query, k)
+        if cached is not None:
+            return self._hit_response(cached, query, k, started)
+        response = self._backend_search(source, query, k, started)
+        # Cache a copy, not the object handed to the caller: a caller
+        # mutating response.results must not poison hits.
+        self.cache.put(
+            query, k, response.clipped(k), response.postings_transferred
+        )
+        return response
 
     def _backend_search(
         self, source: str, query: Query, k: int, started: float
     ) -> SearchResponse:
-        """The concurrent section: backend resolution under the query's
-        RETRIEVAL charge (no service lock held)."""
+        """Backend resolution under the query's RETRIEVAL charge."""
         tracer = get_tracer()
         if not tracer.active:
             with self.network.accounting.charge(Phase.RETRIEVAL) as charge:
@@ -831,12 +763,11 @@ class SearchService:
         stats["num_peers"] = len(self.peers)
         stats["cache_hits"] = self.cache_stats.hits
         stats["cache_misses"] = self.cache_stats.misses
-        with self._latency_lock:
-            stats["latency"] = self._latency.as_dict()
-            # Lossless twin of "latency": the serving gateway rebuilds
-            # per-worker histograms from this and merges them into one
-            # fleet-wide distribution on GET /stats.
-            stats["latency_state"] = self._latency.to_state()
+        stats["latency"] = self._latency.as_dict()
+        # Lossless twin of "latency": the serving gateway rebuilds
+        # per-worker histograms from this and merges them into one
+        # fleet-wide distribution on GET /stats.
+        stats["latency_state"] = self._latency.to_state()
         stats["traffic"] = self.network.accounting.snapshot().as_dict()
         stats["replication"] = self.replication
         if self.replication_manager is not None:

@@ -78,8 +78,7 @@ class IndexingReport:
             generated (statistics publication, key inserts with their
             transition notifications, and any NDK-expansion cascades) —
             counted by the INDEXING charges the driver opens around each
-            of the peer's steps, so it is exact even while other threads
-            use the network.  ``None`` until a driver
+            of the peer's steps.  ``None`` until a driver
             (:mod:`repro.indexing`) attaches it.
     """
 

@@ -172,9 +172,8 @@ class GlobalKeyIndex:
     ) -> StagedInsert:
         """Transmission phase of :meth:`insert`: validate the payload and
         log/pay the routed INSERT message, without touching the stored
-        entry.  Safe to run concurrently across peers; the returned
-        :class:`StagedInsert` must then go through :meth:`apply_staged`
-        in the protocol's deterministic order."""
+        entry.  The returned :class:`StagedInsert` must then go through
+        :meth:`apply_staged` in the protocol's deterministic order."""
         if not key:
             raise IndexError_("cannot insert the empty key")
         if len(local_postings) == 0:

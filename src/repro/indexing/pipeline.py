@@ -22,7 +22,7 @@ Per-peer traffic attribution: each peer's statistics send, stage and
 apply run under their own INDEXING charge
 (:meth:`~repro.hdk.indexer.PeerIndexer.charged`), so
 :attr:`~repro.hdk.indexer.IndexingReport.traffic` is exactly that
-peer's messages, even while queries run beside a join on other threads.
+peer's messages.
 
 Failure semantics: extraction errors surface before anything of the
 failed round is staged or applied — the global index is left exactly as

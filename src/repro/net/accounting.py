@@ -8,31 +8,29 @@ handoffs on churn) is tracked but reported separately, exactly as the paper
 excludes it from its analysis.
 
 Attribution: an operation names its phase once, where it starts, by
-opening a *charge* (:meth:`TrafficAccounting.charge`).  The open charge
-lives in a :class:`contextvars.ContextVar`, like the active span of
-:mod:`repro.obs.trace`, so each thread or asyncio task charges its own
-operation.  Charges nest: the innermost names the phase, and a closing
-charge folds its count into the enclosing one — a MAINTENANCE fan-out
-fired inside a query is MAINTENANCE traffic *of that query*.  A message
-sent outside any charge counts as INDEXING; every message also counts
-into the totals (:meth:`TrafficAccounting.snapshot`).
+opening a *charge* (:meth:`TrafficAccounting.charge`).  Open charges
+form a stack on the accounting object: one caller drives a service (and
+its network) at a time, so the innermost open charge is the operation
+in progress.  Charges nest: the innermost names the phase, and a
+closing charge folds its count into the enclosing one — a MAINTENANCE
+fan-out fired inside a query is MAINTENANCE traffic *of that query*.  A
+message sent outside any charge counts as INDEXING; every message also
+counts into the totals (:meth:`TrafficAccounting.snapshot`).
 
 Representation: totals and charges accumulate into flat lists of integer
 cells — ``[messages, postings, hops]`` per ``(Phase, MessageKind)`` pair,
 indexed by the members' ordinals — so recording is three list increments
 and no enum hashing.  :meth:`TrafficAccounting.record` takes a message's
 fields, not a message object, and is the only writer of cells; a lookup's
-request and its one-hop response are counted in one call (one lock, one
-charge read).  :class:`TrafficSnapshot` dicts are built from the cells
-when read; a phase or kind is a key there exactly when a message of it
-was recorded.
+request and its one-hop response are counted in one call (one charge
+read).  :class:`TrafficSnapshot` dicts are built from the cells when
+read; a phase or kind is a key there exactly when a message of it was
+recorded.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
@@ -192,13 +190,13 @@ class Charge:
     """One operation's traffic, opened by :meth:`TrafficAccounting.charge`.
 
     A context manager: while open it is the innermost charge of its
-    context, and every message that context records counts into it
+    accounting, and every message recorded meanwhile counts into it
     under :attr:`phase`.  On close it folds what it counted into the
     enclosing charge, if one is open.  :meth:`snapshot` reads what it
     counted, open or closed.
     """
 
-    __slots__ = ("phase", "_accounting", "_base", "_cells", "_token")
+    __slots__ = ("phase", "_accounting", "_base", "_cells")
 
     def __init__(self, accounting: "TrafficAccounting", phase: Phase) -> None:
         if not isinstance(phase, Phase):
@@ -206,43 +204,36 @@ class Charge:
         self.phase = phase
         self._accounting = accounting
         self._base = phase.ordinal * _STRIDE
-        #: Written under the accounting lock, by ``record`` and exits.
         self._cells = _new_cells()
-        self._token = None
 
     def __enter__(self) -> "Charge":
-        self._token = self._accounting._charge.set(self)
+        self._accounting._charges.append(self)
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self._accounting._charge.reset(self._token)
-        outer = self._accounting._charge.get()
-        if outer is not None:
-            with self._accounting._lock:
-                outer._cells[:] = map(add, outer._cells, self._cells)
+        charges = self._accounting._charges
+        charges.pop()
+        if charges:
+            outer = charges[-1]
+            outer._cells[:] = map(add, outer._cells, self._cells)
 
     def snapshot(self) -> TrafficSnapshot:
         """The traffic counted so far (all of it, once closed)."""
-        with self._accounting._lock:
-            return TrafficSnapshot._from_cells(self._cells)
+        return TrafficSnapshot._from_cells(self._cells)
 
 
 class TrafficAccounting:
-    """Counters fed by the network simulator through the thread-safe
-    :meth:`record`: the totals count every message, a :meth:`charge`
-    one operation's."""
+    """Counters fed by the network simulator through :meth:`record`:
+    the totals count every message, a :meth:`charge` one operation's."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._cells = _new_cells()
-        #: The innermost open charge of the current thread or task.
-        self._charge: ContextVar[Charge | None] = ContextVar(
-            "repro_traffic_charge", default=None
-        )
+        #: The open charges, innermost last.
+        self._charges: list[Charge] = []
 
     def charge(self, phase: Phase) -> Charge:
-        """Charge the messages this context records inside the block to
-        ``phase`` and to the returned :class:`Charge`::
+        """Charge the messages recorded inside the block to ``phase``
+        and to the returned :class:`Charge`::
 
             with accounting.charge(Phase.RETRIEVAL) as charge:
                 engine.search(...)
@@ -252,10 +243,10 @@ class TrafficAccounting:
 
     @property
     def phase(self) -> Phase:
-        """The phase a message recorded now, in this context, counts
-        under: the innermost open charge's, INDEXING outside any."""
-        charge = self._charge.get()
-        return Phase.INDEXING if charge is None else charge.phase
+        """The phase a message recorded now counts under: the innermost
+        open charge's, INDEXING outside any."""
+        charges = self._charges
+        return charges[-1].phase if charges else Phase.INDEXING
 
     # -- recording ------------------------------------------------------------
 
@@ -267,34 +258,32 @@ class TrafficAccounting:
         reply: int | None = None,
     ) -> None:
         """Count one message of ``kind`` carrying ``postings`` over
-        ``hops`` into the totals and the open charge (thread-safe).
+        ``hops`` into the totals and the innermost open charge.
 
         ``reply``, when given, also counts the receiver's one-hop
         RESPONSE carrying that many postings back — a flat lookup's
         request and answer accounted as one exchange.  Callers validate
         the fields (:meth:`repro.net.network.P2PNetwork._send`)."""
-        charge = self._charge.get()
+        charges = self._charges
+        charge = charges[-1] if charges else None
         base = _UNCHARGED_BASE if charge is None else charge._base
         cell = base + 3 * kind.ordinal
         reply_cell = base + _RESPONSE_CELL
-        with self._lock:
-            _add(self._cells, cell, postings, hops, reply_cell, reply)
-            if charge is not None:
-                _add(charge._cells, cell, postings, hops, reply_cell, reply)
+        _add(self._cells, cell, postings, hops, reply_cell, reply)
+        if charge is not None:
+            _add(charge._cells, cell, postings, hops, reply_cell, reply)
 
     # -- reading ----------------------------------------------------------------
 
     def snapshot(self) -> TrafficSnapshot:
         """Return an immutable copy of the totals."""
-        with self._lock:
-            return TrafficSnapshot._from_cells(self._cells)
+        return TrafficSnapshot._from_cells(self._cells)
 
     def _phase_total(self, phase: Phase, field: int) -> int:
         """Sum cell ``field`` (0 messages, 1 postings, 2 hops) over the
         kinds of ``phase``."""
         start = phase.ordinal * _STRIDE + field
-        with self._lock:
-            return sum(self._cells[start : start + _STRIDE : 3])
+        return sum(self._cells[start : start + _STRIDE : 3])
 
     def postings(self, phase: Phase) -> int:
         """Postings transmitted so far in ``phase``."""
@@ -310,8 +299,7 @@ class TrafficAccounting:
 
     def reset(self) -> None:
         """Zero the totals (open charges keep what they counted)."""
-        with self._lock:
-            self._cells = _new_cells()
+        self._cells = _new_cells()
 
 
 def empty_snapshot() -> TrafficSnapshot:

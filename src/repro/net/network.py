@@ -519,8 +519,8 @@ class P2PNetwork:
         """Application phase of an insert: run ``merge`` against the
         stored value at the responsible peer (no message is logged — the
         transmission was paid by :meth:`send_insert`).  Merge order is
-        what the index's contents depend on, so callers that stage sends
-        concurrently must apply in a deterministic order.
+        what the index's contents depend on, so callers that stage a
+        round's sends first must apply them in a deterministic order.
 
         ``origin`` is the inserting peer's overlay id; with replication
         installed it tags the op with a per-origin sequence number so

@@ -24,7 +24,7 @@ Span taxonomy (names used by the instrumented layers):
 ===================== ===========================================
 ``gateway.search``    HTTP edge, one per ``/search`` request
 ``worker.search``     pool worker process, re-parented into gateway
-``service.search``    cache probe + single-flight + backend call
+``service.search``    cache probe + backend call
 ``service.backend``   the backend section of one query
 ``net.msg``           one overlay message (kind/phase/route/postings)
 ``net.hop``           one accounted hop inside a message

@@ -9,10 +9,6 @@ follows each reshape that :meth:`~LoadController.decide` yields with
 its routing-state repair.
 The static overlay is the same router with a
 :class:`NullLoadController`: same knobs, nothing observed or decided.
-
-Neither class locks.  The router serializes the window methods behind
-its routing lock and :meth:`~LoadController.decide` /
-:meth:`~LoadController.reset` behind its adaptation lock.
 """
 
 from __future__ import annotations

@@ -52,7 +52,6 @@ cost unit can only improve.
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import ne
@@ -176,12 +175,6 @@ class HierarchicalRouter:
     Install on the topology's network with :meth:`install`; the network
     then delegates every lookup, and hop counts for inserts and stats
     publications, to this object.
-
-    Locking: ``_adapt_lock`` (outer) serializes every topology mutation
-    — full refreshes, scoped crash repairs, splits and merges — while
-    ``_lock`` (inner) guards the hot-path routing state and the
-    controller's open window.  ``_lock`` is never held while acquiring
-    ``_adapt_lock``.
     """
 
     def __init__(
@@ -217,19 +210,6 @@ class HierarchicalRouter:
         self._caches: dict[int, QueryResultCache] = {}
         #: cluster start -> Bloom summary at that super-peer.
         self._summaries: dict[int, ClusterSummary] = {}
-        #: cluster start -> insert generation; a fill is valid only if
-        #: no insert hit the cluster between the owner read and the
-        #: fill (see :meth:`_fill`).
-        self._insert_gens: dict[int, int] = {}
-        # Single-flight summary rebuilds: a start present in
-        # _summary_rebuilding has a rebuild in flight, owned by the
-        # recorded epoch; inserts meanwhile append to the pending list,
-        # applied when the rebuild installs.  Popping the marker
-        # (refresh / split / merge / repair, see _forget) or a newer
-        # claim turns the in-flight install into a no-op.
-        self._summary_epoch = 0
-        self._summary_rebuilding: dict[int, int] = {}
-        self._pending_summary_adds: dict[int, list[int]] = {}
         # Copy registry (adaptive mode): which cluster starts hold a
         # path-cache copy of each key, so the home super-peer can
         # invalidate them on insert.  In adaptive mode *every* fill is
@@ -242,14 +222,6 @@ class HierarchicalRouter:
         self._copy_registry_capacity = max(512, 8 * path_cache_capacity)
         #: super-peer id -> attribution counters (load, lookups, ...).
         self._per_sp: dict[int, dict[str, int]] = {}
-        # Guards stats, the cache/summary maps, the controller's
-        # window, the copy registry, and filter mutation (Bloom add is
-        # read-modify-write); the caches themselves are internally
-        # locked.
-        self._lock = threading.Lock()
-        # Serializes topology mutations (refresh / split / merge /
-        # scoped repair); always taken before _lock, never after.
-        self._adapt_lock = threading.Lock()
         # Process-wide observability counters (repro.obs): the same
         # quantities as RouterStats, but readable by benches and the
         # serving tier without a reference to this router.  The
@@ -323,50 +295,37 @@ class HierarchicalRouter:
         # Off the hierarchy the whole path is the request.  Self-owned
         # key: answered locally, same message shape as flat routing
         # (request + response, one hop each).
-        level, payload, generation = len(path) - 1, None, 0
+        level, payload = len(path) - 1, None
         route = "dark_range" if owner is None else "self_owned"
         if home is not None:
-            with self._lock:
-                # Sampled with the probe: a cached payload (or a
-                # summary verdict) observed now, then filled into a
-                # *second* cache below, must be dropped if an insert
-                # lands in between.
-                generation = self._insert_gens.get(home.start, 0)
-                level, route, payload = self._probe(
-                    key, key_id, local if fill_local else None, home
-                )
+            level, route, payload = self._probe(
+                key, key_id, local if fill_local else None, home
+            )
         value, answered = self._exchange(
             network, key, key_id, response_size,
             path, level, fill_local, payload, route,
         )
-        with self._lock:
-            # The response fills the caches it retraces through — unless
-            # the owner had crashed by the time it was read: its silence
-            # says nothing about the key, which a live replica still
-            # holds.
-            if level == _OWNER and answered:
-                self._fill(
-                    home.start, home.start, key, value, generation,
-                    multi_level,
-                )
-            if fill_local and level >= _HOME and answered:
-                self._fill(
-                    local.start, home.start, key, value, generation, True
-                )
-            # One unit of routing work for every distinct peer on the
-            # path except the requester itself — the load signal behind
-            # the per-super-peer gauges and (via the controller) the
-            # topology's election.
-            charged = {*path[1 : level + 1]} - {source_id, None}
-            for peer_id in charged:
-                self._count("load", peer_id)
-            served = local if level == _LOCAL else home
-            if served is None:
-                self._count("lookups")
-            else:
-                self._count("lookups", served.super_peer)
-                served = served.start
-            scores = controller.lookup(charged, served)
+        # The response fills the caches it retraces through — unless the
+        # owner had crashed by the time it was read: its silence says
+        # nothing about the key, which a live replica still holds.
+        if level == _OWNER and answered:
+            self._fill(home.start, key, value, multi_level)
+        if fill_local and level >= _HOME and answered:
+            self._fill(local.start, key, value, True)
+        # One unit of routing work for every distinct peer on the path
+        # except the requester itself — the load signal behind the
+        # per-super-peer gauges and (via the controller) the topology's
+        # election.
+        charged = {*path[1 : level + 1]} - {source_id, None}
+        for peer_id in charged:
+            self._count("load", peer_id)
+        served = local if level == _LOCAL else home
+        if served is None:
+            self._count("lookups")
+        else:
+            self._count("lookups", served.super_peer)
+            served = served.start
+        scores = controller.lookup(charged, served)
         if scores is not None:
             self._adapt(scores)
         return value
@@ -384,9 +343,6 @@ class HierarchicalRouter:
             # Dark range: the message travels to the local super-peer
             # and on toward the dead region (nobody) before timing out.
             return (source_id, local.super_peer, None), None, local
-        # A peer joining on another thread owns keys from the moment
-        # the ring has it, before the rebuild clusters it: route via the
-        # cluster whose span holds its ring position until then.
         home = self.topology.access_cluster(owner)
         path = (source_id, local.super_peer, home.super_peer, owner)
         return path, home, local
@@ -398,8 +354,7 @@ class HierarchicalRouter:
         the path cache of ``local`` (multi-level only) or ``home``, or
         from ``home``'s summary; else the owner.  Returns its position,
         the route label and the cached payload (possibly
-        :data:`_ABSENT`; ``None``: read storage).  Caller holds
-        ``_lock``."""
+        :data:`_ABSENT`; ``None``: read storage)."""
         if self.path_cache_capacity >= 1:
             probe = _KeyProbe(key)
             for cluster in (home,) if local is None else (local, home):
@@ -488,52 +443,26 @@ class HierarchicalRouter:
         """Freshness hook: the insert just routed through the home
         super-peer, which evicts any cached answer for the key, fans
         an invalidation out to every super-peer holding a path-cache
-        copy, and adds the key to the cluster summary.
-
-        Saturation rebuilds are single-flight: the insert that tips the
-        filter past capacity claims the rebuild under the lock (epoch
-        marker); concurrent inserts see the marker and queue their key
-        ids instead of re-triggering, and the rebuilt filter applies
-        the queue on install — so no second scan, and no insert is ever
-        missing from whichever filter wins (no false negatives)."""
+        copy, and adds the key to the cluster summary — rebuilt from the
+        members' storages once the key makes it outgrow its sizing."""
         home = self.topology.home_cluster(key_id)
         home_sp = None if home is None else home.super_peer
-        rebuild_epoch: int | None = None
-        with self._lock:
-            self._count("inserts", home_sp)
-            if home is None:
-                # Dark range: the write was lost, nothing is cached for
-                # the key (dark lookups bypass the cache), nothing to
-                # invalidate.
-                return
-            start = home.start
-            # Bump the generation and evict under the same lock the
-            # fill path checks the generation under, so a lookup that
-            # read the pre-insert value can never re-cache it after
-            # this invalidation.
-            self._insert_gens[start] = self._insert_gens.get(start, 0) + 1
-            # Scoped fan-out: only the clusters registered as holding
-            # a copy of *this* key are touched.
-            holders = self._remote_copies.pop(key, ())
-            self._evict(key, (start, *holders))
-            fanout_targets = [h for h in holders if h != start]
-            # Cache churn is load on the home cluster too.
-            self.controller.note(start)
-            summary = self._summaries.get(start)
-            if summary is not None:
-                summary.add(key_id)
-                if start in self._summary_rebuilding:
-                    # A rebuild is in flight; queue the key id for the
-                    # replacement filter instead of re-triggering.
-                    self._pending_summary_adds.setdefault(start, []).append(
-                        key_id
-                    )
-                elif summary.saturated:
-                    # The filter outgrew its sizing: claim the rebuild.
-                    self._summary_epoch += 1
-                    rebuild_epoch = self._summary_epoch
-                    self._summary_rebuilding[start] = rebuild_epoch
-                    self._pending_summary_adds[start] = []
+        self._count("inserts", home_sp)
+        if home is None:
+            # Dark range: the write was lost, nothing is cached for the
+            # key (dark lookups bypass the cache), nothing to invalidate.
+            return
+        start = home.start
+        # Scoped fan-out: only the clusters registered as holding a
+        # copy of *this* key are touched.
+        holders = self._remote_copies.pop(key, ())
+        self._evict(key, (start, *holders))
+        fanout_targets = [h for h in holders if h != start]
+        # Cache churn is load on the home cluster too.
+        self.controller.note(start)
+        summary = self._summaries.get(start)
+        if summary is not None:
+            summary.add(key_id)
         if fanout_targets:
             # The invalidations ride the insert (same phase): one
             # zero-posting message per holding super-peer, so the
@@ -542,8 +471,8 @@ class HierarchicalRouter:
                 self.topology.network.log_message, home_sp, fanout_targets,
                 key_id,
             )
-        if rebuild_epoch is not None:
-            self._rebuild_cluster_summary(home, epoch=rebuild_epoch)
+        if summary is not None and summary.saturated:
+            self._rebuild_cluster_summary(home)
 
     def _fan_out(
         self,
@@ -566,8 +495,7 @@ class HierarchicalRouter:
             )
             sent += 1
         if sent:
-            with self._lock:
-                self._count("invalidations", amount=sent)
+            self._count("invalidations", amount=sent)
 
     # -- RoutingPolicy: membership -------------------------------------------------
 
@@ -603,22 +531,18 @@ class HierarchicalRouter:
         except PeerNotFoundError:
             return False
         network = self.topology.network
-        with self._adapt_lock:
-            if event.kind == "crash" and cluster.super_peer == event.peer_id:
-                reelected = self.topology.reelect(cluster)
-                if reelected is not None:
-                    cluster = reelected
-            holders = self._forget((cluster.start,), flush_copies=True)
-            # The flush is announced (and accounted as maintenance) by
-            # the cluster's super-peer, if there is a live one.
-            if network.is_live(cluster.super_peer):
-                self._fan_out(
-                    network.log_maintenance, cluster.super_peer, holders
-                )
-            with self._lock:
-                self._count("scoped_repairs")
-            if any(network.is_live(m) for m in cluster.members):
-                self._rebuild_cluster_summary(cluster)
+        if event.kind == "crash" and cluster.super_peer == event.peer_id:
+            reelected = self.topology.reelect(cluster)
+            if reelected is not None:
+                cluster = reelected
+        holders = self._forget((cluster.start,), flush_copies=True)
+        # The flush is announced (and accounted as maintenance) by the
+        # cluster's super-peer, if there is a live one.
+        if network.is_live(cluster.super_peer):
+            self._fan_out(network.log_maintenance, cluster.super_peer, holders)
+        self._count("scoped_repairs")
+        if any(network.is_live(m) for m in cluster.members):
+            self._rebuild_cluster_summary(cluster)
         return True
 
     def refresh(self) -> None:
@@ -629,96 +553,64 @@ class HierarchicalRouter:
         rebuilt from the member storages.  Also the restore hook after a
         snapshot load placed entries directly into storages.
         """
-        with self._adapt_lock:
-            self.topology.rebuild()
-            self._forget()
-            for cluster in self.topology.clusters:
-                self._rebuild_cluster_summary(cluster)
+        self.topology.rebuild()
+        self._forget()
+        for cluster in self.topology.clusters:
+            self._rebuild_cluster_summary(cluster)
 
     def _adapt(self, scores: dict[int, int]) -> None:
         """Act on a closed decision window: publish its per-super-peer
         load, then follow each split or merge the controller applies
         with the routing-state repair around it."""
-        with self._adapt_lock:
-            for cluster in self.topology.clusters:
-                self._m_window_load.set(
-                    cluster.super_peer, float(scores.get(cluster.start, 0))
-                )
-            for event, retired, produced in self.controller.decide(scores):
-                with self._lock:
-                    self._count(event)
-                self._forget(retired)
-                for cluster in produced:
-                    self._rebuild_cluster_summary(cluster)
+        for cluster in self.topology.clusters:
+            self._m_window_load.set(
+                cluster.super_peer, float(scores.get(cluster.start, 0))
+            )
+        for event, retired, produced in self.controller.decide(scores):
+            self._count(event)
+            self._forget(retired)
+            for cluster in produced:
+                self._rebuild_cluster_summary(cluster)
 
     def _forget(
         self, starts: Iterable[int] | None = None, flush_copies: bool = False
     ) -> set[int]:
         """Drop the routing state keyed by the cluster ``starts`` —
         all of it, and the controller's, when ``None`` (the map was
-        re-clustered).  Insert generations are bumped so in-flight
-        fills sampled against the old shape are discarded (a pre-split
-        home cache slot must not receive a fill meant for what is now
-        another cluster's range), and in-flight summary installs for it
-        become no-ops (marker popped).  Copies *held by* the forgotten
-        clusters died with their caches and are de-registered, so later
-        inserts do not fan out to clusters that no longer hold
-        anything; ``flush_copies`` evicts every other registered copy
-        too and returns the starts of the clusters that held one."""
+        re-clustered).  Copies *held by* the forgotten clusters died
+        with their caches and are de-registered, so later inserts do
+        not fan out to clusters that no longer hold anything;
+        ``flush_copies`` evicts every other registered copy too and
+        returns the starts of the clusters that held one."""
         flushed: set[int] = set()
-        with self._lock:
-            if starts is None:
-                self.controller.reset()
-                self._remote_copies.clear()
-                starts = {
-                    *self._insert_gens,
-                    *self._caches,
-                    *self._summaries,
-                    *self._summary_rebuilding,
-                }
-            for start in starts:
-                self._caches.pop(start, None)
-                self._insert_gens[start] = (
-                    self._insert_gens.get(start, 0) + 1
-                )
-                self._summaries.pop(start, None)
-                self._summary_rebuilding.pop(start, None)
-                self._pending_summary_adds.pop(start, None)
-            for key, holders in list(self._remote_copies.items()):
-                if flush_copies:
-                    self._evict(key, holders)
-                    flushed |= holders
-                    holders.clear()
-                else:
-                    holders.difference_update(starts)
-                if not holders:
-                    del self._remote_copies[key]
+        if starts is None:
+            self.controller.reset()
+            self._remote_copies.clear()
+            starts = {*self._caches, *self._summaries}
+        for start in starts:
+            self._caches.pop(start, None)
+            self._summaries.pop(start, None)
+        for key, holders in list(self._remote_copies.items()):
+            if flush_copies:
+                self._evict(key, holders)
+                flushed |= holders
+                holders.clear()
+            else:
+                holders.difference_update(starts)
+            if not holders:
+                del self._remote_copies[key]
         return flushed
 
     # -- path caches -----------------------------------------------------------------
 
     def _fill(
-        self,
-        holder_start: int,
-        home_start: int,
-        key: Any,
-        value: Any | None,
-        generation: int,
-        register: bool,
+        self, holder_start: int, key: Any, value: Any | None, register: bool
     ) -> None:
         """Cache the answer that just retraced through the super-peer
         of the cluster at ``holder_start`` (absences included —
         repeated lattice probes of never-indexed subsets are the common
-        case) and ``register`` the copy for invalidation fan-out.
-        ``generation`` is the *home* cluster's insert generation
-        sampled before the answer was produced; if any insert hit the
-        cluster since, the answer may predate it and the fill is
-        dropped (the caller holds ``_lock``, so the put is atomic with
-        :meth:`on_insert`'s bump-and-evict)."""
-        if (
-            self.path_cache_capacity < 1
-            or self._insert_gens.get(home_start, 0) != generation
-        ):
+        case) and ``register`` the copy for invalidation fan-out."""
+        if self.path_cache_capacity < 1:
             return
         cache = self._caches.get(holder_start)
         if cache is None:
@@ -738,7 +630,7 @@ class HierarchicalRouter:
 
     def _evict(self, key: Any, holder_starts: Iterable[int]) -> None:
         """Drop ``key`` from the path caches of the clusters at
-        ``holder_starts``.  Caller holds ``_lock``."""
+        ``holder_starts``."""
         for holder_start in holder_starts:
             cache = self._caches.get(holder_start)
             if cache is not None:
@@ -746,27 +638,12 @@ class HierarchicalRouter:
 
     # -- summaries ---------------------------------------------------------------------
 
-    def _rebuild_cluster_summary(
-        self, cluster: Cluster, epoch: int | None = None
-    ) -> None:
-        """Scan the cluster members' storages into a fresh summary and
-        charge the members' summary shipments to maintenance.
-
-        ``epoch`` is the rebuild's claim ticket: saturation rebuilds
-        mint it under the lock in :meth:`on_insert` (single-flight);
-        every other caller (init, refresh, split/merge, scoped repair)
-        passes ``None`` and a fresh epoch is minted here, superseding
-        whatever rebuild may be in flight for the cluster.  The install
-        is a no-op unless the claim still stands."""
+    def _rebuild_cluster_summary(self, cluster: Cluster) -> None:
+        """Scan the cluster members' storages into a fresh summary,
+        charge the members' summary shipments to maintenance, and
+        install it."""
         if not self.use_summaries:
             return
-        start = cluster.start
-        if epoch is None:
-            with self._lock:
-                self._summary_epoch += 1
-                epoch = self._summary_epoch
-                self._summary_rebuilding[start] = epoch
-                self._pending_summary_adds[start] = []
         network = self.topology.network
         rows = scan_cluster_key_ids(network, cluster)
         summary = summary_for_scan(rows)
@@ -779,25 +656,8 @@ class HierarchicalRouter:
                         cluster.super_peer,
                         postings=_summary_posting_equivalents(len(key_ids)),
                     )
-        self._install_summary(start, summary, epoch)
-
-    def _install_summary(
-        self, cluster_key: int, summary: ClusterSummary, epoch: int
-    ) -> bool:
-        """Atomically install a rebuilt summary if its claim still
-        stands, folding in the key ids inserted while the scan ran.
-        A superseded rebuild (refresh, split/merge, scoped repair, or
-        a newer claim) is discarded — this is what makes concurrent
-        rebuilds single-flight and stale installs harmless."""
-        with self._lock:
-            if self._summary_rebuilding.get(cluster_key) != epoch:
-                return False
-            for key_id in self._pending_summary_adds.pop(cluster_key, []):
-                summary.add(key_id)
-            del self._summary_rebuilding[cluster_key]
-            self._summaries[cluster_key] = summary
-            self._count("summary_rebuilds")
-        return True
+        self._summaries[cluster.start] = summary
+        self._count("summary_rebuilds")
 
     # -- attribution / inspection ------------------------------------------------------
 
@@ -806,7 +666,7 @@ class HierarchicalRouter:
     ) -> None:
         """Count ``amount`` occurrences of ``event`` — attributed to
         super-peer ``sp`` when given — at every level :data:`_EVENTS`
-        lists for it.  Caller holds ``_lock``."""
+        lists for it."""
         stat, total, field, family = self._counters[event]
         if stat is not None:
             self._totals[stat] += amount
@@ -822,11 +682,10 @@ class HierarchicalRouter:
         """Topology shape + routing/caching counters (backend stats)."""
         stats = self.stats
         info: dict[str, object] = dict(self.topology.describe())
-        with self._lock:
-            per_sp = {
-                str(peer_id): dict(counters)
-                for peer_id, counters in sorted(self._per_sp.items())
-            }
+        per_sp = {
+            str(peer_id): dict(counters)
+            for peer_id, counters in sorted(self._per_sp.items())
+        }
         info.update(
             {
                 "path_cache_capacity": self.path_cache_capacity,

@@ -84,15 +84,6 @@ class SuperPeerTopology:
             every peer its own super-peer (the degenerate flat-ish
             case); larger fanouts trade shorter super-peer routing
             tables against larger clusters.
-
-    Thread-safety: the cluster map is swapped atomically on every
-    mutation (readers see the old or the new map, never a half-built
-    one).  Full rebuilds are driven by membership changes, which the
-    simulator performs sequentially; split/merge/re-election are driven
-    by the router, which serializes them behind its own adaptation
-    lock.  Load observation is an unlocked read-modify-write: the
-    router charges it while holding its routing lock, so concurrent
-    lookups lose no increments.
     """
 
     def __init__(self, network: P2PNetwork, fanout: int = 8) -> None:
@@ -408,9 +399,8 @@ class SuperPeerTopology:
         """The cluster ``peer_id`` sends its own messages through: the
         one it belongs to, or — for a peer the map does not hold (a
         crashed peer, which a :meth:`rebuild` leaves out while it still
-        originates traffic in a later join's cascade, or a peer that
-        joined on another thread and is not clustered yet) — the
-        cluster whose id span holds its ring position."""
+        originates traffic in a later join's cascade) — the cluster
+        whose id span holds its ring position."""
         clusters, cluster_of = self._state
         index = cluster_of.get(peer_id)
         if index is None:

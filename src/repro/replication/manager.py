@@ -100,8 +100,7 @@ class ReplicationManager:
         ``(dead owners skipped, first live owner)`` — the probe cost of
         a failover read and the peer it lands on (``None`` when the
         whole replica set is dead).  Both come from the same liveness
-        reads, so a crash or respawn racing the walk can never make the
-        probe count disagree with the target."""
+        reads, so the probe count always agrees with the target."""
         is_live = self.network.is_live
         skipped = 0
         for owner in self.placement.owners(key_id):

@@ -13,8 +13,6 @@ anti-entropy repair re-converges it.
 
 from __future__ import annotations
 
-import threading
-
 from ..errors import ConfigurationError
 from ..net.chord import Overlay
 
@@ -40,41 +38,30 @@ class ReplicaPlacement:
         self.replication = replication
         #: ``(ring ascending, {primary: replica set})`` of one ring
         #: generation, derived on first use after a membership change
-        #: and replaced as one tuple: owners() runs on every lookup and
-        #: several times per insert, so it is one dict read, and a
-        #: reader gets the ring and the table of the same generation in
-        #: one load.
+        #: and dropped as one: owners() runs on every lookup and
+        #: several times per insert, so it is one dict read.
         self._placement: (
             tuple[tuple[int, ...], dict[int, tuple[int, ...]]] | None
         ) = None
-        # Serializes derivation against invalidate(), so a derivation
-        # that read the old ring can never be published after the
-        # invalidation meant to drop it.  Readers of a current
-        # generation never take it.
-        self._lock = threading.Lock()
 
     def invalidate(self) -> None:
         """Drop the cached placement (call on join/leave; crash and
         respawn do not change the ring)."""
-        with self._lock:
-            self._placement = None
+        self._placement = None
 
     def _current(
         self,
     ) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
         placement = self._placement
         if placement is None:
-            with self._lock:
-                placement = self._placement
-                if placement is None:
-                    ring = tuple(sorted(self.overlay.peer_ids()))
-                    count = min(self.replication, len(ring))
-                    wrapped = ring + ring[:count]
-                    table = {
-                        primary: wrapped[start : start + count]
-                        for start, primary in enumerate(ring)
-                    }
-                    placement = self._placement = (ring, table)
+            ring = tuple(sorted(self.overlay.peer_ids()))
+            count = min(self.replication, len(ring))
+            wrapped = ring + ring[:count]
+            table = {
+                primary: wrapped[start : start + count]
+                for start, primary in enumerate(ring)
+            }
+            placement = self._placement = (ring, table)
         return placement
 
     def ring(self) -> tuple[int, ...]:

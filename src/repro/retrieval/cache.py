@@ -10,7 +10,6 @@ backend produced the result.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
@@ -53,10 +52,6 @@ class QueryResultCache:
     request); shallower entries count as misses and are replaced by
     :meth:`put`.
 
-    Thread-safe: entries, LRU order, and the hit/miss counters are all
-    guarded by an internal lock, so ``hits + misses`` always equals the
-    number of lookups no matter how many threads hammer the cache.
-
     Args:
         capacity: maximum number of cached query results.
     """
@@ -68,7 +63,6 @@ class QueryResultCache:
         self._entries: OrderedDict[frozenset[str], _CachedPayload] = (
             OrderedDict()
         )
-        self._lock = threading.Lock()
         self.stats = CacheStats()
 
     def get(self, query: Query, k: int) -> Any | None:
@@ -76,30 +70,23 @@ class QueryResultCache:
         or ``None`` (both outcomes update the hit/miss counters)."""
         payload = self.try_hit(query, k)
         if payload is None:
-            self.note_miss()
+            self.stats.misses += 1
         return payload
 
     def try_hit(self, query: Query, k: int) -> Any | None:
         """Like :meth:`get`, but an absent or too-shallow entry counts
-        *nothing*: the caller decides whether it is a miss (pair with
-        :meth:`note_miss`) or a deferred retry — the single-flight path
-        of the search service, where a caller about to wait on an
-        identical in-flight query must not count a miss it never pays."""
+        *nothing* — for a caller that keeps its own miss counter (the
+        super-peer path caches count one miss per lookup, not one per
+        cache probed)."""
         if k < 1:
             raise RetrievalError(f"k must be >= 1, got {k}")
-        with self._lock:
-            entry = self._entries.get(query.term_set)
-            if entry is not None and entry.k >= k:
-                self._entries.move_to_end(query.term_set)
-                self.stats.hits += 1
-                self.stats.postings_saved += entry.postings
-                return entry.payload
-            return None
-
-    def note_miss(self) -> None:
-        """Count one miss (the counterpart of :meth:`try_hit`)."""
-        with self._lock:
-            self.stats.misses += 1
+        entry = self._entries.get(query.term_set)
+        if entry is not None and entry.k >= k:
+            self._entries.move_to_end(query.term_set)
+            self.stats.hits += 1
+            self.stats.postings_saved += entry.postings
+            return entry.payload
+        return None
 
     def put(
         self,
@@ -110,22 +97,13 @@ class QueryResultCache:
     ) -> None:
         """Cache ``payload`` for ``query``; ``postings_transferred`` is
         the traffic a future hit will have saved (for the stats)."""
-        with self._lock:
-            existing = self._entries.get(query.term_set)
-            if existing is not None and existing.k > k:
-                # A deeper ranking already serves this term set (e.g. a
-                # concurrent deeper query finished first); a shallower
-                # payload must never downgrade it — deep entries
-                # prefix-serve every shallower request.
-                self._entries.move_to_end(query.term_set)
-                return
-            self._entries[query.term_set] = _CachedPayload(
-                payload=payload, k=k, postings=postings_transferred
-            )
-            self._entries.move_to_end(query.term_set)
-            if len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+        self._entries[query.term_set] = _CachedPayload(
+            payload=payload, k=k, postings=postings_transferred
+        )
+        self._entries.move_to_end(query.term_set)
+        if len(self._entries) > self._capacity:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
 
     def remove(self, term_set: frozenset[str]) -> bool:
         """Drop the single entry cached under ``term_set``, if any.
@@ -136,14 +114,11 @@ class QueryResultCache:
 
         Returns True when an entry was removed.
         """
-        with self._lock:
-            return self._entries.pop(term_set, None) is not None
+        return self._entries.pop(term_set, None) is not None
 
     def invalidate(self) -> None:
         """Drop every cached entry (call after the index changes)."""
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)

@@ -79,8 +79,8 @@ class HDKRetrievalEngine:
     ) -> None:
         self.global_index = global_index
         self.params = params
-        #: ``(generation, scorer, doc length -> length norm)``; swapped
-        #: whole, so concurrent queries never see a torn state.
+        #: ``(generation, scorer, doc length -> length norm)``, rebuilt
+        #: when the collection totals change.
         self._scoring: (
             tuple[tuple[int, float], BM25Scorer, dict[int, float]] | None
         ) = None
@@ -165,8 +165,6 @@ class HDKRetrievalEngine:
         if not fetched:
             return []
         index = self.global_index
-        # Frequencies before totals: a join beside this search grows the
-        # totals first, so no frequency read here exceeds the count.
         term_dfs = {
             term: index.term_document_frequency(term)
             for term in query.terms

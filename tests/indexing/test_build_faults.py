@@ -109,7 +109,7 @@ def test_extraction_fault_leaks_no_window_or_phase(collection):
     accounting = network.accounting
     with pytest.raises(_BoomError):
         IndexingPipeline().build(indexers, PARAMS)
-    assert accounting._charge.get() is None
+    assert accounting._charges == []
     assert accounting.phase is Phase.INDEXING
 
 

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import sys
-import threading
 from collections import Counter
 
 import pytest
@@ -15,7 +13,6 @@ from repro.net.accounting import (
     Phase,
     TrafficAccounting,
     TrafficSnapshot,
-    merge_snapshots,
 )
 from repro.net.messages import MessageKind
 
@@ -176,103 +173,6 @@ class TestWindows:
                 raise RuntimeError("boom")
         assert acc.phase is Phase.INDEXING
 
-
-@pytest.mark.concurrency
-class TestConcurrency:
-    """A charge lives in a ContextVar, so each thread counts only its
-    own messages while other threads record into the same accounting."""
-
-    def test_thread_scoped_window_ignores_other_threads(self):
-        acc = TrafficAccounting()
-        start = threading.Barrier(2)
-        deltas = {}
-
-        def worker(name: str, postings: int, count: int) -> None:
-            start.wait()
-            with acc.charge(Phase.INDEXING) as charge:
-                for _ in range(count):
-                    acc.record(*make_message(postings=postings, hops=1))
-            deltas[name] = charge.snapshot()
-
-        threads = [
-            threading.Thread(target=worker, args=("a", 3, 400)),
-            threading.Thread(target=worker, args=("b", 7, 400)),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # Each charge saw exactly its own thread's messages...
-        assert deltas["a"].indexing_postings == 3 * 400
-        assert deltas["b"].indexing_postings == 7 * 400
-        # ...while the global totals aggregate both.
-        assert acc.postings(Phase.INDEXING) == 3 * 400 + 7 * 400
-        assert acc.messages(Phase.INDEXING) == 800
-
-    def test_global_window_sees_every_thread(self):
-        """The totals see every thread; a charge open in this thread
-        sees none of the others' messages."""
-        acc = TrafficAccounting()
-        with acc.charge(Phase.RETRIEVAL) as charge:
-            threads = [
-                threading.Thread(
-                    target=lambda: [
-                        acc.record(*make_message(postings=1))
-                        for _ in range(250)
-                    ]
-                )
-                for _ in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        assert acc.snapshot().indexing_postings == 1000
-        assert acc.snapshot().messages_by_phase == {Phase.INDEXING: 1000}
-        assert charge.snapshot().total_messages == 0
-
-    def test_concurrent_records_never_lost(self):
-        acc = TrafficAccounting()
-        threads = [
-            threading.Thread(
-                target=lambda: [
-                    acc.record(*make_message(postings=2, hops=3))
-                    for _ in range(500)
-                ]
-            )
-            for _ in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert acc.messages(Phase.INDEXING) == 4000
-        assert acc.postings(Phase.INDEXING) == 8000
-        assert acc.hops(Phase.INDEXING) == 12000
-
-    def test_charge_phase_is_context_local(self):
-        acc = TrafficAccounting()
-        inside = threading.Event()
-        proceed = threading.Event()
-
-        def maintenance_worker() -> None:
-            with acc.charge(Phase.MAINTENANCE):
-                acc.record(*make_message(postings=5, kind=MessageKind.HANDOFF))
-                inside.set()
-                proceed.wait()
-
-        thread = threading.Thread(target=maintenance_worker)
-        with acc.charge(Phase.RETRIEVAL):
-            thread.start()
-            inside.wait()
-            # While the other thread is inside its maintenance charge,
-            # this thread still records under its own retrieval charge.
-            acc.record(*make_message(postings=11))
-            proceed.set()
-            thread.join()
-        assert acc.postings(Phase.MAINTENANCE) == 5
-        assert acc.postings(Phase.RETRIEVAL) == 11
-
     def test_nested_charge_restores_the_outer_phase(self):
         acc = TrafficAccounting()
         with acc.charge(Phase.RETRIEVAL):
@@ -296,28 +196,6 @@ class TestConcurrency:
         acc.record(*make_message(postings=1))
         assert charge.snapshot().total_messages == 0
         assert acc.snapshot().messages_by_phase == {Phase.INDEXING: 1}
-
-    def test_abandoned_thread_window_is_pruned_too(self):
-        """A charge left open by a thread that ended stays in that
-        thread's context: it absorbs no later message."""
-        acc = TrafficAccounting()
-        abandoned = []
-
-        def abandon() -> None:
-            abandoned.append(acc.charge(Phase.RETRIEVAL).__enter__())
-            acc.record(*make_message(postings=1))
-
-        thread = threading.Thread(target=abandon)
-        thread.start()
-        thread.join()
-        assert acc.phase is Phase.INDEXING
-        acc.record(*make_message(postings=1))
-        assert abandoned[0].snapshot().messages_by_phase == {
-            Phase.RETRIEVAL: 1
-        }
-        assert acc.snapshot().messages_by_phase == {
-            Phase.RETRIEVAL: 1, Phase.INDEXING: 1
-        }
 
 
 # -- cell-based accounting vs a plain-Counter model --------------------------------
@@ -358,7 +236,7 @@ def assert_same_snapshot(actual, expected):
 accounting_ops = st.lists(
     st.one_of(
         st.tuples(
-            st.sampled_from(["record", "record_elsewhere"]),
+            st.just("record"),
             st.sampled_from(list(MessageKind)),
             st.integers(min_value=0, max_value=50),
             st.integers(min_value=0, max_value=6),
@@ -380,13 +258,12 @@ def fold(outer, inner):
         getattr(outer, dimension).update(getattr(inner, dimension))
 
 
-@pytest.mark.concurrency
 @settings(max_examples=200, deadline=None)
 @given(accounting_ops)
 def test_cells_match_counter_model(ops):
-    """Random nested charges of random phases, with records (here and
-    on another thread) and snapshots in between, against one Counter
-    model per open charge and one for the totals."""
+    """Random nested charges of random phases, with records and
+    snapshots in between, against one Counter model per open charge and
+    one for the totals."""
     acc = TrafficAccounting()
     totals = CounterModel()
     open_charges: list[tuple[object, Phase, CounterModel]] = []
@@ -406,24 +283,14 @@ def test_cells_match_counter_model(ops):
     try:
         for op in ops:
             name = op[0]
-            if name in ("record", "record_elsewhere"):
+            if name == "record":
                 _, kind, postings, hops, reply = op
-                fields = (kind, postings, hops, reply)
                 models = [totals]
-                if name == "record":
-                    phase = Phase.INDEXING
-                    if open_charges:
-                        _, phase, innermost = open_charges[-1]
-                        models.append(innermost)
-                    acc.record(*fields)
-                else:
-                    # Another thread: its own (empty) context, so no
-                    # charge of this one sees the message.
-                    phase = Phase.INDEXING
-                    other = threading.Thread(target=acc.record, args=fields)
-                    other.start()
-                    other.join(timeout=10)
-                    assert not other.is_alive()
+                phase = Phase.INDEXING
+                if open_charges:
+                    _, phase, innermost = open_charges[-1]
+                    models.append(innermost)
+                acc.record(kind, postings, hops, reply)
                 for model in models:
                     model.add(phase, kind, postings, hops)
                     if reply is not None:
@@ -460,70 +327,3 @@ def test_bare_lookup_creates_zero_valued_postings_key():
         assert snapshot.hops_by_phase == {Phase.RETRIEVAL: 0}
         assert snapshot.messages_by_phase == {Phase.RETRIEVAL: 1}
         assert snapshot.messages_by_kind == {MessageKind.LOOKUP: 1}
-
-
-@pytest.mark.concurrency
-def test_hammer_with_charges_stays_exact():
-    """Eight threads, each under one charge of its own phase with a
-    charge of another phase nested inside for half its messages: every
-    tally exact, and the totals equal the merge of the outer tallies."""
-    acc = TrafficAccounting()
-    phases = list(Phase)
-    kinds = list(MessageKind)
-    per_thread = 400
-    outers: dict[int, TrafficSnapshot] = {}
-    inners: dict[int, list[TrafficSnapshot]] = {}
-
-    def send(number, i):
-        acc.record(
-            *make_message(
-                postings=number, hops=i % 3,
-                kind=kinds[(number + i) % len(kinds)],
-            )
-        )
-
-    def worker(number):
-        phase = phases[number % len(phases)]
-        nested = phases[(number + 1) % len(phases)]
-        with acc.charge(phase) as outer:
-            for i in range(0, per_thread, 2):
-                send(number, i)
-                with acc.charge(nested) as inner:
-                    send(number, i + 1)
-                inners.setdefault(number, []).append(inner.snapshot())
-        outers[number] = outer.snapshot()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [
-            threading.Thread(target=worker, args=(number,))
-            for number in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    half = per_thread // 2
-    even_hops = sum(i % 3 for i in range(0, per_thread, 2))
-    odd_hops = sum(i % 3 for i in range(1, per_thread, 2))
-    for number, outer in outers.items():
-        phase = phases[number % len(phases)]
-        nested = phases[(number + 1) % len(phases)]
-        inner = merge_snapshots(*inners[number])
-        assert inner.messages_by_phase == {nested: half}
-        assert inner.postings_by_phase == {nested: number * half}
-        assert inner.hops_by_phase == {nested: odd_hops}
-        assert outer.messages_by_phase == {phase: half, nested: half}
-        assert outer.postings_by_phase == {
-            phase: number * half, nested: number * half
-        }
-        assert outer.hops_by_phase == {phase: even_hops, nested: odd_hops}
-        assert sum(outer.messages_by_kind.values()) == per_thread
-    assert_same_snapshot(acc.snapshot(), merge_snapshots(*outers.values()))
-    assert acc.snapshot().total_messages == 8 * per_thread
-    assert acc.snapshot().total_postings == per_thread * sum(range(8))
-    assert acc.snapshot().total_hops == 8 * (even_hops + odd_hops)

@@ -1,12 +1,9 @@
 """Tests for the adaptive overlay: load-aware election, cluster
 split/merge with hysteresis, multi-level path caching with invalidation
-fan-out, scoped crash/respawn repair, single-flight summary rebuilds,
+fan-out, scoped crash/respawn repair, summary rebuilds on saturation,
 and per-super-peer attribution."""
 
 from __future__ import annotations
-
-import sys
-import threading
 
 import pytest
 
@@ -23,7 +20,7 @@ from repro.net.messages import MessageKind
 from repro.net.network import P2PNetwork
 from repro.obs.metrics import get_hub
 from repro.overlay import HierarchicalRouter, SuperPeerTopology
-from repro.overlay.summaries import ClusterSummary, summary_for_scan
+from repro.overlay.summaries import ClusterSummary
 from repro.serving.gateway import _aggregate_worker_stats
 
 
@@ -475,7 +472,7 @@ class TestScopedCrashRepair:
         assert lookup(network, source, key) == [1]
 
 
-class TestSummarySingleFlight:
+class TestSummarySaturation:
     def saturated_summary(self) -> ClusterSummary:
         summary = ClusterSummary(capacity=1)
         summary.add(101)
@@ -485,155 +482,28 @@ class TestSummarySingleFlight:
 
     def test_saturating_insert_rebuilds_once(self):
         network, router = make_static()
-        key = frozenset({"single-flight"})
+        key = frozenset({"saturating"})
         owner = network.responsible_peer_for(key)
         start = router.topology.cluster_of_peer(owner).start
-        with router._lock:
-            router._summaries[start] = self.saturated_summary()
+        router._summaries[start] = self.saturated_summary()
         rebuilds_before = router.stats.summary_rebuilds
         insert(network, "peer-000", key, [1])
         assert router.stats.summary_rebuilds == rebuilds_before + 1
-        with router._lock:
-            assert start not in router._summary_rebuilding
         # The rebuilt filter still claims the freshly inserted key.
-        with router._lock:
-            assert network._key_id(key) in router._summaries[start]
+        assert network._key_id(key) in router._summaries[start]
 
-    def test_concurrent_saturating_insert_queues_instead_of_rescanning(self):
-        network, router = make_static()
-        key = frozenset({"queued-insert"})
-        owner = network.responsible_peer_for(key)
-        start = router.topology.cluster_of_peer(owner).start
-        with router._lock:
-            router._summaries[start] = self.saturated_summary()
-            router._summary_epoch += 1
-            epoch = router._summary_epoch
-            router._summary_rebuilding[start] = epoch
-            router._pending_summary_adds[start] = []
-        rebuilds_before = router.stats.summary_rebuilds
-        insert(network, "peer-000", key, [1])
-        # The in-flight marker absorbed the saturation: no second scan.
-        assert router.stats.summary_rebuilds == rebuilds_before
-        key_id = network._key_id(key)
-        with router._lock:
-            assert key_id in router._pending_summary_adds[start]
-        # The owning rebuild installs and folds the queued id in.
-        replacement = summary_for_scan([])
-        assert router._install_summary(start, replacement, epoch)
-        with router._lock:
-            assert key_id in router._summaries[start]
-
-    def test_refresh_supersedes_inflight_install(self):
-        network, router = make_static()
-        start = router.topology.clusters[0].start
-        with router._lock:
-            router._summary_epoch += 1
-            stale_epoch = router._summary_epoch
-            router._summary_rebuilding[start] = stale_epoch
-            router._pending_summary_adds[start] = []
-        router.refresh()
-        # The pre-refresh rebuild finishes late: its install must be a
-        # no-op, not a resurrection of a stale (possibly empty) filter.
-        stale = summary_for_scan([])
-        assert not router._install_summary(start, stale, stale_epoch)
-        with router._lock:
-            assert router._summaries[start] is not stale
-
-    @pytest.mark.concurrency
-    def test_concurrent_inserts_never_produce_false_negatives(self):
+    def test_saturating_inserts_never_produce_false_negatives(self):
         network, router = make_static(num_peers=8, fanout=4)
-        # Tiny summaries so concurrent inserts keep saturating them.
-        with router._lock:
-            for start in list(router._summaries):
-                router._summaries[start] = ClusterSummary(capacity=1)
-        keys = [frozenset({f"thread-key-{i}"}) for i in range(48)]
-        errors: list[Exception] = []
-
-        def worker(worker_keys):
-            try:
-                for key in worker_keys:
-                    insert(network, "peer-000", key, [1])
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(keys[i::4],))
-            for i in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
+        # Tiny summaries, so the inserts keep saturating them.
+        for start in list(router._summaries):
+            router._summaries[start] = ClusterSummary(capacity=1)
+        keys = [frozenset({f"saturating-{i}"}) for i in range(48)]
+        for key in keys:
+            insert(network, "peer-000", key, [1])
         # Every inserted key must be found — a lost summary add would
         # surface as a summary-skip answering None.
         for key in keys:
             assert lookup(network, "peer-001", key) == [1]
-
-
-@pytest.mark.concurrency
-class TestLoadChargesUnderConcurrency:
-    def test_no_election_charge_is_lost(self):
-        # The topology's load observation is an unlocked
-        # read-modify-write; the router must charge it under its own
-        # lock, or concurrent lookups lose election signal.  Every unit
-        # the router attributes to a peer is also a unit charged to the
-        # topology, so the two sums must agree exactly.
-        network, router = make_adaptive(
-            num_peers=16,
-            fanout=4,
-            path_cache_capacity=0,
-            decision_interval=1_000_000,
-            split_threshold=1_000_000,
-        )
-        names = network.peer_names()
-        keys = [frozenset({f"charged-{i}"}) for i in range(40)]
-        errors: list[Exception] = []
-        # Lost updates are rare enough to slip through a short run, so
-        # the discipline itself is checked too: no charge outside the
-        # routing lock (deterministic on the warm-up lookups below).
-        observe_load = router.topology.observe_load
-        unlocked: list[int] = []
-
-        def checked_observe_load(peer_id, amount=1.0):
-            if not router._lock.locked():
-                unlocked.append(peer_id)
-            observe_load(peer_id, amount)
-
-        router.topology.observe_load = checked_observe_load
-        for i, key in enumerate(keys):
-            lookup(network, names[i % len(names)], key)
-        assert not unlocked
-
-        def worker(offset: int) -> None:
-            try:
-                for round_index in range(25):
-                    for i, key in enumerate(keys):
-                        source = names[(offset + i + round_index) % len(names)]
-                        lookup(network, source, key)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(offset,))
-            for offset in range(6)
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not errors
-        assert not any(thread.is_alive() for thread in threads)
-        assert not unlocked
-        assert router.stats.lookups == (6 * 25 + 1) * len(keys)
-        attributed = sum(router.describe()["sp_load"].values())
-        assert attributed > 0
-        assert sum(router.topology._peer_load.values()) == attributed
 
 
 class TestPerSuperPeerAttribution:

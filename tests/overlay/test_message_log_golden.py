@@ -8,7 +8,7 @@ ranges at R=1, failover probes at R=2, a crashed super-peer's
 re-election), respawns (scoped repair, and the fallback to a full
 refresh), joins and leaves (re-clustering), inserts onto keys with
 remote path-cache copies (invalidation fan-out), a saturating insert
-(single-flight summary rebuild), and a load skew that splits a cluster
+(summary rebuild), and a load skew that splits a cluster
 and lets it merge back.
 
 Every message the network logs is recorded — from its ``net.msg`` trace
@@ -203,14 +203,13 @@ def script_world(replication: int, adaptive: bool) -> World:
             world.lookup(source, absent)
 
     # A saturating insert: the home cluster's summary is swapped for a
-    # one-key filter, so the next insert claims the single-flight
-    # rebuild and ships the members' summaries mid-insert.
+    # one-key filter, so the next insert rebuilds it and ships the
+    # members' summaries mid-insert.
     start = topology.home_cluster(network.key_id(other)).start
-    with world.router._lock:
-        tiny = ClusterSummary(capacity=1)
-        tiny.add(network.key_id(cached))
-        tiny.add(network.key_id(stored))
-        world.router._summaries[start] = tiny
+    tiny = ClusterSummary(capacity=1)
+    tiny.add(network.key_id(cached))
+    tiny.add(network.key_id(stored))
+    world.router._summaries[start] = tiny
     world.insert(leaf_b, other, [4, 5])
     world.lookup(leaf_c, other)
 

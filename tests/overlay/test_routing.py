@@ -161,28 +161,6 @@ class TestPathCache:
             "peer-004", key, lambda v: len(v or [])
         ) == [1, 2]
 
-    def test_stale_fill_dropped_after_concurrent_insert(self):
-        # White-box: a lookup that read the owner's value before an
-        # insert landed must not re-cache that superseded value past
-        # the insert's invalidation (the generation guard).
-        network, router = make_routed_network()
-        key = frozenset({"lambda"})
-        insert(network, "peer-000", key, [1])
-        owner = network.responsible_peer_for(key)
-        cluster = router.topology.cluster_of_peer(owner)
-        with router._lock:
-            generation = router._insert_gens.get(cluster.start, 0)
-        stale_value = [1]  # what a pre-insert read returned
-        insert(network, "peer-001", key, [2])  # bumps the generation
-        with router._lock:
-            router._fill(
-                cluster.start, cluster.start, key, stale_value, generation,
-                register=False,
-            )
-        assert network.lookup(
-            "peer-004", key, lambda v: len(v or [])
-        ) == [1, 2]
-
     def test_capacity_zero_disables_caching(self):
         network, router = make_routed_network(path_cache_capacity=0)
         key = frozenset({"eta"})

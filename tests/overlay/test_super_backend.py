@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import threading
+import random
 
 import pytest
 
@@ -33,6 +33,14 @@ def queries(collection):
     return QueryLogGenerator(
         collection, window_size=6, min_hits=3, seed=9
     ).generate(20)
+
+
+@pytest.fixture(scope="module")
+def zipf_log(queries):
+    """The query log replayed with Zipf-skewed repeats, so lookups reach
+    the path caches."""
+    weights = [1.0 / rank for rank in range(1, len(queries) + 1)]
+    return random.Random(3).choices(queries, weights, k=120)
 
 
 def build(collection, backend: str, **kwargs) -> SearchService:
@@ -122,33 +130,39 @@ class TestParity:
         assert runs["hdk"][0] == runs["hdk_super"][0]
         assert runs["hdk"][1] == runs["hdk_super"][1]
 
-    @pytest.mark.concurrency
-    def test_concurrent_search_results_deterministic(
-        self, collection, queries
+    @pytest.mark.parametrize("replication", [1, 2])
+    @pytest.mark.parametrize(
+        "adaptive", [False, True], ids=["static", "adaptive"]
+    )
+    def test_hop_counts_deterministic(
+        self, collection, zipf_log, adaptive, replication
     ):
-        # Thread interleaving may shift which lookup warms the path
-        # cache (hops can differ run to run) but never the answers.
-        service = build(collection, "hdk_super", overlay_fanout=4)
-        sequential = service.search_batch(queries, k=10)
-        concurrent = [None] * len(queries)
-
-        def run(positions):
-            for position in positions:
-                concurrent[position] = service.search(queries[position], k=10)
-
-        threads = [
-            threading.Thread(target=run, args=(range(i, len(queries), 4),))
-            for i in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for a, b in zip(sequential.responses, concurrent):
-            assert [(r.doc_id, r.score) for r in a.results] == [
-                (r.doc_id, r.score) for r in b.results
-            ]
-            assert a.postings_transferred == b.postings_transferred
+        """Two fresh services replaying one Zipf log send the same
+        messages over the same hops and rank the same, query by query —
+        path-cache hits and, when adaptive, cluster splits included."""
+        knobs = {"overlay_fanout": 4, "replication": replication}
+        if adaptive:
+            knobs.update(
+                overlay_adaptive=True,
+                overlay_split_threshold=8,
+                overlay_merge_threshold=2,
+            )
+        runs = []
+        for _ in range(2):
+            service = build(collection, "hdk_super", **knobs)
+            runs.append(
+                [
+                    (
+                        response.traffic,
+                        [(r.doc_id, r.score) for r in response.results],
+                    )
+                    for response in (
+                        service.search(query, k=10) for query in zipf_log
+                    )
+                ]
+            )
+            assert service.backend.router.stats.cache_hits > 0
+        assert runs[0] == runs[1]
 
     def test_incremental_join_stays_identical(self, queries):
         whole = SyntheticCorpusGenerator(CORPUS, seed=5).generate(300)

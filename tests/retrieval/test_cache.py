@@ -152,79 +152,19 @@ class TestWithRealEngine:
         assert cache.stats.postings_saved == first.postings_transferred
 
 
-@pytest.mark.concurrency
-class TestQueryResultCacheThreadSafety:
-    """The service-level LRU is hammered by every search_batch worker;
-    entries, LRU order, and counters must stay consistent."""
+class TestHitAccounting:
+    """``get`` counts a miss on absence; ``try_hit`` — the path caches'
+    probe, whose misses the router counts per lookup — counts only
+    hits."""
 
     def _make(self, capacity=64):
         return QueryResultCache(capacity=capacity)
-
-    def test_counters_consistent_under_hammering(self):
-        import threading
-
-        cache = self._make(capacity=32)
-        calls_per_thread = 600
-        num_threads = 8
-        start = threading.Barrier(num_threads)
-
-        def worker(seed: int) -> None:
-            start.wait()
-            for i in range(calls_per_thread):
-                query = q(f"term{(seed * 7 + i) % 48}")
-                if cache.get(query, k=5) is None:
-                    cache.put(query, 5, payload=("results", seed, i),
-                              postings_transferred=3)
-
-        threads = [
-            threading.Thread(target=worker, args=(t,))
-            for t in range(num_threads)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # Every lookup was counted exactly once, as a hit or a miss.
-        total_calls = calls_per_thread * num_threads
-        assert cache.stats.hits + cache.stats.misses == total_calls
-        # The LRU never overflows its capacity, and bookkeeping agrees.
-        assert len(cache) <= 32
-
-    def test_no_lost_entries_on_disjoint_keys(self):
-        import threading
-
-        cache = self._make(capacity=1024)
-        num_threads = 8
-        per_thread = 100
-        start = threading.Barrier(num_threads)
-
-        def worker(tid: int) -> None:
-            start.wait()
-            for i in range(per_thread):
-                query = q(f"t{tid}", f"i{i}")
-                cache.put(query, 5, payload=(tid, i), postings_transferred=1)
-
-        threads = [
-            threading.Thread(target=worker, args=(t,))
-            for t in range(num_threads)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # Capacity was never exceeded, so every disjoint put survived.
-        assert len(cache) == num_threads * per_thread
-        for tid in range(num_threads):
-            for i in range(per_thread):
-                assert cache.get(q(f"t{tid}", f"i{i}"), 5) == (tid, i)
 
     def test_try_hit_counts_nothing_on_absence(self):
         cache = self._make()
         assert cache.try_hit(q("a"), 5) is None
         assert cache.stats.misses == 0
         assert cache.stats.hits == 0
-        cache.note_miss()
-        assert cache.stats.misses == 1
 
     def test_try_hit_counts_real_hits(self):
         cache = self._make()
@@ -237,15 +177,6 @@ class TestQueryResultCacheThreadSafety:
         cache = self._make()
         assert cache.get(q("a"), 5) is None
         assert cache.stats.misses == 1
-
-    def test_put_never_downgrades_a_deeper_entry(self):
-        """Race regression: a shallower resolution finishing after a
-        concurrent deeper one must not replace the deeper cached
-        ranking (deep entries prefix-serve every shallower request)."""
-        cache = self._make()
-        cache.put(q("a"), 20, payload="deep", postings_transferred=9)
-        cache.put(q("a"), 5, payload="shallow", postings_transferred=3)
-        assert cache.try_hit(q("a"), 20) == "deep"
 
     def test_put_refreshes_same_depth(self):
         cache = self._make()
